@@ -4,7 +4,7 @@ Each claim names a statement about cop numbers or strategy outcomes over an
 exhaustive family of small instances.  Running a claim evaluates every
 instance with the exact solver or the policy verifier and emits one
 AuditReport per instance; verdicts are pure functions of those outputs, so
-reruns (at any parallelism) produce identical reports.
+reruns, with a cold or a warm result cache, produce identical reports.
 
 Two claims are *documented discrepancies*: their statements fail on concrete
 small instances, the failures are expected, and their violating rows carry
@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .cache import ResultCache
 from .families import (
     all_trees,
     all_two_connected_outerplanar,
@@ -28,9 +29,10 @@ from .families import (
     t_family,
 )
 from .formats import encode_graph6
-from .game import GameSpec, full_visibility, hyperopic, zero_visibility
+from .game import full_visibility, hyperopic, zero_visibility
 from .graph import build_graph, diameter, is_caterpillar, maximum_matching
-from .solver import solve
+# `solve` stays bound here because perfbench/trace_layers.py rebinds it.
+from .solver import search_cop_number, solve  # noqa: F401
 from .strategies import (
     Evaded,
     Win,
@@ -84,55 +86,31 @@ class AuditReport:
 
 
 class _Ctx:
-    """Shared evaluation context: solver access, memoization, optional cache."""
+    """Shared evaluation context: the state cap and a result cache, which
+    an in-memory cache stands in for when none is given, so each level is
+    solved at most once per claim."""
 
-    def __init__(self, cache=None, state_cap=1_000_000, jobs=1):
-        self.cache = cache
+    def __init__(self, cache=None, state_cap=1_000_000):
+        self.cache = ResultCache(None) if cache is None else cache
         self.state_cap = state_cap
-        self.jobs = jobs
-        self.memo = {}
-
-    def solve_status(self, g, rule, cops):
-        """'cop_win' | 'robber_win' | 'undecided' for a fixed cop count."""
-        g6 = encode_graph6(g)
-        key = (g6, rule.kind, rule.k, cops)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if self.cache is not None:
-            cached = self.cache.get(g6, rule, cops)
-            if cached is not None:
-                self.memo[key] = cached["status"]
-                return cached["status"]
-        res = solve(
-            GameSpec(g, rule, cops), state_cap=self.state_cap, jobs=self.jobs
-        )
-        if res.status != "undecided":
-            self.memo[key] = res.status
-            if self.cache is not None:
-                from .cache import result_record
-
-                self.cache.put(g6, rule, cops, result_record(res))
-        return res.status
 
     def bounded_copnum(self, g, rule, bound):
         """(least winning cop count <= bound or None, decided flag).
 
         A None value with decided=True means every level up to the bound is
-        a robber win, i.e. the cop number strictly exceeds the bound.
+        a robber win, i.e. the cop number strictly exceeds the bound.  A
+        None bound searches up to the matching cap.
         """
-        hard_cap = (g.n + 1) // 2 + 1
-        for c in range(1, min(bound, hard_cap) + 1):
-            status = self.solve_status(g, rule, c)
-            if status == "undecided":
-                return None, False
-            if status == "cop_win":
-                return c, True
-        return None, True
+        cops, record = search_cop_number(
+            g, rule, bound=bound, cache=self.cache, state_cap=self.state_cap
+        )
+        if record["status"] == "undecided":
+            return None, False
+        return (cops if record["status"] == "cop_win" else None), True
 
     def exact_copnum(self, g, rule):
         """The cop number, or None when a state cap blocked the decision."""
-        value, decided = self.bounded_copnum(g, rule, (g.n + 1) // 2 + 1)
+        value, decided = self.bounded_copnum(g, rule, None)
         if not decided:
             return None
         if value is None:
@@ -793,13 +771,13 @@ CLAIMS = {
 }
 
 
-def run_claim(claim, *, n_max=None, cache=None, state_cap=1_000_000, jobs=1):
+def run_claim(claim, *, n_max=None, cache=None, state_cap=1_000_000):
     """All reports for one claim, sorted by instance key."""
     try:
         fn = CLAIMS[claim]
     except KeyError:
         raise ValueError(f"unknown claim {claim!r}") from None
-    ctx = _Ctx(cache=cache, state_cap=state_cap, jobs=jobs)
+    ctx = _Ctx(cache=cache, state_cap=state_cap)
     return sorted(fn(n_max, ctx), key=AuditReport.sort_key)
 
 

@@ -1,12 +1,14 @@
 """Append-only JSON-lines store for solved game instances.
 
 Each line records one winnability decision, keyed by (graph6, rule kind,
-distance parameter, cop count), together with a checksum over the canonical
-JSON of the key and result.  Lines that fail to parse or whose checksum does
-not match are skipped with a warning, so a torn write never poisons later
-runs.  Certificates are not persisted (they are cheap to re-derive from the
-stored winning placement); a cached entry carries status, placement, round
-bound, and the explored-state count of the original run.
+distance parameter, cop count) plus a schema version, together with a
+checksum over the canonical JSON of the key and result.  Lines that fail to
+parse or whose checksum does not match are skipped with a warning, so a torn
+write never poisons later runs; lines of another schema version are skipped
+with a warning too, so rows from older game semantics are never trusted.
+Certificates are not persisted (they are cheap to re-derive from the stored
+winning placement); a cached entry carries status, placement, round bound,
+and the explored-state count of the original run.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import os
 import warnings
 
 ENV_VAR = "HYPEROPIC_CACHE"
+
+# Bump whenever the game's semantics or the record shape change.
+SCHEMA_VERSION = 1
 
 
 def _checksum(payload):
@@ -30,7 +35,13 @@ def _canonical(key_obj, result):
 
 
 def _key_obj(graph6, rule, cops):
-    return {"graph6": graph6, "rule": rule.kind, "k": rule.k, "cops": cops}
+    return {
+        "graph6": graph6,
+        "rule": rule.kind,
+        "k": rule.k,
+        "cops": cops,
+        "version": SCHEMA_VERSION,
+    }
 
 
 class ResultCache:
@@ -60,7 +71,13 @@ class ResultCache:
                             f"cache {path}:{lineno}: corrupt line skipped"
                         )
                         continue
-                    key, result = parsed
+                    version, key, result = parsed
+                    if version != SCHEMA_VERSION:
+                        warnings.warn(
+                            f"cache {path}:{lineno}: schema version {version!r}"
+                            f" is not {SCHEMA_VERSION}; stale line skipped"
+                        )
+                        continue
                     self.entries[key] = result
         except FileNotFoundError:
             pass
@@ -127,7 +144,7 @@ def _parse_line(line):
         key = (key_obj["graph6"], key_obj["rule"], key_obj["k"], key_obj["cops"])
     except (KeyError, TypeError):
         return None
-    return key, result
+    return key_obj.get("version"), key, result
 
 
 def open_cache(path=None):
@@ -146,7 +163,7 @@ def result_record(res):
     return out
 
 
-def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000, jobs=1):
+def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000):
     """Winnability via the cache: returns (record, was_hit).
 
     The record is the JSON-safe dict shape of `result_record`.  Undecided
@@ -162,7 +179,7 @@ def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000, jobs=1):
         hit = cache.get(g6, rule, cops)
         if hit is not None:
             return hit, True
-    res = solve(GameSpec(graph, rule, cops), state_cap=state_cap, jobs=jobs)
+    res = solve(GameSpec(graph, rule, cops), state_cap=state_cap)
     record = result_record(res)
     if cache is not None and res.status != "undecided":
         cache.put(g6, rule, cops, record)

@@ -15,9 +15,9 @@ import sys
 from .cache import open_cache
 from .families import FamilySpec, generate
 from .formats import decode_graph6, emit_edge_list, encode_graph6, parse_edge_list
-from .game import full_visibility, hyperopic, zero_visibility
+from .game import cop_cap, full_visibility, hyperopic, zero_visibility
 from .graph import diameter, is_caterpillar, maximum_matching, radius
-from .solver import solve, GameSpec
+from .solver import search_cop_number
 from .strategies import (
     Evaded,
     Timeout,
@@ -80,42 +80,25 @@ def _cmd_copnum(args):
     except (ValueError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    cache = open_cache(args.cache)
-    g6 = encode_graph6(g)
-    hard_cap = (g.n + 1) // 2 + 1
-    upper = hard_cap if args.max_cops is None else min(args.max_cops, hard_cap)
-    if upper < 1:
+    if args.max_cops is not None and args.max_cops < 1:
         print("error: --max-cops must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    record = None
-    value = None
-    for c in range(1, upper + 1):
-        hit = cache.get(g6, rule, c)
-        if hit is not None:
-            print(f"cache hit: {g6} {rule.kind} k={rule.k} cops={c}", file=sys.stderr)
-            level = hit
-        else:
-            res = solve(
-                GameSpec(g, rule, c), state_cap=args.state_cap, jobs=args.jobs
-            )
-            from .cache import result_record
-
-            level = result_record(res)
-            if res.status != "undecided":
-                cache.put(g6, rule, c, level)
-        if level["status"] == "undecided":
+    cache = open_cache(args.cache)
+    value, record = search_cop_number(
+        g, rule, bound=args.max_cops, cache=cache, state_cap=args.state_cap
+    )
+    if cache.hits:
+        print(f"cache hits: {cache.hits}", file=sys.stderr)
+    if record["status"] == "undecided":
+        print(
+            f"undecided: state cap {args.state_cap} hit at {value} cops",
+            file=sys.stderr,
+        )
+        return EXIT_UNDECIDED
+    if record["status"] == "robber_win":
+        if value < cop_cap(g.n):
             print(
-                f"undecided: state cap {args.state_cap} hit at {c} cops",
-                file=sys.stderr,
-            )
-            return EXIT_UNDECIDED
-        if level["status"] == "cop_win":
-            value, record = c, level
-            break
-    if value is None:
-        if upper < hard_cap:
-            print(
-                f"undecided: no win with up to max-cops={upper}", file=sys.stderr
+                f"undecided: no win with up to max-cops={value}", file=sys.stderr
             )
             return EXIT_UNDECIDED
         raise AssertionError("no winning cop count below the matching cap")
@@ -123,7 +106,7 @@ def _cmd_copnum(args):
     print(
         json.dumps(
             {
-                "graph6": g6,
+                "graph6": encode_graph6(g),
                 "rule": args.rule,
                 "k": args.k,
                 "cop_number": value,
@@ -308,7 +291,6 @@ def _cmd_audit(args):
             n_max=args.n_max,
             cache=cache,
             state_cap=args.state_cap,
-            jobs=args.jobs,
         )
         rows.extend(reports)
         verdict = claim_verdict(reports)
@@ -363,7 +345,6 @@ def build_parser():
     )
     p.add_argument("--k", type=int, help="hyperopic distance parameter")
     p.add_argument("--max-cops", type=int, help="stop after this many cops")
-    p.add_argument("--jobs", type=int, default=1, help="parallel placements")
     p.add_argument("--cache", help="JSON-lines result cache path")
     p.add_argument(
         "--state-cap",
@@ -417,7 +398,6 @@ def build_parser():
     p = sub.add_parser("audit", help="run a claim audit and emit JSON lines")
     p.add_argument("--claim", default="all", help="claim id, or 'all'")
     p.add_argument("--n-max", type=int, help="bound instance sizes")
-    p.add_argument("--jobs", type=int, default=1, help="parallel placements")
     p.add_argument("--cache", help="JSON-lines result cache path")
     p.add_argument(
         "--state-cap",

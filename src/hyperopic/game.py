@@ -48,12 +48,17 @@ def full_visibility():
     return VisibilityRule("full")
 
 
+def cop_cap(n):
+    """ceil(n/2)+1: one more cop than the matching bound needs on n
+    vertices, so that many cops always win and no search needs more."""
+    return (n + 1) // 2 + 1
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A graph, a visibility rule, and how many cops play.
 
-    The cop count is capped at ceil(n/2)+1: the matching bound guarantees
-    that many cops always win, so no search needs more.
+    The cop count is capped at `cop_cap(n)`, which always suffices.
     """
 
     graph: "Graph"
@@ -61,7 +66,7 @@ class GameSpec:
     num_cops: int
 
     def __post_init__(self):
-        cap = (self.graph.n + 1) // 2 + 1
+        cap = cop_cap(self.graph.n)
         if not 1 <= self.num_cops <= cap:
             raise ValueError(
                 f"num_cops must be in [1, {cap}] for {self.graph.n} vertices"

@@ -14,7 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
-from .game import BeliefState, GameSpec, TransitionTable, mask_to_set
+from .cache import ResultCache, cached_solve
+from .game import BeliefState, TransitionTable, cop_cap, mask_to_set
 
 
 class UndecidedError(Exception):
@@ -160,35 +161,6 @@ def placement_order(graph, num_cops):
     return places
 
 
-def _orbit_representatives(graph, placements):
-    """Drop placements equivalent to an earlier one under a graph
-    automorphism (exact check via colored isomorphism)."""
-    import networkx as nx
-
-    base = nx.Graph()
-    base.add_nodes_from(range(graph.n))
-    base.add_edges_from(graph.edges)
-
-    def colored(placement):
-        g = base.copy()
-        for v in range(graph.n):
-            g.nodes[v]["c"] = 0
-        for v in placement:
-            g.nodes[v]["c"] += 1
-        return g
-
-    match = nx.algorithms.isomorphism.categorical_node_match("c", 0)
-    reps, rep_graphs = [], []
-    for p in placements:
-        gp = colored(p)
-        if not any(
-            nx.is_isomorphic(gp, gq, node_match=match) for gq in rep_graphs
-        ):
-            reps.append(p)
-            rep_graphs.append(gp)
-    return reps
-
-
 def _extract(arena, table, placement, init_idxs):
     """Deterministic strategy read-off from a solved arena.
 
@@ -233,77 +205,26 @@ def _extract(arena, table, placement, init_idxs):
     return Certificate(placement, moves, bound)
 
 
-def _solve_on_arena(arena, placement):
-    """Settle one placement's initial states on an arena.
-
-    Returns a list of ranked-or-not initial indices, or None if the
-    placement covers the whole graph (immediate win).
-    """
-    blocks = arena.table.initial(placement)
-    if not blocks:
-        return None
-    idxs = [arena.intern(placement, b) for b in blocks]
-    arena.settle()
-    return idxs
-
-
-def solve_placement(spec, placement, *, state_cap=1_000_000):
-    """Decide winnability for one fixed starting placement."""
-    placement = tuple(sorted(placement))
-    if len(placement) != spec.num_cops:
-        raise ValueError(f"placement must list {spec.num_cops} cop positions")
-    table = TransitionTable(spec)
-    arena = _Arena(table, state_cap)
-    try:
-        idxs = _solve_on_arena(arena, placement)
-    except _CapExceeded:
-        return SolveResult(
-            "undecided", spec.num_cops, states_explored=len(arena.index)
-        )
-    if idxs is None:
-        return SolveResult(
-            "cop_win", spec.num_cops, placement, Certificate(placement), 0, 0
-        )
-    if all(arena.rank[i] is not None for i in idxs):
-        cert = _extract(arena, table, placement, idxs)
-        return SolveResult(
-            "cop_win", spec.num_cops, placement, cert, cert.bound,
-            len(arena.index),
-        )
-    return SolveResult(
-        "robber_win", spec.num_cops, states_explored=len(arena.index)
-    )
-
-
-def solve(spec, *, state_cap=1_000_000, orbit_prune=False, jobs=1):
-    """Decide whether the spec's cops can guarantee capture from some start.
-
-    Placements are tried most spread-out first and share one arena (a
-    state's status is path-independent), returning on the first winning one
-    with its certificate.  orbit_prune skips placements equivalent under
-    graph automorphisms, which preserves the verdict but labels it with a
-    representative placement.  jobs > 1 solves placements on worker threads
-    with private arenas; the merged result is the same placement the
-    sequential order would find.
-    """
-    placements = placement_order(spec.graph, spec.num_cops)
-    if orbit_prune:
-        placements = _orbit_representatives(spec.graph, placements)
-    if jobs > 1:
-        return _solve_parallel(spec, placements, state_cap, jobs)
+def _solve_placements(spec, placements, state_cap):
+    """Settle placements in order on one shared arena (a state's status is
+    path-independent); the first winning placement is returned with its
+    certificate."""
     table = TransitionTable(spec)
     arena = _Arena(table, state_cap)
     for placement in placements:
-        try:
-            idxs = _solve_on_arena(arena, placement)
-        except _CapExceeded:
-            return SolveResult(
-                "undecided", spec.num_cops, states_explored=len(arena.index)
-            )
-        if idxs is None:
+        blocks = table.initial(placement)
+        if not blocks:
+            # the cops cover the whole graph: immediate win
             return SolveResult(
                 "cop_win", spec.num_cops, placement, Certificate(placement),
                 0, len(arena.index),
+            )
+        try:
+            idxs = [arena.intern(placement, b) for b in blocks]
+            arena.settle()
+        except _CapExceeded:
+            return SolveResult(
+                "undecided", spec.num_cops, states_explored=len(arena.index)
             )
         if all(arena.rank[i] is not None for i in idxs):
             cert = _extract(arena, table, placement, idxs)
@@ -316,74 +237,69 @@ def solve(spec, *, state_cap=1_000_000, orbit_prune=False, jobs=1):
     )
 
 
-def _solve_parallel(spec, placements, state_cap, jobs):
-    """Per-placement workers, merged as the sequential order would.
+def solve_placement(spec, placement, *, state_cap=1_000_000):
+    """Decide winnability for one fixed starting placement."""
+    placement = tuple(sorted(placement))
+    if len(placement) != spec.num_cops:
+        raise ValueError(f"placement must list {spec.num_cops} cop positions")
+    return _solve_placements(spec, [placement], state_cap)
 
-    Workers share only the immutable spec; each placement gets a private
-    arena, so the verdict (and the winning placement reported) matches the
-    sequential result while state counts may differ.
+
+def solve(spec, *, state_cap=1_000_000):
+    """Decide whether the spec's cops can guarantee capture from some start.
+
+    Placements are tried in `placement_order`, most spread-out first, and
+    the first winning one is returned with its certificate.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    explored = 0
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(
-            lambda p: solve_placement(spec, p, state_cap=state_cap), placements
-        )
-        for res in results:
-            explored += res.states_explored
-            if res.status != "robber_win":
-                return SolveResult(
-                    res.status, spec.num_cops, res.placement,
-                    res.certificate, res.rounds, explored,
-                )
-    return SolveResult("robber_win", spec.num_cops, states_explored=explored)
-
-
-def cop_number(graph, rule, *, max_cops=None, state_cap=1_000_000, jobs=1):
-    """Least number of cops that win, searched in ascending order.
-
-    Termination is guaranteed by ceil(n/2)+1 cops (one more than the
-    matching bound needs).  Raises UndecidedError when a level hits the
-    state cap ("undecided: limit") or when max_cops is exhausted without a
-    win, since higher levels were not ruled out.
-    """
-    hard_cap = (graph.n + 1) // 2 + 1
-    upper = hard_cap if max_cops is None else min(max_cops, hard_cap)
-    if upper < 1:
-        raise ValueError("max_cops must be at least 1")
-    for c in range(1, upper + 1):
-        res = solve(GameSpec(graph, rule, c), state_cap=state_cap, jobs=jobs)
-        if res.status == "undecided":
-            raise UndecidedError(
-                f"undecided: limit (state cap {state_cap} hit at {c} cops)"
-            )
-        if res.is_cop_win:
-            return c
-    if max_cops is not None and upper < hard_cap:
-        raise UndecidedError(
-            f"undecided: no win with up to max_cops={max_cops} cops"
-        )
-    raise AssertionError("matching bound violated: no winning cop count found")
-
-
-def solve_with_result(graph, rule, *, max_cops=None, state_cap=1_000_000, jobs=1):
-    """cop_number plus the witnessing SolveResult of the winning level."""
-    hard_cap = (graph.n + 1) // 2 + 1
-    upper = hard_cap if max_cops is None else min(max_cops, hard_cap)
-    if upper < 1:
-        raise ValueError("max_cops must be at least 1")
-    for c in range(1, upper + 1):
-        res = solve(GameSpec(graph, rule, c), state_cap=state_cap, jobs=jobs)
-        if res.status == "undecided":
-            raise UndecidedError(
-                f"undecided: limit (state cap {state_cap} hit at {c} cops)"
-            )
-        if res.is_cop_win:
-            return res
-    raise UndecidedError(
-        f"undecided: no win with up to max_cops={max_cops} cops"
+    return _solve_placements(
+        spec, placement_order(spec.graph, spec.num_cops), state_cap
     )
+
+
+def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_000):
+    """Walk cop counts 1, 2, ..., min(bound, cop_cap(n)) until one is not a
+    robber win, deciding each level through `cached_solve`.
+
+    Without a cache an in-memory one is used.  Returns (cops, record): the
+    last level tried and its `result_record`, whose status says why the
+    walk stopped.  "cop_win" means cops is the least winning count,
+    "undecided" that the state cap was hit at cops, and "robber_win" that
+    every level up to cops loses.
+    """
+    upper = cop_cap(graph.n) if bound is None else min(bound, cop_cap(graph.n))
+    if upper < 1:
+        raise ValueError("cop bound must be at least 1")
+    if cache is None:
+        cache = ResultCache(None)
+    for cops in range(1, upper + 1):
+        record, _ = cached_solve(graph, rule, cops, cache, state_cap=state_cap)
+        if record["status"] != "robber_win":
+            break
+    return cops, record
+
+
+def cop_number(graph, rule, *, max_cops=None, state_cap=1_000_000):
+    """Least number of cops that win, from `search_cop_number`.
+
+    Raises UndecidedError when a level hits the state cap ("undecided:
+    limit") or when max_cops is exhausted without a win, since higher levels
+    were not ruled out.
+    """
+    c, record = search_cop_number(
+        graph, rule, bound=max_cops, state_cap=state_cap
+    )
+    match record["status"]:
+        case "cop_win":
+            return c
+        case "undecided":
+            raise UndecidedError(
+                f"undecided: limit (state cap {state_cap} hit at {c} cops)"
+            )
+        case _ if c < cop_cap(graph.n):
+            raise UndecidedError(
+                f"undecided: no win with up to max_cops={max_cops} cops"
+            )
+    raise AssertionError("matching bound violated: no winning cop count found")
 
 
 def extract_certificate(spec, placement, *, state_cap=1_000_000):

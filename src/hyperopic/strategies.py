@@ -21,6 +21,7 @@ from .game import (
     GameSpec,
     Observation,
     TransitionTable,
+    cop_cap,
     full_visibility,
     hyperopic,
     is_visible,
@@ -89,7 +90,7 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     ValueError.
     """
     n = graph.n
-    cap = (n + 1) // 2 + 1
+    cap = cop_cap(n)
     if not 1 <= policy.num_cops <= cap:
         raise ValueError(f"policy cop count must be in [1, {cap}]")
     table = TransitionTable(GameSpec(graph, rule, policy.num_cops))
@@ -605,17 +606,13 @@ def _stationary_tree(g, k, rule):
 
 
 def _stationary_general(g, k):
-    from .solver import solve
+    from .solver import search_cop_number, solve
 
     x, y = _diametral_pair(g)
-    result = None
-    for c in range(1, (g.n + 1) // 2 + 2):
-        result = solve(GameSpec(g, full_visibility(), c))
-        if result.is_cop_win:
-            break
-    if result is None or not result.is_cop_win:
+    cops, record = search_cop_number(g, full_visibility())
+    if record["status"] != "cop_win":
         raise AssertionError("full-visibility pursuit search failed")
-    cert = result.certificate
+    cert = solve(GameSpec(g, full_visibility(), cops)).certificate
     pursuit0 = tuple(cert.placement)
 
     def initial():

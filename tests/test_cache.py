@@ -1,5 +1,6 @@
 """Tests for the JSON-lines result cache."""
 
+import hashlib
 import json
 
 import pytest
@@ -78,6 +79,28 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     # only the untampered line survives
     assert len(c) == 1
     assert c.get("Bw", hyperopic(1), 1) == rec
+
+
+@pytest.mark.parametrize("version", [None, 0, "1"])
+def test_lines_of_another_schema_version_are_not_trusted(tmp_path, version):
+    p = tmp_path / "cache.jsonl"
+    g, rule = cycle(5), hyperopic(3)
+    key = {"graph6": encode_graph6(g), "rule": rule.kind, "k": rule.k, "cops": 1}
+    if version is not None:
+        key["version"] = version
+    wrong = {"status": "cop_win", "states": 1, "placement": [0], "rounds": 1}
+    canonical = json.dumps(
+        {"key": key, "result": wrong}, sort_keys=True, separators=(",", ":")
+    )
+    check = hashlib.sha256(canonical.encode("utf8")).hexdigest()[:16]
+    p.write_text(json.dumps({"key": key, "result": wrong, "check": check}) + "\n")
+
+    with pytest.warns(UserWarning, match="stale line skipped"):
+        cache = ResultCache(str(p))
+    assert len(cache) == 0
+    rec, hit = cached_solve(g, rule, 1, cache)
+    assert not hit
+    assert rec["status"] == "robber_win"
 
 
 def test_unreadable_path_degrades_with_warning(tmp_path):

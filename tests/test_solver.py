@@ -21,15 +21,16 @@ from hyperopic.game import (
     zero_visibility,
 )
 from hyperopic.graph import Graph
+from hyperopic import solver
+from hyperopic.cache import ResultCache
 from hyperopic.solver import (
     Certificate,
-    SolveResult,
     UndecidedError,
     cop_number,
     extract_certificate,
+    search_cop_number,
     solve,
     solve_placement,
-    solve_with_result,
 )
 from hyperopic.strategies import Win, certificate_policy, verify_policy
 
@@ -159,12 +160,33 @@ def test_cop_number_exhausted_budget_is_undecided():
         cop_number(complete(4), zero_visibility(), max_cops=1)
 
 
-def test_solve_with_result_returns_witness():
-    res = solve_with_result(cycle(5), hyperopic(3))
-    assert isinstance(res, SolveResult)
-    assert res.status == "cop_win"
-    assert res.num_cops == 2 == cop_number(cycle(5), hyperopic(3))
-    assert res.certificate is not None
+def test_search_cop_number_same_without_cache_and_with_cold_or_warm_cache(
+    tmp_path, monkeypatch
+):
+    g, rule = cycle(7), hyperopic(3)
+    plain = search_cop_number(g, rule)
+    assert plain[0] == cop_number(g, rule) == 2
+    assert plain[1]["status"] == "cop_win"
+    path_ = str(tmp_path / "cache.jsonl")
+    assert search_cop_number(g, rule, cache=ResultCache(path_)) == plain
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a warm search must not solve")
+
+    monkeypatch.setattr(solver, "solve", no_solve)
+    warm = ResultCache(path_)
+    assert search_cop_number(g, rule, cache=warm) == plain
+    assert warm.hits == 2
+
+
+def test_search_cop_number_reports_why_it_stopped():
+    assert search_cop_number(cycle(4), full_visibility(), bound=1) == (
+        1, {"status": "robber_win", "states": 12},
+    )
+    cops, record = search_cop_number(cycle(7), hyperopic(2), state_cap=3)
+    assert (cops, record["status"]) == (1, "undecided")
+    with pytest.raises(ValueError):
+        search_cop_number(path(3), hyperopic(1), bound=0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +204,24 @@ def test_tiny_state_cap_yields_undecided():
 def test_cop_number_surfaces_cap_as_undecided_error():
     with pytest.raises(UndecidedError, match="undecided: limit"):
         cop_number(cycle(7), hyperopic(2), state_cap=3)
+
+
+@pytest.mark.parametrize(
+    "graph, k, cops, status, placement, rounds, states",
+    [
+        (t_hat(), 2, 2, "cop_win", (2, 4), 4, 166),
+        (g_k(3, 1), 1, 2, "cop_win", (9, 10), 3, 591),
+        (t_hat(), 3, 1, "robber_win", None, None, 67),
+        (cycle(7), 2, 1, "robber_win", None, None, 49),
+    ],
+)
+def test_pinned_solver_outputs(graph, k, cops, status, placement, rounds, states):
+    spec = GameSpec(graph, hyperopic(k), cops)
+    expect = (status, placement, rounds, states)
+    res = solve(spec)
+    assert (res.status, res.placement, res.rounds, res.states_explored) == expect
+    one = solve_placement(spec, placement or (0,) * cops)
+    assert (one.status, one.placement, one.rounds, one.states_explored) == expect
 
 
 def test_generous_cap_changes_nothing():
@@ -285,41 +325,3 @@ def test_full_visibility_matches_positional_oracle():
             g = Graph(nn, edges)
             assert cop_number(g, full_visibility()) == \
                 oracles.fullvis_cop_number(nn, edges), (nn, edges)
-
-
-# ---------------------------------------------------------------------------
-# execution knobs
-
-
-def test_thread_count_does_not_change_answers():
-    specs = [
-        GameSpec(cycle(6), hyperopic(2), 2),
-        GameSpec(t_hat(), hyperopic(3), 1),
-        GameSpec(complete(4), zero_visibility(), 2),
-    ]
-    for spec in specs:
-        a = solve(spec, jobs=1)
-        b = solve(spec, jobs=3)
-        assert (a.status, a.placement, a.rounds) == (b.status, b.placement, b.rounds)
-    assert cop_number(cycle(7), hyperopic(2), jobs=2) == 2
-
-
-def test_orbit_pruning_preserves_verdicts():
-    for spec in [
-        GameSpec(cycle(6), hyperopic(2), 2),
-        GameSpec(cycle(5), hyperopic(3), 1),
-        GameSpec(t_hat(), hyperopic(2), 2),
-    ]:
-        a = solve(spec)
-        b = solve(spec, orbit_prune=True)
-        assert a.status == b.status
-        if a.status == "cop_win":
-            assert a.rounds == b.rounds
-
-
-def test_orbit_pruning_explores_fewer_states_on_symmetric_graph():
-    spec = GameSpec(cycle(7), hyperopic(2), 1)  # robber wins: full sweep
-    a = solve(spec)
-    b = solve(spec, orbit_prune=True)
-    assert a.status == b.status == "robber_win"
-    assert b.states_explored <= a.states_explored
