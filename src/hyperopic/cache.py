@@ -20,8 +20,10 @@ import warnings
 
 ENV_VAR = "HYPEROPIC_CACHE"
 
-# Bump whenever the game's semantics or the record shape change.
-SCHEMA_VERSION = 1
+# Bump whenever the game's semantics, the record shape or the values a fresh
+# solve stores change.  Version 2: goal-directed settling changed `states`
+# and some `rounds`.
+SCHEMA_VERSION = 2
 
 
 def _checksum(payload):

@@ -11,7 +11,6 @@ checked once at initial placement.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -182,14 +181,23 @@ def joint_cop_moves(graph, cops):
     multiset are interchangeable (cops are anonymous); the lexicographically
     least representative is kept.  Returns (move, new_positions) pairs in
     ascending move order, with move aligned to the input order.
+
+    Moves are built one cop at a time, keeping only the least prefix per
+    prefix multiset: a cop's options do not depend on the earlier cops'
+    choices, so the least move to a multiset extends the least prefix of its
+    own prefix multiset.  Prefixes are extended in ascending order with
+    ascending options, so moves are generated in ascending order and the
+    first one seen for a multiset is its least.
     """
-    options = [tuple(sorted((c, *graph.adj[c]))) for c in cops]
-    seen = {}
-    for joint in itertools.product(*options):
-        key = tuple(sorted(joint))
-        if key not in seen:
-            seen[key] = joint
-    return [(m, k) for k, m in sorted(seen.items(), key=lambda kv: kv[1])]
+    least = {(): ()}
+    for c in cops:
+        options = sorted((c, *graph.adj[c]))
+        grown = {}
+        for key, prefix in least.items():
+            for v in options:
+                grown.setdefault(tuple(sorted((*key, v))), (*prefix, v))
+        least = grown
+    return [(m, k) for k, m in least.items()]
 
 
 def initial_states(spec, placement):

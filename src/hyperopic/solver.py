@@ -3,9 +3,12 @@
 A cop-to-move state is winning when some joint move leads, across every
 observation branch and every robber reply, only to winning states (a branch
 where every robber possibility is captured imposes nothing).  The solver
-materializes the reachable arena and runs counter-based attractor
-propagation; placements share one arena per game spec, since a state's
-status does not depend on how play reached it.
+explores the arena breadth-first from a placement's initial states and
+propagates wins as they appear, stopping as soon as those states are
+decided (a local fixpoint in the style of Liu and Smolka); a robber win is
+only proved once the whole reachable arena is settled.  Placements share one
+arena per game spec, since a state's status does not depend on how play
+reached it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ class _CapExceeded(Exception):
 
 
 class _Arena:
-    """Reachable cop-to-move states with incremental attractor propagation.
+    """Cop-to-move states explored so far, with incremental attractor
+    propagation.
 
     Each state stores, per deduplicated joint move, a countdown of successors
     not yet known winning plus the largest rank confirmed for that move so
@@ -83,7 +87,7 @@ class _Arena:
         self.maxk = []
         self.rev = {}
         self.wins = deque()
-        self.pending = []
+        self.pending = deque()
 
     def intern(self, cops, bmask):
         key = (cops, bmask)
@@ -101,11 +105,17 @@ class _Arena:
             self.pending.append(idx)
         return idx
 
-    def settle(self):
-        """Expand every pending state, then propagate wins to fixpoint."""
-        while self.pending:
-            self._expand(self.pending.pop())
-        self._propagate()
+    def settle(self, goal):
+        """Expand pending states breadth-first, propagating wins after each
+        expansion, until every goal state is ranked or nothing is pending.
+
+        An unranked goal state on return is a robber win: its whole
+        reachable arena has been expanded and propagated to fixpoint.
+        """
+        rank = self.rank
+        while self.pending and any(rank[i] is None for i in goal):
+            self._expand(self.pending.popleft())
+            self._propagate()
 
     def _expand(self, idx):
         table = self.table
@@ -166,9 +176,10 @@ def _extract(arena, table, placement, init_idxs):
 
     At each reachable winning state, play the move minimizing the worst
     successor rank, breaking ties by lexicographically least joint move;
-    moves whose successor sets were never fully explored (expansion stopped
-    early once the state was known winning) are skipped.  Returns the
-    certificate with its exact worst-case round count as the bound.
+    moves with a successor that was never interned (expansion stopped early
+    once the state was known winning) or never ranked (settling stopped once
+    the placement was decided) are skipped.  Returns the certificate with
+    its exact worst-case round count as the bound.
     """
     chosen = {}
     rounds = {}
@@ -207,8 +218,8 @@ def _extract(arena, table, placement, init_idxs):
 
 def _solve_placements(spec, placements, state_cap):
     """Settle placements in order on one shared arena (a state's status is
-    path-independent); the first winning placement is returned with its
-    certificate."""
+    path-independent), each until its initial states are decided; the first
+    winning placement is returned with its certificate."""
     table = TransitionTable(spec)
     arena = _Arena(table, state_cap)
     for placement in placements:
@@ -221,7 +232,7 @@ def _solve_placements(spec, placements, state_cap):
             )
         try:
             idxs = [arena.intern(placement, b) for b in blocks]
-            arena.settle()
+            arena.settle(idxs)
         except _CapExceeded:
             return SolveResult(
                 "undecided", spec.num_cops, states_explored=len(arena.index)
@@ -242,6 +253,11 @@ def solve_placement(spec, placement, *, state_cap=1_000_000):
     placement = tuple(sorted(placement))
     if len(placement) != spec.num_cops:
         raise ValueError(f"placement must list {spec.num_cops} cop positions")
+    for v in placement:
+        if not 0 <= v < spec.graph.n:
+            raise ValueError(
+                f"placement vertex {v} is not in range(0, {spec.graph.n})"
+            )
     return _solve_placements(spec, [placement], state_cap)
 
 

@@ -1,9 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written from scratch against the game
-rules and textbook definitions, sharing no code with ``hyperopic``
-(other than consuming plain ``(n, edges)`` pairs), so agreement between
-the two is meaningful evidence of correctness.
+rules and textbook definitions, so agreement with ``hyperopic`` is
+meaningful evidence of correctness.  Most of it shares no code with the
+package (it consumes plain ``(n, edges)`` pairs).  The exceptions: the
+belief-level solver oracle is built on the set-based transition functions
+of ``hyperopic.game``, which the solver never calls (it runs on the bitmask
+``TransitionTable``), and the policy replay harness drives the package's
+own transition table.
 """
 
 import itertools
@@ -89,6 +93,77 @@ def fullvis_cop_number(n, edges):
             if fullvis_placement_wins(n, edges, placement):
                 return c
     raise AssertionError("matching-bound cap exceeded; game rules broken")
+
+
+# ---------------------------------------------------------------------------
+# Belief-level game solver for every visibility rule.
+#
+# Builds the full reachable arena of cop-to-move belief states from every
+# placement with the set-based reference transitions, then computes the
+# cops' attractor level by level: a state enters at level i when some joint
+# move leaves only states of lower levels (none at all when every robber
+# possibility is captured).  The level of a state is the least worst-case
+# number of cop moves to capture from it.
+
+
+def belief_placement_rounds(spec):
+    """Map every placement of ``spec``'s cops to the least worst-case rounds
+    for them to capture from it, or None when the robber evades forever."""
+    from hyperopic.game import (
+        COP_WIN,
+        cop_turn_successors,
+        initial_states,
+        robber_turn_successors,
+    )
+
+    starts = {
+        placement: initial_states(spec, placement)
+        for placement in itertools.combinations_with_replacement(
+            range(spec.graph.n), spec.num_cops
+        )
+    }
+    after_robber = {}  # robber-to-move state -> cop-to-move successors
+    options = {}  # cop-to-move state -> one successor set per joint move
+    frontier = [s for init in starts.values() if init is not COP_WIN for s in init]
+    while frontier:
+        state = frontier.pop()
+        if state in options:
+            continue
+        options[state] = []
+        for _, outcome in cop_turn_successors(spec, state):
+            succs = set()
+            if outcome is not COP_WIN:
+                for mid in outcome:
+                    if mid not in after_robber:
+                        after = robber_turn_successors(spec, mid.cops, mid.belief)
+                        after_robber[mid] = () if after is COP_WIN else after
+                    succs.update(after_robber[mid])
+            options[state].append(succs)
+            frontier.extend(succs)
+
+    level = {}
+    i = 0
+    while True:
+        i += 1
+        entering = [
+            s for s, moves in options.items()
+            if s not in level
+            and any(all(t in level for t in succs) for succs in moves)
+        ]
+        if not entering:
+            break
+        for s in entering:
+            level[s] = i
+
+    out = {}
+    for placement, init in starts.items():
+        if init is COP_WIN:
+            out[placement] = 0
+        elif all(s in level for s in init):
+            out[placement] = max(level[s] for s in init)
+        else:
+            out[placement] = None
+    return out
 
 
 # ---------------------------------------------------------------------------

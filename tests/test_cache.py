@@ -81,7 +81,10 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     assert c.get("Bw", hyperopic(1), 1) == rec
 
 
-@pytest.mark.parametrize("version", [None, 0, "1"])
+@pytest.mark.parametrize(
+    "version",
+    [None, 0, "1", pytest.param(1, id="previous")],
+)
 def test_lines_of_another_schema_version_are_not_trusted(tmp_path, version):
     p = tmp_path / "cache.jsonl"
     g, rule = cycle(5), hyperopic(3)

@@ -1,5 +1,8 @@
 """Game rules: visibility, observation splitting, and belief transitions."""
 
+import itertools
+
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -153,6 +156,26 @@ def test_joint_moves_aligned_to_input():
     for move, key in joint_cop_moves(g, (1, 2)):
         assert tuple(sorted(move)) == key
         assert move[0] in (0, 1, 2) and move[1] in (1, 2, 3)
+
+
+def _product_joint_moves(graph, cops):
+    # reference: the full per-cop product, least move per multiset, sorted
+    options = [tuple(sorted((c, *graph.adj[c]))) for c in cops]
+    seen = {}
+    for joint in itertools.product(*options):
+        seen.setdefault(tuple(sorted(joint)), joint)
+    return [(m, k) for k, m in sorted(seen.items(), key=lambda kv: kv[1])]
+
+
+def test_joint_moves_equal_the_sorted_product():
+    for g6 in nx.graph_atlas_g()[1:]:
+        n = g6.number_of_nodes()
+        if n > 5 or not nx.is_connected(g6):
+            continue
+        g = build_graph(n, list(g6.edges()))
+        for size in (1, 2, 3):
+            for cops in itertools.combinations_with_replacement(range(n), size):
+                assert joint_cop_moves(g, cops) == _product_joint_moves(g, cops)
 
 
 # --- transitions ------------------------------------------------------------------

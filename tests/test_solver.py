@@ -69,6 +69,15 @@ def test_placement_rejects_wrong_arity():
         solve_placement(spec, (0, 1, 2))
 
 
+@pytest.mark.parametrize("vertex", [4, 7, -1])
+def test_placement_vertex_out_of_range_is_rejected(vertex):
+    spec = GameSpec(path(4), hyperopic(2), 1)
+    with pytest.raises(ValueError, match=f"placement vertex {vertex} "):
+        solve_placement(spec, (vertex,))
+    with pytest.raises(ValueError, match=f"placement vertex {vertex} "):
+        extract_certificate(spec, (vertex,))
+
+
 def test_placement_order_is_irrelevant():
     spec = GameSpec(cycle(6), hyperopic(2), 2)
     a = solve_placement(spec, (0, 3))
@@ -209,8 +218,8 @@ def test_cop_number_surfaces_cap_as_undecided_error():
 @pytest.mark.parametrize(
     "graph, k, cops, status, placement, rounds, states",
     [
-        (t_hat(), 2, 2, "cop_win", (2, 4), 4, 166),
-        (g_k(3, 1), 1, 2, "cop_win", (9, 10), 3, 591),
+        (t_hat(), 2, 2, "cop_win", (2, 4), 4, 43),
+        (g_k(3, 1), 1, 2, "cop_win", (9, 10), 3, 597),
         (t_hat(), 3, 1, "robber_win", None, None, 67),
         (cycle(7), 2, 1, "robber_win", None, None, 49),
     ],
@@ -222,6 +231,28 @@ def test_pinned_solver_outputs(graph, k, cops, status, placement, rounds, states
     assert (res.status, res.placement, res.rounds, res.states_explored) == expect
     one = solve_placement(spec, placement or (0,) * cops)
     assert (one.status, one.placement, one.rounds, one.states_explored) == expect
+
+
+def test_settling_stops_once_the_placement_is_decided(monkeypatch):
+    # the first placement's initial state wins at its own first expansion
+    calls = []
+    expand = solver._Arena._expand
+
+    def counted(arena, idx):
+        calls.append(idx)
+        return expand(arena, idx)
+
+    monkeypatch.setattr(solver._Arena, "_expand", counted)
+    res = solve(GameSpec(complete(8), hyperopic(2), 4))
+    assert res.status == "cop_win"
+    assert len(calls) == 1
+
+
+def test_cop_win_interns_only_part_of_the_arena():
+    # expanding the whole reachable arena interns 7523 states
+    res = solve(GameSpec(g_k(3, 2), hyperopic(2), 3))
+    assert res.status == "cop_win"
+    assert res.states_explored < 7523
 
 
 def test_generous_cap_changes_nothing():
@@ -325,3 +356,31 @@ def test_full_visibility_matches_positional_oracle():
             g = Graph(nn, edges)
             assert cop_number(g, full_visibility()) == \
                 oracles.fullvis_cop_number(nn, edges), (nn, edges)
+
+
+def test_placements_match_belief_oracle_and_certificates_replay():
+    # every placement, every rule: the solver's verdict equals a brute-force
+    # attractor over the set-based transitions, and each cop win's
+    # certificate replays within its bound, which is never below optimal
+    rules = [
+        full_visibility(), zero_visibility(),
+        hyperopic(1), hyperopic(2), hyperopic(3),
+    ]
+    for n in range(1, 6):
+        for nn, edges in atlas_connected(n):
+            g = Graph(nn, edges)
+            for rule in rules:
+                for cops in (1, 2):
+                    spec = GameSpec(g, rule, cops)
+                    expected = oracles.belief_placement_rounds(spec)
+                    for placement, best in expected.items():
+                        case = (nn, edges, rule, placement)
+                        res = solve_placement(spec, placement)
+                        if best is None:
+                            assert res.status == "robber_win", case
+                            continue
+                        assert res.status == "cop_win", case
+                        policy = certificate_policy(g, rule, res.certificate)
+                        outcome = verify_policy(g, rule, policy)
+                        assert isinstance(outcome, Win), case
+                        assert best <= outcome.rounds <= res.certificate.bound, case
