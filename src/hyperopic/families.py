@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from .graph import Graph, build_graph
+from .graph import Graph, _chords_cross, build_graph
 
 
 @dataclass(frozen=True)
@@ -217,13 +218,17 @@ def tree_canonical_form(g):
     return min(encode(c, None) for c in cents)
 
 
-def _noncross_chord(a, b, c, d):
-    return not ((a < c < b < d) or (c < a < d < b))
-
-
 def all_two_connected_outerplanar(n):
     """All 2-connected outerplanar graphs on n vertices (3 <= n <= 10), as
-    non-crossing chord sets over the n-cycle deduplicated by dihedral symmetry."""
+    non-crossing chord sets over the n-cycle deduplicated by dihedral symmetry.
+
+    Chords are indexed in lexicographic order and chord k weighs
+    2^(C-1-k), so among chord sets of one size the lexicographically least
+    sorted chord tuple has the largest weight.  A set is kept iff no
+    rotation or reflection of it weighs more, which keeps exactly one set
+    per symmetry class; each set's weight under all 2n symmetries is carried
+    along the enumeration.
+    """
     if not 3 <= n <= 10:
         raise ValueError("outerplanar enumeration supports 3 <= n <= 10")
     chords = [
@@ -232,40 +237,40 @@ def all_two_connected_outerplanar(n):
         for j in range(i + 2, n)
         if not (i == 0 and j == n - 1)
     ]
-
-    subsets = []
-
-    def grow(idx, chosen):
-        subsets.append(tuple(chosen))
-        for k in range(idx, len(chords)):
-            c = chords[k]
-            if all(_noncross_chord(*p, *c) for p in chosen):
-                chosen.append(c)
-                grow(k + 1, chosen)
-                chosen.pop()
-
-    grow(0, [])
-
-    def canon(chordset):
-        forms = []
+    top = len(chords) - 1
+    index = {c: k for k, c in enumerate(chords)}
+    # weight of each chord's image under every symmetry, identity first
+    images = []
+    for u, v in chords:
+        row = []
         for refl in (False, True):
+            a, b = ((n - u) % n, (n - v) % n) if refl else (u, v)
             for r in range(n):
-                mapped = []
-                for u, v in chordset:
-                    a = (n - u) % n if refl else u
-                    b = (n - v) % n if refl else v
-                    a, b = (a + r) % n, (b + r) % n
-                    mapped.append((min(a, b), max(a, b)))
-                forms.append(tuple(sorted(mapped)))
-        return min(forms)
+                x, y = (a + r) % n, (b + r) % n
+                row.append(1 << (top - index[(min(x, y), max(x, y))]))
+        images.append(row)
+    crossing = [
+        sum(1 << m for m, (c, d) in enumerate(chords) if _chords_cross(a, b, c, d))
+        for a, b in chords
+    ]
 
-    seen = {}
-    for s in subsets:
-        key = canon(s)
-        if key not in seen:
-            seen[key] = key
+    keep = []
+    # (chosen chord indices, weight per symmetry, next index, crossed chords)
+    stack = [((), (0,) * (2 * n), 0, 0)]
+    while stack:
+        chosen, weights, start, crossed = stack.pop()
+        if weights[0] == max(weights):
+            keep.append(tuple(chords[k] for k in chosen))
+        for k in range(start, len(chords)):
+            if not crossed >> k & 1:
+                stack.append((
+                    chosen + (k,),
+                    tuple(map(add, weights, images[k])),
+                    k + 1,
+                    crossed | crossing[k],
+                ))
     out = []
-    for key in sorted(seen):
+    for key in sorted(keep):
         edges = [(i, (i + 1) % n) for i in range(n)] + list(key)
         out.append(build_graph(n, edges))
     return out

@@ -258,13 +258,30 @@ def robber_turn_successors(spec, cops, candidates):
     return [BeliefState(cops, b) for _, b in blocks]
 
 
+def growth_tables(nbr):
+    """Closed-neighborhood unions per 4-bit chunk of a belief mask.
+
+    Entry x of table j is the union of nbr[4j + b] over the set bits b of x,
+    so a mask grows by ceil(n/4) lookups instead of one per vertex.  The
+    last table is shorter when 4 does not divide n.
+    """
+    tables = []
+    for base in range(0, len(nbr), 4):
+        tab = [0]
+        for m in nbr[base:base + 4]:
+            tab += [x | m for x in tab]
+        tables.append(tab)
+    return tables
+
+
 class TransitionTable:
     """Bitmask engine computing the same transitions as the public functions.
 
-    Beliefs are integer masks; states are (cops_tuple, mask) pairs.  All
-    per-cops-tuple quantities (occupancy, visibility, deduplicated moves)
-    and the robber-step expansion are cached, since the solver revisits the
-    same cop tuples across many beliefs.
+    Beliefs are integer masks; states are (cops_tuple, mask) pairs.  Each
+    cop tuple's unoccupied and visibility masks and its deduplicated joint
+    moves are cached, since the solver revisits the same cop tuples across
+    many beliefs.  Robber steps are not cached: a belief grows through
+    per-chunk neighborhood tables in ceil(n/4) lookups.
     """
 
     def __init__(self, spec):
@@ -273,6 +290,7 @@ class TransitionTable:
         self.n = g.n
         self.full = (1 << g.n) - 1
         self.nbr = g.neighbor_masks()
+        self._grow = growth_tables(self.nbr)
         rule = spec.rule
         if rule.kind == "full":
             self._far = None
@@ -290,31 +308,24 @@ class TransitionTable:
                         m |= 1 << v
                 self._far[c] = m
             self._vis_const = None
-        self._vis = {}
-        self._occ = {}
+        self._masks = {}
         self._moves = {}
-        self._robber = {}
 
-    def occ(self, cops):
-        m = self._occ.get(cops)
-        if m is None:
-            m = 0
+    def masks(self, cops):
+        """(unoccupied, visible) masks for these cops: the vertices no cop
+        stands on, and those a robber would be visible on."""
+        pair = self._masks.get(cops)
+        if pair is None:
+            occ = 0
             for c in cops:
-                m |= 1 << c
-            self._occ[cops] = m
-        return m
-
-    def vis(self, cops):
-        """Mask of vertices a robber would be visible on, for these cops."""
-        if self._vis_const is not None:
-            return self._vis_const
-        m = self._vis.get(cops)
-        if m is None:
-            m = 0
-            for c in cops:
-                m |= self._far[c]
-            self._vis[cops] = m
-        return m
+                occ |= 1 << c
+            vis = self._vis_const
+            if vis is None:
+                vis = 0
+                for c in cops:
+                    vis |= self._far[c]
+            pair = self._masks[cops] = (self.full & ~occ, vis)
+        return pair
 
     def split(self, mask, vismask):
         """Observation blocks of a candidate mask: visible singletons
@@ -340,38 +351,30 @@ class TransitionTable:
     def initial(self, placement):
         """Belief masks after placing cops; [] means the placement covers
         every vertex (immediate win)."""
-        cand = self.full & ~self.occ(placement)
-        if not cand:
-            return []
-        return self.split(cand, self.vis(placement))
+        free, vis = self.masks(placement)
+        return self.split(free, vis)
 
     def cop_step(self, cops, bmask):
         """(move, newcops, blocks) per deduplicated joint move; blocks is []
         when the move captures every belief vertex."""
         out = []
+        cache, masks = self._masks, self.masks
         for move, newcops in self.joint_moves(cops):
-            b1 = bmask & ~self.occ(newcops)
-            out.append(
-                (move, newcops, self.split(b1, self.vis(newcops)) if b1 else [])
-            )
+            free, vis = cache.get(newcops) or masks(newcops)
+            b1 = bmask & free
+            out.append((move, newcops, self.split(b1, vis) if b1 else []))
         return out
 
     def robber_step(self, cops, bmask):
-        """Belief masks after the robber moves; () means it had nowhere safe."""
-        key = (cops, bmask)
-        res = self._robber.get(key)
-        if res is None:
-            grown = 0
-            m = bmask
-            nbr = self.nbr
-            while m:
-                b = m & -m
-                grown |= nbr[b.bit_length() - 1]
-                m ^= b
-            grown &= ~self.occ(cops)
-            res = tuple(self.split(grown, self.vis(cops))) if grown else ()
-            self._robber[key] = res
-        return res
+        """Belief masks after the robber moves; [] means it had nowhere safe."""
+        free, vis = self._masks.get(cops) or self.masks(cops)
+        grown = 0
+        for tab in self._grow:
+            if not bmask:
+                break
+            grown |= tab[bmask & 15]
+            bmask >>= 4
+        return self.split(grown & free, vis)
 
 
 def mask_to_set(mask):

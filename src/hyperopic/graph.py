@@ -248,13 +248,35 @@ def _noncrossing(cycle_pos, chords):
     return True
 
 
+def _closed_embedding(g, eset, path):
+    """The embedding with outer cycle `path` (a Hamiltonian path), or None
+    when its ends are not adjacent or the remaining edges cross."""
+    n = g.n
+    u, v = path[-1], path[0]
+    if (min(u, v), max(u, v)) not in eset:
+        return None
+    cycle = tuple(path)
+    pos = [0] * n
+    for i, w in enumerate(cycle):
+        pos[w] = i
+    cyc_edges = set()
+    for i, w in enumerate(cycle):
+        x = cycle[(i + 1) % n]
+        cyc_edges.add((min(w, x), max(w, x)))
+    chords = tuple(sorted(e for e in g.edges if e not in cyc_edges))
+    if _noncrossing(pos, chords):
+        return OuterEmbedding(cycle=cycle, chords=chords)
+    return None
+
+
 def find_outer_embedding(g, order_hint=None):
     """Search for an outerplanar embedding: a Hamiltonian cycle such that all
     remaining edges are pairwise non-crossing chords.
 
-    Exponential backtracking over Hamiltonian cycles, intended for n <= 16.
-    Returns None when no embedding exists. order_hint permutes the neighbor
-    exploration order (used by the randomized-agreement property check).
+    Exponential backtracking over Hamiltonian paths from vertex 0, intended
+    for n <= 16.  Returns None when no embedding exists. order_hint permutes
+    the neighbor exploration order (used by the randomized-agreement
+    property check).
     """
     n = g.n
     if n == 1:
@@ -262,42 +284,28 @@ def find_outer_embedding(g, order_hint=None):
     if n == 2:
         return OuterEmbedding(cycle=(0, 1), chords=()) if g.edges else None
     eset = set(g.edges)
-
-    def nbrs(v):
-        base = list(g.adj[v])
-        if order_hint is not None:
-            base.sort(key=lambda w: order_hint[w])
-        return base
+    adj = g.adj
+    if order_hint is not None:
+        adj = [sorted(a, key=lambda w: order_hint[w]) for a in adj]
 
     path = [0]
     used = [False] * n
     used[0] = True
-
-    def extend():
+    # untried neighbors of each path vertex, in exploration order
+    options = [iter(adj[0])]
+    while options:
         if len(path) == n:
-            u, v = path[-1], path[0]
-            if (min(u, v), max(u, v)) in eset:
-                cycle = tuple(path)
-                pos = [0] * n
-                for i, w in enumerate(cycle):
-                    pos[w] = i
-                cyc_edges = set()
-                for i, w in enumerate(cycle):
-                    x = cycle[(i + 1) % n]
-                    cyc_edges.add((min(w, x), max(w, x)))
-                chords = tuple(sorted(e for e in g.edges if e not in cyc_edges))
-                if _noncrossing(pos, chords):
-                    return OuterEmbedding(cycle=cycle, chords=chords)
-            return None
-        for w in nbrs(path[-1]):
-            if not used[w]:
-                used[w] = True
-                path.append(w)
-                got = extend()
-                if got is not None:
-                    return got
-                path.pop()
-                used[w] = False
-        return None
-
-    return extend()
+            found = _closed_embedding(g, eset, path)
+            if found is not None:
+                return found
+            w = None
+        else:
+            w = next((w for w in options[-1] if not used[w]), None)
+        if w is None:
+            options.pop()
+            used[path.pop()] = False
+        else:
+            used[w] = True
+            path.append(w)
+            options.append(iter(adj[w]))
+    return None

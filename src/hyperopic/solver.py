@@ -13,9 +13,10 @@ reached it.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 
 from .cache import ResultCache, cached_solve
 from .game import BeliefState, TransitionTable, cop_cap, mask_to_set
@@ -68,42 +69,67 @@ class _Arena:
     """Cop-to-move states explored so far, with incremental attractor
     propagation.
 
-    Each state stores, per deduplicated joint move, a countdown of successors
-    not yet known winning plus the largest rank confirmed for that move so
-    far; a move hitting zero marks the state winning with rank one more than
-    that maximum.  A rank is therefore always 1 + the max rank over some
-    move's full successor set, so ranks strictly decrease along any
-    rank-minimizing strategy and bound the rounds to capture.
+    A state is keyed by one int, (cops_id << n) | belief mask, with cop
+    tuples interned to small ids.  States are expanded in intern order, so
+    the pending ones are exactly those from index `expanded` on.
+
+    Expanding a state interns its moves' successors in move order and
+    stops at the first move whose successors are all winning already.  A
+    state not won that way owns one slot per deduplicated joint move,
+    holding a countdown of successors not yet known winning plus the
+    largest rank confirmed for that move so far; a move hitting zero marks
+    its owner winning with rank one more than that maximum.  A rank is
+    therefore always 1 + the max rank over some move's full successor set,
+    so ranks strictly decrease along any rank-minimizing strategy and bound
+    the rounds to capture.
+
+    Ranks are -1 until known.  Slots and reverse edges live in flat int
+    arrays.  Each successor heads a linked list (ended by -1) of edges to
+    the slots waiting on it, newest first; a win walks its list oldest
+    first.
     """
 
     def __init__(self, table, cap):
         self.table = table
         self.cap = cap
+        self.n = table.n
+        self.cop_base = {}  # cop tuple -> its id << n
+        self.cop_tuples = []
         self.index = {}
-        self.cops = []
-        self.bmask = []
+        self.keys = []
+        self.expanded = 0
         self.rank = []
-        self.counters = []
-        self.maxk = []
-        self.rev = {}
+        self.head = array("i")  # per state: newest edge into it
+        self.count = array("i")  # per slot: successors not yet winning
+        self.maxk = array("i")  # per slot: largest successor rank so far
+        self.owner = array("i")  # per slot: the state it belongs to
+        self.slot = array("i")  # per edge: the slot it counts down
+        self.next = array("i")  # per edge: the next older edge
         self.wins = deque()
-        self.pending = deque()
 
-    def intern(self, cops, bmask):
-        key = (cops, bmask)
+    def base(self, cops):
+        """Key of the cop tuple with an empty belief; OR a mask into it."""
+        base = self.cop_base.get(cops)
+        if base is None:
+            base = self.cop_base[cops] = len(self.cop_tuples) << self.n
+            self.cop_tuples.append(cops)
+        return base
+
+    def intern(self, key):
         idx = self.index.get(key)
         if idx is None:
-            if len(self.index) >= self.cap:
+            if len(self.keys) >= self.cap:
                 raise _CapExceeded
-            idx = len(self.cops)
-            self.index[key] = idx
-            self.cops.append(cops)
-            self.bmask.append(bmask)
-            self.rank.append(None)
-            self.counters.append(None)
-            self.maxk.append(None)
-            self.pending.append(idx)
+            idx = self.index[key] = len(self.keys)
+            self.keys.append(key)
+            self.rank.append(-1)
+            self.head.append(-1)
         return idx
+
+    def state(self, idx):
+        """(cops, belief mask) of an interned state."""
+        key = self.keys[idx]
+        return self.cop_tuples[key >> self.n], key & self.table.full
 
     def settle(self, goal):
         """Expand pending states breadth-first, propagating wins after each
@@ -112,54 +138,79 @@ class _Arena:
         An unranked goal state on return is a robber win: its whole
         reachable arena has been expanded and propagated to fixpoint.
         """
-        rank = self.rank
-        while self.pending and any(rank[i] is None for i in goal):
-            self._expand(self.pending.popleft())
-            self._propagate()
+        rank, keys = self.rank, self.keys
+        for i in goal:
+            while rank[i] < 0 and self.expanded < len(keys):
+                self.expanded += 1
+                self._expand(self.expanded - 1)
+                if self.wins:
+                    self._propagate()
 
     def _expand(self, idx):
         table = self.table
-        counters = []
-        maxks = []
-        for mi, (move, newcops, blocks) in enumerate(
-            table.cop_step(self.cops[idx], self.bmask[idx])
-        ):
+        index, cop_base, rank = self.index, self.cop_base, self.rank
+        undecided = []
+        for move, newcops, blocks in table.cop_step(*self.state(idx)):
+            base = cop_base.get(newcops)
+            if base is None:
+                base = self.base(newcops)
             succs = set()
             for b1 in blocks:
                 for b2 in table.robber_step(newcops, b1):
-                    succs.add(self.intern(newcops, b2))
-            remaining = 0
+                    key = base | b2
+                    t = index.get(key)
+                    succs.add(self.intern(key) if t is None else t)
             known = 0
             for t in succs:
-                if self.rank[t] is None:
-                    remaining += 1
-                    self.rev.setdefault(t, []).append((idx, mi))
-                elif self.rank[t] > known:
-                    known = self.rank[t]
-            if remaining == 0:
+                r = rank[t]
+                if r < 0:
+                    break
+                if r > known:
+                    known = r
+            else:
                 # every successor already winning (or immediate capture)
-                self.rank[idx] = 1 + known
+                rank[idx] = 1 + known
                 self.wins.append(idx)
                 return
-            counters.append(remaining)
-            maxks.append(known)
-        self.counters[idx] = counters
-        self.maxk[idx] = maxks
+            undecided.append(succs)
+        head, nexts, slots = self.head, self.next, self.slot
+        count, maxk, owner = self.count, self.maxk, self.owner
+        for succs in undecided:
+            first = e = len(nexts)
+            known = 0
+            for t in succs:
+                r = rank[t]
+                if r < 0:
+                    nexts.append(head[t])
+                    head[t] = e
+                    e += 1
+                elif r > known:
+                    known = r
+            slots.extend(repeat(len(count), e - first))
+            count.append(e - first)
+            maxk.append(known)
+            owner.append(idx)
 
     def _propagate(self):
-        while self.wins:
-            t = self.wins.popleft()
-            for p, mi in self.rev.pop(t, ()):
-                if self.rank[p] is not None:
-                    continue
-                c = self.counters[p]
-                m = self.maxk[p]
-                if self.rank[t] > m[mi]:
-                    m[mi] = self.rank[t]
-                c[mi] -= 1
-                if c[mi] == 0:
-                    self.rank[p] = m[mi] + 1
-                    self.wins.append(p)
+        rank, count, maxk, owner = self.rank, self.count, self.maxk, self.owner
+        slots, nexts, wins = self.slot, self.next, self.wins
+        while wins:
+            t = wins.popleft()
+            r = rank[t]
+            waiting = []
+            e = self.head[t]
+            while e >= 0:
+                waiting.append(slots[e])
+                e = nexts[e]
+            for s in reversed(waiting):
+                p = owner[s]
+                if rank[p] < 0:
+                    if r > maxk[s]:
+                        maxk[s] = r
+                    c = count[s] = count[s] - 1
+                    if c == 0:
+                        rank[p] = maxk[s] + 1
+                        wins.append(p)
 
 
 def placement_order(graph, num_cops):
@@ -193,12 +244,13 @@ def _extract(arena, table, placement, init_idxs):
         if idx in chosen:
             continue
         best = None
-        for move, newcops, blocks in table.cop_step(arena.cops[idx], arena.bmask[idx]):
+        for move, newcops, blocks in table.cop_step(*arena.state(idx)):
+            base = arena.cop_base.get(newcops)
             succs = set()
             for b1 in blocks:
                 for b2 in table.robber_step(newcops, b1):
-                    succs.add(arena.index.get((newcops, b2)))
-            if any(t is None or arena.rank[t] is None for t in succs):
+                    succs.add(None if base is None else arena.index.get(base | b2))
+            if any(t is None or arena.rank[t] < 0 for t in succs):
                 continue
             key = (max((arena.rank[t] for t in succs), default=0), move)
             if best is None or key < best[0]:
@@ -210,7 +262,8 @@ def _extract(arena, table, placement, init_idxs):
 
     moves = {}
     for idx, (move, _) in chosen.items():
-        state = BeliefState(arena.cops[idx], mask_to_set(arena.bmask[idx]))
+        cops, bmask = arena.state(idx)
+        state = BeliefState(cops, mask_to_set(bmask))
         moves[state] = move
     bound = max((rounds[i] for i in init_idxs), default=0)
     return Certificate(placement, moves, bound)
@@ -231,13 +284,14 @@ def _solve_placements(spec, placements, state_cap):
                 0, len(arena.index),
             )
         try:
-            idxs = [arena.intern(placement, b) for b in blocks]
+            base = arena.base(placement)
+            idxs = [arena.intern(base | b) for b in blocks]
             arena.settle(idxs)
         except _CapExceeded:
             return SolveResult(
                 "undecided", spec.num_cops, states_explored=len(arena.index)
             )
-        if all(arena.rank[i] is not None for i in idxs):
+        if all(arena.rank[i] >= 0 for i in idxs):
             cert = _extract(arena, table, placement, idxs)
             return SolveResult(
                 "cop_win", spec.num_cops, placement, cert, cert.bound,

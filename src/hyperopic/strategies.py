@@ -101,10 +101,9 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     if any(not 0 <= v < n for v in placement):
         raise ValueError("placement vertex out of range")
 
-    cand = table.full & ~table.occ(placement)
+    cand, vis0 = table.masks(placement)
     if not cand:
         return Win(0)
-    vis0 = table.vis(placement)
     roots = [
         (state0, placement, blk, (_obs_of(blk, vis0),))
         for blk in table.split(cand, vis0)
@@ -122,9 +121,9 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
             if not 0 <= m < n or not (nbr[c] >> m) & 1:
                 raise ValueError(f"{policy.name}: illegal move {c} -> {m}")
         children = []
-        b1 = bmask & ~table.occ(moves)
+        free, vis1 = table.masks(moves)
+        b1 = bmask & free
         if b1:
-            vis1 = table.vis(moves)
             for blk1 in table.split(b1, vis1):
                 obs1 = _obs_of(blk1, vis1)
                 for blk2 in table.robber_step(moves, blk1):

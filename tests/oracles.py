@@ -448,11 +448,10 @@ def walk_policy(graph, rule, policy, visit, *, max_nodes=2_000_000):
     table = TransitionTable(GameSpec(graph, rule, policy.num_cops))
     placement, state0 = policy.initial()
     placement = tuple(placement)
-    cand = table.full & ~table.occ(placement)
+    cand, vis0 = table.masks(placement)
     rounds = 0
     if not cand:
         return rounds
-    vis0 = table.vis(placement)
     stack = []
     for blk in table.split(cand, vis0):
         obs = (_obs_of(blk, vis0),)
@@ -476,10 +475,10 @@ def walk_policy(graph, rule, policy, visit, *, max_nodes=2_000_000):
         visit(depth, state, cops, belief, obs)
         moves, state1 = policy.step(state, cops, obs)
         moves = tuple(moves)
-        b1 = bmask & ~table.occ(moves)
+        free, vis1 = table.masks(moves)
+        b1 = bmask & free
         if not b1:
             continue
-        vis1 = table.vis(moves)
         for blk1 in table.split(b1, vis1):
             obs1 = _obs_of(blk1, vis1)
             for blk2 in table.robber_step(moves, blk1):

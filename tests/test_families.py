@@ -1,5 +1,7 @@
 """Graph family generators and exhaustive enumerators."""
 
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -21,6 +23,7 @@ from hyperopic.families import (
     tree_canonical_form,
     tree_diam10,
 )
+from hyperopic.formats import encode_graph6
 from hyperopic.graph import (
     build_graph,
     diameter,
@@ -34,6 +37,12 @@ FROZEN_TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551,
 }
 FROZEN_OUTERPLANAR_COUNTS = {3: 1, 4: 2, 5: 3, 6: 9, 7: 20, 8: 75, 9: 262, 10: 1117}
+# sha256 prefix of the corpus as graph6 lines, in enumeration order
+FROZEN_OUTERPLANAR_DIGESTS = {
+    3: "4a469b3ce3caaad4", 4: "ef0691ee2826d7ea", 5: "a40f40bbb46b14a1",
+    6: "db99a73d4a64ea88", 7: "63c228ed5830790b", 8: "1ac006d211cae4cb",
+    9: "3766e8bd8a9535f8", 10: "c02501db7f5311a0",
+}
 
 
 # --- basic families ----------------------------------------------------------
@@ -201,6 +210,13 @@ def test_outerplanar_corpus_counts(n):
         assert g.n == n
         assert is_two_connected(g)
         assert oracles.is_outerplanar_oracle(g.n, g.edges)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_outerplanar_corpus_order_and_labels_are_pinned(n):
+    lines = "\n".join(encode_graph6(g) for g in all_two_connected_outerplanar(n))
+    digest = hashlib.sha256(lines.encode()).hexdigest()[:16]
+    assert digest == FROZEN_OUTERPLANAR_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", range(3, 8))

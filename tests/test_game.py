@@ -1,22 +1,25 @@
 """Game rules: visibility, observation splitting, and belief transitions."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperopic.families import complete, cycle, path, t_hat
+from hyperopic.families import complete, cycle, path, t_family, t_hat
 from hyperopic.game import (
     COP_WIN,
     BeliefState,
     GameSpec,
     INVISIBLE,
     Observation,
+    TransitionTable,
     VisibilityRule,
     cop_turn_successors,
     full_visibility,
+    growth_tables,
     hyperopic,
     initial_states,
     is_visible,
@@ -307,6 +310,91 @@ def test_beliefs_never_contain_cops():
                 nxt = robber_turn_successors(spec, mid.cops, mid.belief)
                 if nxt is not COP_WIN:
                     frontier.extend(nxt)
+
+
+# --- the bitmask engine ---------------------------------------------------------
+
+
+def _connected_graphs(max_n):
+    for g in nx.graph_atlas_g()[1:]:
+        n = g.number_of_nodes()
+        if n <= max_n and nx.is_connected(g):
+            yield build_graph(n, list(g.edges()))
+
+
+def _blocks(states):
+    return [(s.cops, s.belief) for s in states]
+
+
+def test_transition_table_matches_the_set_semantics():
+    rules = (full_visibility(), zero_visibility(), hyperopic(1), hyperopic(2),
+             hyperopic(3))
+    for g in _connected_graphs(5):
+        for rule in rules:
+            for size in (1, 2):
+                table = TransitionTable(GameSpec(g, rule, size))
+                spec = table.spec
+                for cops in itertools.combinations_with_replacement(range(g.n), size):
+                    init = initial_states(spec, cops)
+                    got = [(cops, mask_to_set(b)) for b in table.initial(cops)]
+                    assert got == ([] if init is COP_WIN else _blocks(init))
+                    rest = [v for v in range(g.n) if v not in cops]
+                    for r in range(1, len(rest) + 1):
+                        for belief in itertools.combinations(rest, r):
+                            bmask = set_to_mask(belief)
+                            state = BeliefState(cops, frozenset(belief))
+                            want = [
+                                (move, [] if out is COP_WIN else _blocks(out))
+                                for move, out in cop_turn_successors(spec, state)
+                            ]
+                            got = [
+                                (move, [(new, mask_to_set(b)) for b in blocks])
+                                for move, new, blocks in table.cop_step(cops, bmask)
+                            ]
+                            assert got == want
+                            out = robber_turn_successors(spec, cops, belief)
+                            got = [(cops, mask_to_set(b))
+                                   for b in table.robber_step(cops, bmask)]
+                            assert got == ([] if out is COP_WIN else _blocks(out))
+
+
+def _grown_bit_by_bit(g, mask):
+    nbr = g.neighbor_masks()
+    return set_to_mask(
+        w for v in mask_to_set(mask) for w in mask_to_set(nbr[v])
+    )
+
+
+def _grown_by_tables(g, mask):
+    grown = 0
+    for j, tab in enumerate(growth_tables(g.neighbor_masks())):
+        grown |= tab[(mask >> 4 * j) & 15]
+    return grown
+
+
+def test_growth_tables_on_every_mask_of_small_graphs():
+    for g in _connected_graphs(6):
+        assert len(growth_tables(g.neighbor_masks())) == (g.n + 3) // 4
+        for mask in range(1 << g.n):
+            assert _grown_by_tables(g, mask) == _grown_bit_by_bit(g, mask)
+
+
+@pytest.mark.parametrize("graph", [t_family(3), path(70), path(1)],
+                         ids=["t_family3", "path70", "path1"])
+def test_growth_tables_on_random_masks(graph):
+    rng = random.Random(graph.n)
+    top = 1 << (graph.n - 1)
+    masks = [0, (1 << graph.n) - 1, top, top | 1]
+    masks += [rng.getrandbits(graph.n) for _ in range(300)]
+    table = TransitionTable(GameSpec(graph, zero_visibility(), 1))
+    for mask in masks:
+        want = _grown_bit_by_bit(graph, mask)
+        assert _grown_by_tables(graph, mask) == want
+        free = [v for v in range(graph.n) if not mask >> v & 1]
+        if mask and free:
+            # never visible: one block, the growth minus the cop's vertex
+            cop = free[0]
+            assert table.robber_step((cop,), mask) == [want & ~(1 << cop)]
 
 
 # --- masks -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Graph substrate: metrics, matchings, blocks, embeddings, retractions."""
 
+import gc
 import itertools
 
 import networkx as nx
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from hyperopic.families import (
     all_trees,
+    all_two_connected_outerplanar,
     complete,
     complete_bipartite,
     cycle,
@@ -291,6 +293,18 @@ def test_embedding_fan():
     emb = find_outer_embedding(g)
     assert emb is not None
     _check_embedding(g, emb)
+
+
+def test_embedding_search_leaves_no_reference_cycles():
+    graphs = all_two_connected_outerplanar(8)
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            assert find_outer_embedding(g) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_embedding_absent_for_k4():

@@ -1,6 +1,7 @@
 """Tests for the exact belief-state solver."""
 
 import itertools
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -253,6 +254,19 @@ def test_cop_win_interns_only_part_of_the_arena():
     res = solve(GameSpec(g_k(3, 2), hyperopic(2), 3))
     assert res.status == "cop_win"
     assert res.states_explored < 7523
+
+
+def test_memory_per_state_stays_small():
+    # flat per-state storage: about 650 B per state; a per-state memo of
+    # robber steps and tuple-keyed reverse edges took about 1800
+    spec = GameSpec(g_k(3, 2), hyperopic(2), 3)
+    tracemalloc.start()
+    try:
+        res = solve(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / res.states_explored < 1000
 
 
 def test_generous_cap_changes_nothing():
