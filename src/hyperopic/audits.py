@@ -30,7 +30,13 @@ from .families import (
 )
 from .formats import encode_graph6
 from .game import full_visibility, hyperopic, zero_visibility
-from .graph import build_graph, diameter, is_caterpillar, maximum_matching
+from .graph import (
+    build_graph,
+    diameter,
+    is_caterpillar,
+    maximum_matching,
+    verify_retraction,
+)
 # `solve` stays bound here because perfbench/trace_layers.py rebinds it.
 from .solver import search_cop_number, solve  # noqa: F401
 from .strategies import (
@@ -321,11 +327,13 @@ def _claim_diam_bound(n_max, ctx):
 def _find_retraction(g, h_vertices):
     """Some map fixing h_vertices that folds the rest of g into them, or None.
 
-    Backtracking over the outside vertices; a partial map is kept consistent
-    on every already-assigned edge (endpoints mapped equal or adjacent inside
-    the target set).
+    Backtracking over the outside vertices in ascending order, each trying
+    the targets in ascending order, so the first map found is the least in
+    that order; a partial map is kept consistent on every already-assigned
+    edge (endpoints mapped equal or adjacent inside the target set).
     """
     hset = set(h_vertices)
+    targets = sorted(hset)
     outside = [v for v in range(g.n) if v not in hset]
     eset = set(g.edges)
 
@@ -333,26 +341,27 @@ def _find_retraction(g, h_vertices):
         return a == b or (min(a, b), max(a, b)) in eset
 
     assign = {v: v for v in hset}
-
-    def rec(i):
-        if i == len(outside):
-            return dict(assign)
+    tried = [0] * len(outside)  # per outside vertex: targets tried so far
+    i = 0
+    while i < len(outside):
         v = outside[i]
-        for target in sorted(hset):
-            ok = True
-            for w in g.adj[v]:
-                if w in assign and not compatible(target, assign[w]):
-                    ok = False
-                    break
-            if ok:
+        assign.pop(v, None)
+        for t in range(tried[i], len(targets)):
+            target = targets[t]
+            if all(
+                w not in assign or compatible(target, assign[w])
+                for w in g.adj[v]
+            ):
                 assign[v] = target
-                found = rec(i + 1)
-                if found is not None:
-                    return found
-                del assign[v]
-        return None
-
-    return rec(0)
+                tried[i] = t + 1
+                i += 1
+                break
+        else:
+            tried[i] = 0
+            i -= 1
+            if i < 0:
+                return None
+    return assign
 
 
 def _induced_subgraph(g, vertices):
@@ -365,7 +374,10 @@ def _induced_subgraph(g, vertices):
 
 
 def _claim_retract(n_max, ctx):
-    """A retract never needs more cops than the graph it folds out of."""
+    """A retract never needs more cops than the graph it folds out of.
+
+    Every map the search returns is checked by `verify_retraction`; a map
+    that fails makes its rows violations."""
     from itertools import combinations
 
     for g in _connected_graphs(_clamp(n_max, 5, 5)):
@@ -376,6 +388,7 @@ def _claim_retract(n_max, ctx):
                 mapping = _find_retraction(g, hs)
                 if mapping is None:
                     continue
+                checked = verify_retraction(g, hs, mapping)
                 h = _induced_subgraph(g, hs)
                 for k in (1, 2):
                     rule = hyperopic(k)
@@ -388,7 +401,10 @@ def _claim_retract(n_max, ctx):
                         "retract_cop_number": chh,
                         "retraction": [mapping[v] for v in range(g.n)],
                     }
-                    if cg is None or chh is None:
+                    if not checked:
+                        verdict = VIOLATION
+                        observed["note"] = "map is not a retraction"
+                    elif cg is None or chh is None:
                         verdict = UNDECIDED
                         observed["note"] = "undecided (state cap)"
                     else:

@@ -185,14 +185,6 @@ def tree_canonical_form(g):
     """AHU canonical string of a free tree, rooting at the centroid set."""
     if g.n == 1:
         return "()"
-
-    def encode(root, avoid):
-        def rec(v, parent):
-            subs = sorted(rec(w, v) for w in g.adj[v] if w != parent and w != avoid)
-            return "(" + "".join(subs) + ")"
-
-        return rec(root, None)
-
     # centroid(s): vertices minimizing the largest component of T - v
     best, cents = None, []
     for v in range(g.n):
@@ -215,7 +207,24 @@ def tree_canonical_form(g):
             best, cents = worst, [v]
         elif worst == best:
             cents.append(v)
-    return min(encode(c, None) for c in cents)
+    return min(_ahu_code(g, c) for c in cents)
+
+
+def _ahu_code(tree, root):
+    """AHU string of a tree rooted at root: each vertex's code wraps its
+    children's codes, sorted, in one pair of brackets."""
+    parent = {root: None}
+    order = [root]
+    for v in order:  # breadth-first; order grows while it is walked
+        for w in tree.adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    code = {}
+    for v in reversed(order):
+        subs = sorted(code[w] for w in tree.adj[v] if w != parent[v])
+        code[v] = "(" + "".join(subs) + ")"
+    return code[root]
 
 
 def all_two_connected_outerplanar(n):

@@ -7,6 +7,11 @@ every observation so far.  A round is cops move jointly, observe, robber
 moves, observe; each observation either pins the robber to a vertex or
 reports it invisible, splitting the belief accordingly.  Visibility is also
 checked once at initial placement.
+
+`TransitionTable` is the one implementation of these transitions: the
+solver expands its arena with it and the policy verifier replays policies
+with it.  Beliefs are integer masks (bit v set when the robber may be on
+vertex v); `mask_to_set` turns one into a vertex set.
 """
 
 from __future__ import annotations
@@ -72,108 +77,6 @@ class GameSpec:
             )
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Result of one sighting check: a pinned vertex, or nothing."""
-
-    vertex: int | None
-
-    @property
-    def is_visible(self):
-        return self.vertex is not None
-
-    def __repr__(self):
-        return "Invisible" if self.vertex is None else f"Visible({self.vertex})"
-
-
-INVISIBLE = Observation(None)
-
-
-class _CopWin:
-    """Sentinel outcome: every consistent robber position is captured."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "CopWin"
-
-
-COP_WIN = _CopWin()
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """Cop positions (a sorted multiset) plus the robber's possible vertices.
-
-    The belief is always nonempty (emptiness is the terminal cop win, never
-    stored) and disjoint from the cop positions (a possibility on a cop
-    vertex is already captured).
-    """
-
-    cops: tuple
-    belief: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "cops", tuple(sorted(self.cops)))
-        object.__setattr__(self, "belief", frozenset(self.belief))
-        if not self.belief:
-            raise ValueError("belief must be nonempty (emptiness is a cop win)")
-        if self.belief & set(self.cops):
-            raise ValueError("belief must be disjoint from cop positions")
-
-
-def is_visible(rule, dists):
-    """Whether a robber is visible given each cop's distance to it.
-
-    Distances are all >= 1: distance 0 is capture, decided before any
-    sighting check.
-    """
-
-    dists = tuple(dists)
-    if not dists:
-        raise ValueError("need at least one cop distance")
-    if any(d < 1 for d in dists):
-        raise ValueError("distance 0 is capture, not a sighting")
-    if rule.kind == "full":
-        return True
-    if rule.kind == "zero":
-        return False
-    return any(d > rule.k for d in dists)
-
-
-def split_by_observation(graph, rule, cops, candidates):
-    """Partition candidate robber vertices by what the cops would observe.
-
-    Returns (observation, block) pairs: one singleton block per vertex where
-    the robber would be seen, then at most one block of mutually
-    indistinguishable invisible vertices.  Blocks partition the candidates.
-    """
-    dist = graph.distances()
-    seen, hidden = [], []
-    for v in sorted(candidates):
-        if is_visible(rule, (dist[c][v] for c in cops)):
-            seen.append(v)
-        else:
-            hidden.append(v)
-    out = [(Observation(v), frozenset((v,))) for v in seen]
-    if hidden:
-        out.append((INVISIBLE, frozenset(hidden)))
-    return out
-
-
-def observation_split(spec, cops, candidates):
-    """split_by_observation under a GameSpec's graph and rule."""
-    if set(candidates) & set(cops):
-        raise ValueError("candidates must be disjoint from cop positions")
-    return split_by_observation(spec.graph, spec.rule, cops, candidates)
-
-
 def joint_cop_moves(graph, cops):
     """Deduplicated joint moves from a sorted cop position tuple.
 
@@ -200,64 +103,6 @@ def joint_cop_moves(graph, cops):
     return [(m, k) for k, m in least.items()]
 
 
-def initial_states(spec, placement):
-    """States after the cops take up a starting placement.
-
-    The robber then materializes on any uncovered vertex and the first
-    sighting check runs immediately.  Returns COP_WIN when the placement
-    covers the whole graph, else the resulting cop-to-move states.
-    """
-    placement = tuple(sorted(placement))
-    if len(placement) != spec.num_cops:
-        raise ValueError(f"placement must list {spec.num_cops} cop positions")
-    candidates = set(range(spec.graph.n)) - set(placement)
-    if not candidates:
-        return COP_WIN
-    return [
-        BeliefState(placement, block)
-        for _, block in observation_split(spec, placement, candidates)
-    ]
-
-
-def cop_turn_successors(spec, state):
-    """All deduplicated joint cop moves from a cop-to-move state.
-
-    Returns (move, outcome) pairs where outcome is COP_WIN (the move lands
-    on every belief vertex) or the list of intermediate robber-to-move
-    states produced by the post-move sighting check.
-    """
-    out = []
-    for move, newcops in joint_cop_moves(spec.graph, state.cops):
-        survivors = state.belief - set(newcops)
-        if not survivors:
-            out.append((move, COP_WIN))
-            continue
-        blocks = observation_split(spec, newcops, survivors)
-        out.append((move, [BeliefState(newcops, b) for _, b in blocks]))
-    return out
-
-
-def robber_turn_successors(spec, cops, candidates):
-    """Resolve the robber's move from an intermediate robber-to-move position.
-
-    The candidate set grows to its closed neighborhood minus cop vertices,
-    then the post-move sighting check splits it.  Returns COP_WIN when no
-    possibility survives (the robber had nowhere safe to go), else the
-    cop-to-move successor states.
-    """
-    cops = tuple(sorted(cops))
-    g = spec.graph
-    grown = set()
-    for v in candidates:
-        grown.add(v)
-        grown.update(g.adj[v])
-    grown -= set(cops)
-    if not grown:
-        return COP_WIN
-    blocks = observation_split(spec, cops, grown)
-    return [BeliefState(cops, b) for _, b in blocks]
-
-
 def growth_tables(nbr):
     """Closed-neighborhood unions per 4-bit chunk of a belief mask.
 
@@ -275,9 +120,9 @@ def growth_tables(nbr):
 
 
 class TransitionTable:
-    """Bitmask engine computing the same transitions as the public functions.
+    """The game's transitions on belief masks.
 
-    Beliefs are integer masks; states are (cops_tuple, mask) pairs.  Each
+    States are (sorted cop tuple, belief mask) pairs.  Each
     cop tuple's unoccupied and visibility masks and its deduplicated joint
     moves are cached, since the solver revisits the same cop tuples across
     many beliefs.  Robber steps are not cached: a belief grows through
@@ -386,10 +231,3 @@ def mask_to_set(mask):
         mask ^= b
     return frozenset(out)
 
-
-def set_to_mask(verts):
-    """Belief mask of an iterable of vertex ids."""
-    m = 0
-    for v in verts:
-        m |= 1 << v
-    return m

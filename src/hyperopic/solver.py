@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, repeat
 
 from .cache import ResultCache, cached_solve
-from .game import BeliefState, TransitionTable, cop_cap, mask_to_set
+from .game import TransitionTable, cop_cap
 
 
 class UndecidedError(Exception):
@@ -32,7 +32,8 @@ class Certificate:
     every cop-to-move state reachable while following it, and a bound on
     rounds to capture.
 
-    Move tuples are aligned with the state's sorted cop positions.
+    moves is keyed by (sorted cop tuple, belief mask), the solver's own
+    state, and each move tuple is aligned with that sorted cop tuple.
     """
 
     placement: tuple
@@ -260,11 +261,7 @@ def _extract(arena, table, placement, init_idxs):
         stack.append((idx, True))
         stack.extend((t, False) for t in succs if t not in chosen)
 
-    moves = {}
-    for idx, (move, _) in chosen.items():
-        cops, bmask = arena.state(idx)
-        state = BeliefState(cops, mask_to_set(bmask))
-        moves[state] = move
+    moves = {arena.state(idx): move for idx, (move, _) in chosen.items()}
     bound = max((rounds[i] for i in init_idxs), default=0)
     return Certificate(placement, moves, bound)
 

@@ -1,13 +1,15 @@
 """Deterministic cop policies and an adversarial policy verifier.
 
 A policy is a deterministic machine: a starting placement plus a step
-function mapping (internal state, current positions, observations since the
-last move) to a joint move.  The verifier plays a policy against an
-omniscient robber by exhaustive DFS over every observation branch; a policy
-is only ever trusted after the verifier returns Win.
+function mapping (internal state, current positions, belief mask) to a
+joint move.  The verifier plays a policy against an omniscient robber by
+exhaustive DFS over every observation branch; a policy is only ever trusted
+after the verifier returns Win.
 
-Policies legitimately track their own belief set (they know the graph, the
-rule, and their observation history); the verifier remains the sole judge.
+The belief the verifier hands over is exact: the set of robber positions
+consistent with every sighting so far, as computed by `TransitionTable`.  A
+policy that reads it knows everything its observation history could tell
+it, so no policy tracks beliefs itself.
 """
 
 from __future__ import annotations
@@ -16,15 +18,10 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .game import (
-    INVISIBLE,
-    BeliefState,
     GameSpec,
-    Observation,
     TransitionTable,
     cop_cap,
     full_visibility,
-    hyperopic,
-    is_visible,
     mask_to_set,
 )
 
@@ -33,13 +30,12 @@ from .game import (
 class CopPolicy:
     """A named deterministic cop strategy.
 
-    initial() -> (placement, state0).  step(state, cops, obs) -> (moves,
+    initial() -> (placement, state0).  step(state, cops, bmask) -> (moves,
     state1), where cops are the positions this policy chose last time (in
     the same per-cop order), moves[i] must lie in the closed neighborhood
-    of cops[i], and obs is the tuple of observations made since the
-    previous decision: length 1 at the first call (the sighting check right
-    after placement), length 2 afterwards (after the cops' move and after
-    the robber's move).
+    of cops[i], and bmask is the current belief as a mask: bit v is set
+    when the robber may be on vertex v given every sighting so far.  It is
+    never 0 and never covers a cop.  `mask_to_set` turns it into a set.
     """
 
     name: str
@@ -71,23 +67,15 @@ class Timeout:
     nodes: int
 
 
-def _obs_of(block_mask, vismask):
-    """The observation labelling one split block: visible blocks are
-    exactly the singletons inside the visibility mask."""
-    if block_mask & vismask:
-        return Observation(block_mask.bit_length() - 1)
-    return INVISIBLE
-
-
 def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     """Play a policy against the omniscient robber, exhaustively.
 
     DFS over all observation branches of the deterministic policy, keyed by
-    (policy state, cop positions, belief, pending observations).  Revisiting
-    a node on the current path means the robber can force that loop forever
-    (Evaded); finishing every branch with capture is Win with the worst-case
-    round count; exceeding node_cap is Timeout.  Illegal policy moves raise
-    ValueError.
+    (policy state, cop positions, belief mask); the policy is called once
+    per node with that node's belief.  Revisiting a node on the current
+    path means the robber can force that loop forever (Evaded); finishing
+    every branch with capture is Win with the worst-case round count;
+    exceeding node_cap is Timeout.  Illegal policy moves raise ValueError.
     """
     n = graph.n
     cap = cop_cap(n)
@@ -104,16 +92,13 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     cand, vis0 = table.masks(placement)
     if not cand:
         return Win(0)
-    roots = [
-        (state0, placement, blk, (_obs_of(blk, vis0),))
-        for blk in table.split(cand, vis0)
-    ]
+    roots = [(state0, placement, blk) for blk in table.split(cand, vis0)]
 
     nbr = table.nbr
 
     def expand(node):
-        state, cops, bmask, obs = node
-        moves, state1 = policy.step(state, cops, obs)
+        state, cops, bmask = node
+        moves, state1 = policy.step(state, cops, bmask)
         moves = tuple(moves)
         if len(moves) != policy.num_cops:
             raise ValueError(f"{policy.name}: joint move has wrong arity")
@@ -125,11 +110,8 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
         b1 = bmask & free
         if b1:
             for blk1 in table.split(b1, vis1):
-                obs1 = _obs_of(blk1, vis1)
                 for blk2 in table.robber_step(moves, blk1):
-                    children.append(
-                        (state1, moves, blk2, (obs1, _obs_of(blk2, vis1)))
-                    )
+                    children.append((state1, moves, blk2))
         return children
 
     memo = {}
@@ -163,9 +145,7 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
                 start = onpath.get(child)
                 if start is not None:
                     cycle = path[start:] + [child]
-                    witness = tuple(
-                        (c, frozenset(mask_to_set(b))) for _, c, b, _ in cycle
-                    )
+                    witness = tuple((c, mask_to_set(b)) for _, c, b in cycle)
                     return Evaded(witness)
                 visited += 1
                 if visited > node_cap:
@@ -185,53 +165,9 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     return Win(max(memo[r] for r in roots))
 
 
-# ---------------------------------------------------------------------------
-# Belief tracking for policies (exact: uses both per-round observations).
-
-
-def apply_observation(graph, rule, cops, belief, obs):
-    """Filter candidate robber positions by one observation."""
-    if obs.is_visible:
-        if obs.vertex not in belief:
-            raise AssertionError("observation inconsistent with tracked belief")
-        return frozenset((obs.vertex,))
-    dist = graph.distances()
-    return frozenset(
-        v
-        for v in belief
-        if not is_visible(rule, tuple(dist[c][v] for c in cops))
-    )
-
-
-def initial_belief(graph, rule, placement, obs):
-    """Possible robber positions right after the cops' placement."""
-    cand = frozenset(range(graph.n)) - set(placement)
-    return apply_observation(graph, rule, placement, cand, obs)
-
-
-def advance_belief(graph, rule, belief, newcops, obs_pair):
-    """Possible robber positions after one full round.
-
-    belief is the tracked set at the previous decision; newcops the
-    positions the cops then moved to; obs_pair the two observations made
-    after the cops' move and after the robber's move.
-    """
-    obs1, obs2 = obs_pair
-    occ = set(newcops)
-    b = frozenset(belief) - occ
-    b = apply_observation(graph, rule, newcops, b, obs1)
-    grown = set()
-    for v in b:
-        grown.add(v)
-        grown.update(graph.adj[v])
-    b = frozenset(grown) - occ
-    return apply_observation(graph, rule, newcops, b, obs2)
-
-
-def _track(graph, rule, prev_belief, cops, obs):
-    if len(obs) == 1:
-        return initial_belief(graph, rule, cops, obs[0])
-    return advance_belief(graph, rule, prev_belief, cops, obs)
+def _sole(bmask):
+    """The belief's one vertex, or None when it holds several."""
+    return None if bmask & (bmask - 1) else bmask.bit_length() - 1
 
 
 def _step_toward(graph, a, b):
@@ -263,12 +199,25 @@ def _align_to_roles(cops, target):
 # Certificate replay.
 
 
+def _certificate_move(certificate, cops, bmask):
+    """The certificate's sorted-aligned move for cops in any order."""
+    key = (tuple(sorted(cops)), bmask)
+    try:
+        return certificate.moves[key]
+    except KeyError:
+        raise AssertionError(
+            f"certificate has no move for cops {key[0]} and belief "
+            f"{sorted(mask_to_set(bmask))}"
+        ) from None
+
+
 def certificate_policy(graph, rule, certificate):
     """Replay a solver certificate as a policy.
 
-    Tracks the belief exactly as the game model does and looks the joint
-    move up in the certificate's state-to-move map; a missing entry raises
-    (a certificate is supposed to cover every reachable state).
+    Looks the joint move up in the certificate's state-to-move map under
+    (sorted cops, belief mask); a missing entry raises (a certificate is
+    supposed to cover every reachable state).  graph and rule are not
+    consulted: the certificate was solved for them.
     """
     placement = tuple(sorted(certificate.placement))
     ncops = len(placement)
@@ -276,16 +225,9 @@ def certificate_policy(graph, rule, certificate):
     def initial():
         return placement, None
 
-    def step(state, cops, obs):
-        belief = _track(graph, rule, state, cops, obs)
-        key = BeliefState(cops, belief)
-        try:
-            target = certificate.moves[key]
-        except KeyError:
-            raise AssertionError(
-                f"certificate has no move for state {key}"
-            ) from None
-        return _align_to_roles(cops, target), belief
+    def step(state, cops, bmask):
+        target = _certificate_move(certificate, cops, bmask)
+        return _align_to_roles(cops, target), None
 
     return CopPolicy("certificate", ncops, initial, step)
 
@@ -314,7 +256,7 @@ def matching_policy(graph):
     def initial():
         return placement, 0
 
-    def step(state, cops, obs):
+    def step(state, cops, bmask):
         moves = [y if cops[i] == x else x for i, (x, y) in enumerate(medges)]
         wi = state
         if rest:
@@ -364,7 +306,6 @@ def tree_k2_policy(tree):
     if not is_tree(tree):
         raise ValueError("tree_k2_policy requires a tree")
     g = tree
-    rule = hyperopic(2)
     n = g.n
     if n == 1:
         placement = (0, 0)
@@ -424,20 +365,18 @@ def tree_k2_policy(tree):
 
     def initial():
         # post = the leaf's neighbor (role 1), walker = the leaf (role 0)
-        return placement, (None, 1, (REST, frozenset()))
+        return placement, (1, (REST, frozenset()))
 
-    def step(state, cops, obs):
-        prev_belief, post_role, mode = state
-        belief = _track(g, rule, prev_belief, cops, obs)
-        if not belief:
-            raise AssertionError("policy stepped with empty belief")
+    def step(state, cops, bmask):
+        post_role, mode = state
+        belief = mask_to_set(bmask)
         if len(belief) == 1:
             moves, front = pursuit_move(belief, cops)
-            return moves, (belief, front, (PURSUIT,))
+            return moves, (front, (PURSUIT,))
         if mode[0] == SCRIPT:
             steps, stomped = mode[1], mode[2]
             nxt = (SCRIPT, steps[1:], stomped) if steps[1:] else (REST, stomped)
-            return steps[0], (belief, post_role, nxt)
+            return steps[0], (post_role, nxt)
         stomped = mode[1] if mode[0] == REST else frozenset()
         steps, stomped = commit(belief, cops, post_role, stomped)
         nxt = (
@@ -445,7 +384,7 @@ def tree_k2_policy(tree):
             if steps[1:]
             else (REST, stomped)
         )
-        return steps[0], (belief, post_role, nxt)
+        return steps[0], (post_role, nxt)
 
     return CopPolicy("tree2", 2, initial, step)
 
@@ -472,7 +411,6 @@ def pendant_path_policy(tree, k):
     if k < 2:
         raise ValueError("pendant_path_policy requires k >= 2")
     g = tree
-    rule = hyperopic(k)
     found = None
     for leaf in sorted(v for v in range(g.n) if g.degree(v) == 1):
         run = [leaf]
@@ -498,26 +436,22 @@ def pendant_path_policy(tree, k):
     CHASE, GOTO, SCRIPT = "chase", "goto", "script"
 
     def initial():
-        return (v1, u), (None, (GOTO,))
+        return (v1, u), (GOTO,)
 
-    def step(state, cops, obs):
-        prev_belief, mode = state
-        belief = _track(g, rule, prev_belief, cops, obs)
-        if not belief:
-            raise AssertionError("policy stepped with empty belief")
+    def step(mode, cops, bmask):
         c2 = cops[1]
-        if len(belief) == 1:
-            (target,) = belief
-            return (v1, _step_toward(g, c2, target)), (belief, (CHASE,))
+        target = _sole(bmask)
+        if target is not None:
+            return (v1, _step_toward(g, c2, target)), (CHASE,)
         if mode[0] == SCRIPT and mode[1]:
             rest = mode[1]
             nxt = (SCRIPT, rest[1:]) if rest[1:] else (GOTO,)
-            return (v1, rest[0]), (belief, nxt)
+            return (v1, rest[0]), nxt
         if c2 != u or not sweep:
-            return (v1, _step_toward(g, c2, u)), (belief, (GOTO,))
+            return (v1, _step_toward(g, c2, u)), (GOTO,)
         rest = tuple(sweep)
         nxt = (SCRIPT, rest[1:]) if rest[1:] else (GOTO,)
-        return (v1, rest[0]), (belief, nxt)
+        return (v1, rest[0]), nxt
 
     return CopPolicy("pendant", 2, initial, step)
 
@@ -546,7 +480,7 @@ def stationary_pair_policy(graph, k):
     g = graph
     diam = diameter(g)
     if is_tree(g) and diam >= 2 * k - 1:
-        return _stationary_tree(g, k, hyperopic(k))
+        return _stationary_tree(g, k)
     if diam >= 2 * k + 1:
         return _stationary_general(g, k)
     raise ValueError(
@@ -566,7 +500,7 @@ def _diametral_pair(graph):
     )
 
 
-def _stationary_tree(g, k, rule):
+def _stationary_tree(g, k):
     x, y = _diametral_pair(g)
     spine = _path_between(g, x, y)
     dist = g.distances()
@@ -578,28 +512,25 @@ def _stationary_tree(g, k, rule):
     CHASE_FAR, RELOC, ENDGAME = "far", "reloc", "end"
 
     def initial():
-        return (spine[0], yk), (None, None)
+        return (spine[0], yk), None
 
-    def step(state, cops, obs):
-        prev_belief, mode = state
-        belief = _track(g, rule, prev_belief, cops, obs)
-        if not belief:
-            raise AssertionError("policy stepped with empty belief")
+    def step(mode, cops, bmask):
         if mode is None:
-            mode = (CHASE_FAR,) if all(in_far[v] for v in belief) else (RELOC, 1)
+            far = all(in_far[v] for v in mask_to_set(bmask))
+            mode = (CHASE_FAR,) if far else (RELOC, 1)
         if mode[0] == CHASE_FAR:
-            if len(belief) != 1:
+            t = _sole(bmask)
+            if t is None:
                 raise AssertionError("far-side robber must stay visible")
-            (t,) = belief
-            return (spine[0], _step_toward(g, cops[1], t)), (belief, mode)
+            return (spine[0], _step_toward(g, cops[1], t)), mode
         if mode[0] == RELOC:
             i = mode[1]
             nxt = (RELOC, i + 1) if i + 1 < len(reloc) else (ENDGAME,)
-            return (reloc[i], yk), (belief, nxt)
-        if len(belief) != 1:
+            return (reloc[i], yk), nxt
+        t = _sole(bmask)
+        if t is None:
             raise AssertionError("post-relocation belief must be a point")
-        (t,) = belief
-        return (u, _step_toward(g, cops[1], t)), (belief, mode)
+        return (u, _step_toward(g, cops[1], t)), mode
 
     return CopPolicy("stationary", 2, initial, step)
 
@@ -617,18 +548,11 @@ def _stationary_general(g, k):
     def initial():
         return (x, y) + pursuit0, None
 
-    def step(state, cops, obs):
-        if not obs[-1].is_visible:
+    def step(state, cops, bmask):
+        if _sole(bmask) is None:
             raise AssertionError("diametral parking must keep the robber visible")
-        r = obs[-1].vertex
         pcops = cops[2:]
-        key = BeliefState(pcops, frozenset((r,)))
-        try:
-            target = cert.moves[key]
-        except KeyError:
-            raise AssertionError(
-                f"pursuit certificate has no move for {key}"
-            ) from None
+        target = _certificate_move(cert, pcops, bmask)
         return (x, y) + _align_to_roles(pcops, target), None
 
     return CopPolicy("stationary", 2 + len(pursuit0), initial, step)
@@ -656,7 +580,6 @@ def tree_near_diam_policy(tree, k):
     diam = diameter(g)
     if not 2 * k - 3 <= diam <= 2 * k - 2:
         raise ValueError(f"diameter {diam} outside [{2 * k - 3}, {2 * k - 2}]")
-    rule = hyperopic(k)
     x, y = _diametral_pair(g)
     dist = g.distances()
     region = sorted(v for v in range(g.n) if dist[v][x] <= k and dist[v][y] <= k)
@@ -675,26 +598,22 @@ def tree_near_diam_policy(tree, k):
     CHASE, GOTO, SCRIPT = "chase", "goto", "script"
 
     def initial():
-        return (x, y, sweep[0]), (None, (GOTO,))
+        return (x, y, sweep[0]), (GOTO,)
 
-    def step(state, cops, obs):
-        prev_belief, mode = state
-        belief = _track(g, rule, prev_belief, cops, obs)
-        if not belief:
-            raise AssertionError("policy stepped with empty belief")
+    def step(mode, cops, bmask):
         c3 = cops[2]
-        if len(belief) == 1:
-            (t,) = belief
-            return (x, y, _step_toward(g, c3, t)), (belief, (CHASE,))
+        t = _sole(bmask)
+        if t is not None:
+            return (x, y, _step_toward(g, c3, t)), (CHASE,)
         if mode[0] == SCRIPT and mode[1]:
             rest = mode[1]
             nxt = (SCRIPT, rest[1:]) if rest[1:] else (GOTO,)
-            return (x, y, rest[0]), (belief, nxt)
+            return (x, y, rest[0]), nxt
         if c3 != sweep[0] or len(sweep) == 1:
-            return (x, y, _step_toward(g, c3, sweep[0])), (belief, (GOTO,))
+            return (x, y, _step_toward(g, c3, sweep[0])), (GOTO,)
         rest = tuple(sweep[1:])
         nxt = (SCRIPT, rest[1:]) if rest[1:] else (GOTO,)
-        return (x, y, rest[0]), (belief, nxt)
+        return (x, y, rest[0]), nxt
 
     return CopPolicy("neardiam", 3, initial, step)
 
@@ -724,15 +643,15 @@ def outerplanar_k2_policy(graph):
       or two moves, and otherwise a two-round probe (each cop bouncing
       off its seat and back, which is always safe: a robber stepping onto
       a vacated seat is captured by the returning cop before it can move
-      on) makes the strip visible and the tracked belief tells which side
+      on) makes the strip visible and the belief tells which side
       of the chord the robber is on;
     * to claim a pocket the far cop alternates across the fencing chord
       -- alternation between adjacent vertices seals both of them, since
       whichever of the two a robber steps onto is the next cop move's
       target -- while its partner walks around to the chord's far end.
 
-    The robber's whereabouts are tracked exactly from the observations,
-    so each branch is taken on what the cops actually know.
+    Each branch is taken on the exact belief the cops are handed, so on
+    what they actually know.
     """
     from .graph import find_outer_embedding
 
@@ -742,7 +661,6 @@ def outerplanar_k2_policy(graph):
         raise ValueError(
             "outerplanar_k2_policy requires a 2-connected outerplanar graph"
         )
-    rule = hyperopic(2)
     n = g.n
     cycle = tuple(emb.cycle)
     pos = {v: i for i, v in enumerate(cycle)}
@@ -988,19 +906,19 @@ def outerplanar_k2_policy(graph):
         front0 = (0, 1)
 
     def initial():
-        return placement, (None, front0, mode0)
+        return placement, (front0, mode0)
 
-    def unpack(after, belief, front):
+    def unpack(after, front):
         if after[0] == "rest":
-            return belief, after[1], ("rest",)
+            return after[1], ("rest",)
         if after[0] == "b2":
-            return belief, front, after
+            return front, after
         _, pside, pm, pfront = after
-        return belief, pfront, ("postprobe", pside, pm)
+        return pfront, ("postprobe", pside, pm)
 
-    def step(state, cops, obs):
-        tracked, front, mode = state
-        belief = _track(g, rule, tracked, cops, obs)
+    def step(state, cops, bmask):
+        front, mode = state
+        belief = mask_to_set(bmask)
         if mode[0] == "b2":
             # Single-territory-vertex gadget.  Stage A: the left cop
             # alternates endpoint/territory (sealing both and, from the
@@ -1025,22 +943,22 @@ def outerplanar_k2_policy(graph):
             r = par + 1
             if r % 2 == 1:
                 if stage == "B" and belief <= pverts | {mv}:
-                    return (mv, f1), (belief, (mpos, j), ("rest",))
+                    return (mv, f1), ((mpos, j), ("rest",))
                 move = (y, mv)
             elif stage == "A":
                 move = (f0, wv)
             else:
                 move = (f0, f1)
                 stage = "B"
-            return move, (belief, front, ("b2", mpos, stage, r))
+            return move, (front, ("b2", mpos, stage, r))
         if mode[0] == "script":
             steps, after = mode[1], mode[2]
             move = steps[0]
             rest = steps[1:]
             if rest:
-                nxt = (belief, front, ("script", rest, after))
+                nxt = (front, ("script", rest, after))
             else:
-                nxt = unpack(after, belief, front)
+                nxt = unpack(after, front)
             return move, nxt
         if mode[0] == "postprobe":
             steps, after = postprobe_decide(belief, mode[1], mode[2], front)
@@ -1049,9 +967,9 @@ def outerplanar_k2_policy(graph):
         move = steps[0]
         rest = steps[1:]
         if rest:
-            nxt = (belief, front, ("script", rest, after))
+            nxt = (front, ("script", rest, after))
         else:
-            nxt = unpack(after, belief, front)
+            nxt = unpack(after, front)
         return move, nxt
 
     return CopPolicy("outerplanar", 2, initial, step)

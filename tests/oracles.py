@@ -3,15 +3,20 @@
 Everything here is deliberately written from scratch against the game
 rules and textbook definitions, so agreement with ``hyperopic`` is
 meaningful evidence of correctness.  Most of it shares no code with the
-package (it consumes plain ``(n, edges)`` pairs).  The exceptions: the
-belief-level solver oracle is built on the set-based transition functions
-of ``hyperopic.game``, which the solver never calls (it runs on the bitmask
-``TransitionTable``), and the policy replay harness drives the package's
-own transition table.
+package (it consumes plain ``(n, edges)`` pairs).  The exception is the
+set-based reference game below: it takes the package's ``Graph``,
+``GameSpec`` and deduplicated ``joint_cop_moves``, but computes every
+sighting and belief transition on vertex sets, sharing nothing with the
+bitmask ``TransitionTable`` that the solver and the policy verifier run on.
+The belief-level solver oracle and the policy replay harness are built on
+it.
 """
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
+
+from hyperopic.game import GameSpec, joint_cop_moves
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +101,192 @@ def fullvis_cop_number(n, edges):
 
 
 # ---------------------------------------------------------------------------
+# Set-based reference game.
+#
+# A round is cops move jointly, observe, robber moves, observe; each
+# sighting check pins the robber to one vertex or reports it invisible, and
+# splits the set of vertices it may occupy (its belief) accordingly.  The
+# check also runs once right after the placement.
+
+
+@dataclass(frozen=True)
+class Observation:
+    """Result of one sighting check: a pinned vertex, or nothing."""
+
+    vertex: int | None
+
+    @property
+    def is_visible(self):
+        return self.vertex is not None
+
+    def __repr__(self):
+        return "Invisible" if self.vertex is None else f"Visible({self.vertex})"
+
+
+INVISIBLE = Observation(None)
+
+
+class _CopWin:
+    """Sentinel outcome: every consistent robber position is captured."""
+
+    __slots__ = ()
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "CopWin"
+
+
+COP_WIN = _CopWin()
+
+
+@dataclass(frozen=True)
+class BeliefState:
+    """Cop positions (a sorted multiset) plus the robber's possible vertices.
+
+    The belief is always nonempty (emptiness is the terminal cop win, never
+    stored) and disjoint from the cop positions (a possibility on a cop
+    vertex is already captured).
+    """
+
+    cops: tuple
+    belief: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "cops", tuple(sorted(self.cops)))
+        object.__setattr__(self, "belief", frozenset(self.belief))
+        if not self.belief:
+            raise ValueError("belief must be nonempty (emptiness is a cop win)")
+        if self.belief & set(self.cops):
+            raise ValueError("belief must be disjoint from cop positions")
+
+
+def is_visible(rule, dists):
+    """Whether a robber is visible given each cop's distance to it.
+
+    Distances are all >= 1: distance 0 is capture, decided before any
+    sighting check.
+    """
+
+    dists = tuple(dists)
+    if not dists:
+        raise ValueError("need at least one cop distance")
+    if any(d < 1 for d in dists):
+        raise ValueError("distance 0 is capture, not a sighting")
+    if rule.kind == "full":
+        return True
+    if rule.kind == "zero":
+        return False
+    return any(d > rule.k for d in dists)
+
+
+def split_by_observation(graph, rule, cops, candidates):
+    """Partition candidate robber vertices by what the cops would observe.
+
+    Returns (observation, block) pairs: one singleton block per vertex where
+    the robber would be seen, then at most one block of mutually
+    indistinguishable invisible vertices.  Blocks partition the candidates.
+    """
+    dist = graph.distances()
+    seen, hidden = [], []
+    for v in sorted(candidates):
+        if is_visible(rule, (dist[c][v] for c in cops)):
+            seen.append(v)
+        else:
+            hidden.append(v)
+    out = [(Observation(v), frozenset((v,))) for v in seen]
+    if hidden:
+        out.append((INVISIBLE, frozenset(hidden)))
+    return out
+
+
+def observation_split(spec, cops, candidates):
+    """split_by_observation under a GameSpec's graph and rule."""
+    if set(candidates) & set(cops):
+        raise ValueError("candidates must be disjoint from cop positions")
+    return split_by_observation(spec.graph, spec.rule, cops, candidates)
+
+
+def initial_states(spec, placement):
+    """States after the cops take up a starting placement.
+
+    The robber then materializes on any uncovered vertex and the first
+    sighting check runs immediately.  Returns COP_WIN when the placement
+    covers the whole graph, else the resulting cop-to-move states.
+    """
+    placement = tuple(sorted(placement))
+    if len(placement) != spec.num_cops:
+        raise ValueError(f"placement must list {spec.num_cops} cop positions")
+    candidates = set(range(spec.graph.n)) - set(placement)
+    if not candidates:
+        return COP_WIN
+    return [
+        BeliefState(placement, block)
+        for _, block in observation_split(spec, placement, candidates)
+    ]
+
+
+def cop_turn_successors(spec, state):
+    """All deduplicated joint cop moves from a cop-to-move state.
+
+    Returns (move, outcome) pairs where outcome is COP_WIN (the move lands
+    on every belief vertex) or the list of intermediate robber-to-move
+    states produced by the post-move sighting check.
+    """
+    out = []
+    for move, newcops in joint_cop_moves(spec.graph, state.cops):
+        survivors = state.belief - set(newcops)
+        if not survivors:
+            out.append((move, COP_WIN))
+            continue
+        blocks = observation_split(spec, newcops, survivors)
+        out.append((move, [BeliefState(newcops, b) for _, b in blocks]))
+    return out
+
+
+def robber_turn_successors(spec, cops, candidates):
+    """Resolve the robber's move from an intermediate robber-to-move position.
+
+    The candidate set grows to its closed neighborhood minus cop vertices,
+    then the post-move sighting check splits it.  Returns COP_WIN when no
+    possibility survives (the robber had nowhere safe to go), else the
+    cop-to-move successor states.
+    """
+    cops = tuple(sorted(cops))
+    grown = robber_growth(spec.graph, cops, candidates)
+    if not grown:
+        return COP_WIN
+    blocks = observation_split(spec, cops, grown)
+    return [BeliefState(cops, b) for _, b in blocks]
+
+
+def robber_growth(graph, cops, candidates):
+    """Where the robber may stand after its move: the candidates' closed
+    neighborhood minus the cop vertices."""
+    grown = set()
+    for v in candidates:
+        grown.add(v)
+        grown.update(graph.adj[v])
+    return grown - set(cops)
+
+
+def set_to_mask(verts):
+    """Belief mask of an iterable of vertex ids."""
+    m = 0
+    for v in verts:
+        m |= 1 << v
+    return m
+
+
+# ---------------------------------------------------------------------------
 # Belief-level game solver for every visibility rule.
 #
 # Builds the full reachable arena of cop-to-move belief states from every
-# placement with the set-based reference transitions, then computes the
+# placement with the set-based reference game above, then computes the
 # cops' attractor level by level: a state enters at level i when some joint
 # move leaves only states of lower levels (none at all when every robber
 # possibility is captured).  The level of a state is the least worst-case
@@ -109,13 +296,6 @@ def fullvis_cop_number(n, edges):
 def belief_placement_rounds(spec):
     """Map every placement of ``spec``'s cops to the least worst-case rounds
     for them to capture from it, or None when the robber evades forever."""
-    from hyperopic.game import (
-        COP_WIN,
-        cop_turn_successors,
-        initial_states,
-        robber_turn_successors,
-    )
-
     starts = {
         placement: initial_states(spec, placement)
         for placement in itertools.combinations_with_replacement(
@@ -432,67 +612,58 @@ def dihedral_chord_orbit_count(n):
 
 
 # ---------------------------------------------------------------------------
-# Policy replay harness: drives a CopPolicy over every observation branch
-# exactly as the adversarial verifier does, invoking a callback at each
-# robber-to-move node so tests can assert properties of the live trace.
+# Policy replay harness: drives a CopPolicy over every observation branch of
+# the set-based reference game, handing it each belief as a mask, so that
+# tests can compare its nodes and round count with the verifier's and
+# assert properties of the live trace.
 
 
-def walk_policy(graph, rule, policy, visit, *, max_nodes=2_000_000):
-    """Exhaustively replay ``policy``; call ``visit(depth, state, cops,
-    belief, obs)`` at every robber-to-move node (depth = completed rounds).
-    Raises if a situation repeats (the policy does not win) or the node
-    budget is exhausted."""
-    from hyperopic.game import GameSpec, TransitionTable
-    from hyperopic.strategies import _obs_of
+def walk_policy(graph, rule, policy, visit=None, *, max_nodes=2_000_000):
+    """Replay ``policy`` exhaustively on the set-based reference game.
 
-    table = TransitionTable(GameSpec(graph, rule, policy.num_cops))
+    A decision node is (policy state, cops in role order, belief set), and
+    ``policy.step`` runs once per node, handed ``set_to_mask(belief)``.
+    ``visit(state, cops, belief, obs)``, when given, runs on every arrival
+    at a node with the observations that led there: one after the
+    placement, two after a round.  Returns the worst-case rounds to
+    capture, each node's being one more than the largest of its children's,
+    as ``Win.rounds`` counts them.  Raises AssertionError if a node repeats
+    on the current line (the robber evades) or more than ``max_nodes``
+    nodes are reached.
+    """
+    spec = GameSpec(graph, rule, policy.num_cops)
     placement, state0 = policy.initial()
     placement = tuple(placement)
-    cand, vis0 = table.masks(placement)
-    rounds = 0
-    if not cand:
-        return rounds
-    stack = []
-    for blk in table.split(cand, vis0):
-        obs = (_obs_of(blk, vis0),)
-        node = (state0, placement, blk, obs)
-        stack.append((node, 0, frozenset()))
-    seen = set()
-    count = 0
-    while stack:
-        node, depth, lineage = stack.pop()
-        if node in lineage:
+    rounds = {}
+    line = set()
+
+    def arrive(node, obs):
+        if visit is not None:
+            visit(*node, obs)
+        if node in rounds:
+            return rounds[node]
+        if node in line:
             raise AssertionError("policy situation repeated: robber evades")
-        if node in seen:
-            continue
-        seen.add(node)
-        count += 1
-        if count > max_nodes:
+        if len(rounds) + len(line) >= max_nodes:
             raise AssertionError("walk_policy node budget exhausted")
-        rounds = max(rounds, depth)
-        state, cops, bmask, obs = node
-        belief = frozenset(_mask_verts(bmask))
-        visit(depth, state, cops, belief, obs)
-        moves, state1 = policy.step(state, cops, obs)
+        line.add(node)
+        state, cops, belief = node
+        moves, state1 = policy.step(state, cops, set_to_mask(belief))
         moves = tuple(moves)
-        free, vis1 = table.masks(moves)
-        b1 = bmask & free
-        if not b1:
-            continue
-        for blk1 in table.split(b1, vis1):
-            obs1 = _obs_of(blk1, vis1)
-            for blk2 in table.robber_step(moves, blk1):
-                child = (state1, moves, blk2, (obs1, _obs_of(blk2, vis1)))
-                stack.append((child, depth + 1, lineage | {node}))
-    return rounds
+        worst = 0
+        for obs1, b1 in observation_split(spec, moves, belief - set(moves)):
+            grown = robber_growth(graph, moves, b1)
+            for obs2, b2 in observation_split(spec, moves, grown):
+                worst = max(worst, arrive((state1, moves, b2), (obs1, obs2)))
+        line.remove(node)
+        rounds[node] = 1 + worst
+        return rounds[node]
 
-
-def _mask_verts(mask):
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+    free = set(range(graph.n)) - set(placement)
+    return max(
+        (
+            arrive((state0, placement, b), (obs,))
+            for obs, b in observation_split(spec, placement, free)
+        ),
+        default=0,
+    )

@@ -1,9 +1,12 @@
 """Tests for the theorem-audit claim runners."""
 
+import gc
+import itertools
 import json
 
 import pytest
 
+from hyperopic import audits
 from hyperopic.audits import (
     CLAIMS,
     DOCUMENTED_CLAIMS,
@@ -16,6 +19,7 @@ from hyperopic.audits import (
     run_claim,
 )
 from hyperopic.cache import ResultCache
+from hyperopic.graph import build_graph, verify_retraction
 
 # small-but-meaningful scope per claim, so the whole registry runs in seconds
 SMALL_SCOPE = {
@@ -141,3 +145,38 @@ def test_claim_verdict_takes_the_worst():
     assert claim_verdict(
         [_mk(PASS), _mk(VIOLATION_DOCUMENTED), _mk(VIOLATION)]
     ) == VIOLATION
+
+
+def test_retraction_search_leaves_no_reference_cycles():
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    gc.collect()
+    gc.disable()
+    try:
+        found = [audits._find_retraction(g, hs)
+                 for hs in itertools.combinations(range(5), 3)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # the first map in ascending (vertex, target) order, as the rows pin it
+    assert found[0] == {0: 0, 1: 1, 2: 2, 3: 0, 4: 0}
+    assert found[6] == {0: 1, 1: 1, 2: 2, 3: 3, 4: 2}
+    assert [i for i, m in enumerate(found) if m is None] == [1, 7, 8]
+    for hs, m in zip(itertools.combinations(range(5), 3), found):
+        assert m is None or verify_retraction(g, hs, m)
+
+
+def test_retract_rows_check_every_map(monkeypatch):
+    reports = run_claim("retract", n_max=4)
+    assert reports and all(r.verdict == PASS for r in reports)
+
+    found = audits._find_retraction
+
+    def broken(g, hs):
+        # the found map, but moving a vertex of the retract: no retraction
+        m = found(g, hs)
+        return None if m is None else {**m, hs[0]: hs[-1]}
+
+    monkeypatch.setattr(audits, "_find_retraction", broken)
+    reports = run_claim("retract", n_max=4)
+    assert reports and all(r.verdict == VIOLATION for r in reports)
+    assert all(r.observed["note"] == "map is not a retraction" for r in reports)

@@ -1,5 +1,6 @@
 """Graph family generators and exhaustive enumerators."""
 
+import gc
 import hashlib
 
 import networkx as nx
@@ -177,6 +178,18 @@ def test_all_trees_counts_and_validity(n):
         assert t.n == n and is_tree(t)
         forms.add(tree_canonical_form(t))
     assert len(forms) == len(ts)  # pairwise non-isomorphic
+
+
+def test_tree_canonical_form_leaves_no_reference_cycles():
+    trees = all_trees(9)
+    gc.collect()
+    gc.disable()
+    try:
+        for t in trees:
+            tree_canonical_form(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", range(1, 13))

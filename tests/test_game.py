@@ -1,4 +1,9 @@
-"""Game rules: visibility, observation splitting, and belief transitions."""
+"""Game rules: visibility, observation splitting, and belief transitions.
+
+The set-based functions come from the reference game in ``oracles``; the
+package's only engine is the bitmask ``TransitionTable``, checked against
+that reference here.
+"""
 
 import itertools
 import random
@@ -10,27 +15,28 @@ from hypothesis import strategies as st
 
 from hyperopic.families import complete, cycle, path, t_family, t_hat
 from hyperopic.game import (
-    COP_WIN,
-    BeliefState,
     GameSpec,
-    INVISIBLE,
-    Observation,
     TransitionTable,
     VisibilityRule,
-    cop_turn_successors,
+    cop_cap,
     full_visibility,
     growth_tables,
     hyperopic,
-    initial_states,
-    is_visible,
     joint_cop_moves,
     mask_to_set,
-    observation_split,
-    robber_turn_successors,
-    set_to_mask,
     zero_visibility,
 )
 from hyperopic.graph import build_graph, diameter
+from oracles import (
+    COP_WIN,
+    BeliefState,
+    cop_turn_successors,
+    initial_states,
+    is_visible,
+    observation_split,
+    robber_turn_successors,
+    set_to_mask,
+)
 
 
 # --- rule construction --------------------------------------------------------
@@ -326,36 +332,45 @@ def _blocks(states):
     return [(s.cops, s.belief) for s in states]
 
 
+def _check_table_against_the_set_semantics(g, rule, size):
+    table = TransitionTable(GameSpec(g, rule, size))
+    spec = table.spec
+    for cops in itertools.combinations_with_replacement(range(g.n), size):
+        init = initial_states(spec, cops)
+        got = [(cops, mask_to_set(b)) for b in table.initial(cops)]
+        assert got == ([] if init is COP_WIN else _blocks(init))
+        rest = [v for v in range(g.n) if v not in cops]
+        for r in range(1, len(rest) + 1):
+            for belief in itertools.combinations(rest, r):
+                bmask = set_to_mask(belief)
+                state = BeliefState(cops, frozenset(belief))
+                want = [
+                    (move, [] if out is COP_WIN else _blocks(out))
+                    for move, out in cop_turn_successors(spec, state)
+                ]
+                got = [
+                    (move, [(new, mask_to_set(b)) for b in blocks])
+                    for move, new, blocks in table.cop_step(cops, bmask)
+                ]
+                assert got == want
+                out = robber_turn_successors(spec, cops, belief)
+                got = [(cops, mask_to_set(b))
+                       for b in table.robber_step(cops, bmask)]
+                assert got == ([] if out is COP_WIN else _blocks(out))
+
+
 def test_transition_table_matches_the_set_semantics():
+    # every cop tuple of size 1-3 and every belief disjoint from it, on
+    # every connected graph with n <= 5 and on three graphs with n = 6
     rules = (full_visibility(), zero_visibility(), hyperopic(1), hyperopic(2),
              hyperopic(3))
-    for g in _connected_graphs(5):
+    cases = [(g, size) for g in _connected_graphs(5)
+             for size in (1, 2, 3) if size <= cop_cap(g.n)]
+    cases += [(g, size) for g in (path(6), cycle(6), complete(6))
+              for size in (1, 2)]
+    for g, size in cases:
         for rule in rules:
-            for size in (1, 2):
-                table = TransitionTable(GameSpec(g, rule, size))
-                spec = table.spec
-                for cops in itertools.combinations_with_replacement(range(g.n), size):
-                    init = initial_states(spec, cops)
-                    got = [(cops, mask_to_set(b)) for b in table.initial(cops)]
-                    assert got == ([] if init is COP_WIN else _blocks(init))
-                    rest = [v for v in range(g.n) if v not in cops]
-                    for r in range(1, len(rest) + 1):
-                        for belief in itertools.combinations(rest, r):
-                            bmask = set_to_mask(belief)
-                            state = BeliefState(cops, frozenset(belief))
-                            want = [
-                                (move, [] if out is COP_WIN else _blocks(out))
-                                for move, out in cop_turn_successors(spec, state)
-                            ]
-                            got = [
-                                (move, [(new, mask_to_set(b)) for b in blocks])
-                                for move, new, blocks in table.cop_step(cops, bmask)
-                            ]
-                            assert got == want
-                            out = robber_turn_successors(spec, cops, belief)
-                            got = [(cops, mask_to_set(b))
-                                   for b in table.robber_step(cops, bmask)]
-                            assert got == ([] if out is COP_WIN else _blocks(out))
+            _check_table_against_the_set_semantics(g, rule, size)
 
 
 def _grown_bit_by_bit(g, mask):

@@ -292,9 +292,10 @@ def test_certificate_on_short_path():
     cert = extract_certificate(GameSpec(path(3), hyperopic(1), 1), (1,))
     assert cert.placement == (1,)
     assert cert.bound == 3
-    # every prescribed joint move lists one target per cop
-    for state, move in cert.moves.items():
-        assert len(move) == len(state.cops) == 1
+    # moves are keyed by (sorted cops, belief mask), one target per cop
+    for (cops, bmask), move in cert.moves.items():
+        assert len(move) == len(cops) == 1
+        assert bmask > 0 and not bmask >> cops[0] & 1
 
 
 def test_certificate_requires_winning_placement():

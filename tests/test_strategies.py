@@ -1,5 +1,9 @@
 """Tests for hand-crafted cop strategies and the policy verifier."""
 
+import collections
+import dataclasses
+
+import networkx as nx
 import pytest
 
 import oracles
@@ -9,18 +13,20 @@ from hyperopic.families import (
     complete,
     complete_bipartite,
     cycle,
+    g_k,
     path,
     t_hat,
     tree_diam10,
 )
-from hyperopic.game import INVISIBLE, GameSpec, hyperopic, zero_visibility
-from hyperopic.graph import Graph, diameter, maximum_matching
+from hyperopic.game import GameSpec, hyperopic, zero_visibility
+from hyperopic.graph import Graph, build_graph, diameter, maximum_matching
 from hyperopic.solver import solve
 from hyperopic.strategies import (
     CopPolicy,
     Evaded,
     Timeout,
     Win,
+    certificate_policy,
     matching_policy,
     outerplanar_k2_policy,
     pendant_path_policy,
@@ -49,7 +55,7 @@ def sweep_policy(n):
     def initial():
         return (0,), None
 
-    def step(state, cops, obs):
+    def step(state, cops, bmask):
         return (min(cops[0] + 1, n - 1),), None
 
     return CopPolicy("sweep", 1, initial, step)
@@ -61,7 +67,7 @@ def camper_policy(v):
     def initial():
         return (v,), None
 
-    def step(state, cops, obs):
+    def step(state, cops, bmask):
         return cops, None
 
     return CopPolicy("camper", 1, initial, step)
@@ -97,7 +103,7 @@ def test_teleporting_policy_is_rejected():
     def initial():
         return (0,), None
 
-    def step(state, cops, obs):
+    def step(state, cops, bmask):
         return (5,), None  # not adjacent to 0
 
     pol = CopPolicy("teleport", 1, initial, step)
@@ -109,7 +115,7 @@ def test_wrong_move_arity_is_rejected():
     def initial():
         return (0, 2), None
 
-    def step(state, cops, obs):
+    def step(state, cops, bmask):
         return (1,), None
 
     pol = CopPolicy("stubby", 2, initial, step)
@@ -121,7 +127,7 @@ def test_wrong_placement_size_is_rejected():
     def initial():
         return (0, 1), None
 
-    pol = CopPolicy("crowded", 1, initial, lambda s, c, o: (c, s))
+    pol = CopPolicy("crowded", 1, initial, lambda s, c, b: (c, s))
     with pytest.raises(ValueError, match="placement size"):
         verify_policy(path(6), hyperopic(2), pol)
 
@@ -130,34 +136,15 @@ def test_out_of_range_placement_is_rejected():
     def initial():
         return (9,), None
 
-    pol = CopPolicy("lost", 1, initial, lambda s, c, o: (c, s))
+    pol = CopPolicy("lost", 1, initial, lambda s, c, b: (c, s))
     with pytest.raises(ValueError, match="out of range"):
         verify_policy(path(6), hyperopic(2), pol)
 
 
 def test_absurd_cop_count_is_rejected():
-    pol = CopPolicy("horde", 7, lambda: ((0,) * 7, None), lambda s, c, o: (c, s))
+    pol = CopPolicy("horde", 7, lambda: ((0,) * 7, None), lambda s, c, b: (c, s))
     with pytest.raises(ValueError, match="cop count must be in"):
         verify_policy(path(6), hyperopic(2), pol)
-
-
-def test_observation_protocol_lengths():
-    # the first decision on a line sees only the placement sighting; every
-    # later one sees the post-cop-move and post-robber-move checks
-    seen = []
-
-    def initial():
-        return (0,), 0
-
-    def step(state, cops, obs):
-        seen.append((state, len(obs)))
-        return (min(cops[0] + 1, 3),), state + 1
-
-    out = verify_policy(path(4), hyperopic(1), CopPolicy("probe", 1, initial, step))
-    assert isinstance(out, Win)
-    assert seen
-    for steps_taken, nobs in seen:
-        assert nobs == (1 if steps_taken == 0 else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +175,7 @@ def test_matching_policy_cops_stay_on_their_edges():
     g = complete_bipartite(1, 4)
     medges = sorted(maximum_matching(g).edges)
 
-    def check(depth, state, cops, belief, obs):
+    def check(state, cops, belief, obs):
         for i, (x, y) in enumerate(medges):
             assert cops[i] in (x, y)
         assert not belief & set(cops)
@@ -290,8 +277,8 @@ def test_stationary_general_keeps_robber_visible():
     # within k of both cops at once, so every observation is a sighting
     pol = stationary_pair_policy(cycle(12), 2)
 
-    def check(depth, state, cops, belief, obs):
-        assert all(o is not INVISIBLE for o in obs)
+    def check(state, cops, belief, obs):
+        assert all(o.is_visible for o in obs)
 
     oracles.walk_policy(cycle(12), hyperopic(2), pol, check)
 
@@ -383,3 +370,64 @@ def test_policy_wins_imply_solver_wins():
         assert isinstance(verify_policy(g, rule, pol), Win)
         res = solve(GameSpec(g, rule, pol.num_cops))
         assert res.status == "cop_win"
+
+
+# ---------------------------------------------------------------------------
+# agreement with the set-based reference game
+
+
+def _recording(policy):
+    """The policy, plus the set of (state, cops, bmask) its step is given."""
+    calls = set()
+
+    def step(state, cops, bmask):
+        calls.add((state, tuple(cops), bmask))
+        return policy.step(state, cops, bmask)
+
+    return dataclasses.replace(policy, step=step), calls
+
+
+def _reference_corpus():
+    trees = [t for n in range(1, 9) for t in all_trees(n)]
+    for t in trees:
+        yield t, hyperopic(2), lambda t=t: tree_k2_policy(t)
+    for n in range(3, 8):
+        for g in all_two_connected_outerplanar(n):
+            yield g, hyperopic(2), lambda g=g: outerplanar_k2_policy(g)
+    for g6 in nx.graph_atlas_g()[1:]:
+        n = g6.number_of_nodes()
+        if n <= 5 and nx.is_connected(g6):
+            g = build_graph(n, list(g6.edges()))
+            yield g, zero_visibility(), lambda g=g: matching_policy(g)
+    for k in (3, 4):
+        for t in trees:
+            for make in (pendant_path_policy, stationary_pair_policy,
+                         tree_near_diam_policy):
+                yield t, hyperopic(k), lambda t=t, k=k, make=make: make(t, k)
+    for g, rule in [(t_hat(), hyperopic(2)), (g_k(3, 1), hyperopic(1))]:
+        cert = solve(GameSpec(g, rule, 2)).certificate
+        yield g, rule, lambda g=g, rule=rule, cert=cert: certificate_policy(
+            g, rule, cert)
+
+
+def test_verifier_matches_the_set_based_reference():
+    # every node the verifier hands a policy is one the reference game
+    # reaches, and back; the worst-case rounds agree with Win.rounds
+    checked = collections.Counter()
+    for g, rule, make in _reference_corpus():
+        try:
+            policy = make()
+        except ValueError:
+            continue  # the policy's precondition does not hold here
+        stepped, by_verifier = _recording(policy)
+        out = verify_policy(g, rule, stepped)
+        assert isinstance(out, Win), (policy.name, g.edges)
+        stepped, by_reference = _recording(policy)
+        rounds = oracles.walk_policy(g, rule, stepped)
+        assert by_verifier == by_reference, (policy.name, g.edges)
+        assert rounds == out.rounds, (policy.name, g.edges)
+        checked[policy.name] += 1
+    assert checked == {
+        "tree2": 48, "outerplanar": 35, "matching": 31, "pendant": 50,
+        "neardiam": 39, "stationary": 16, "certificate": 2,
+    }
