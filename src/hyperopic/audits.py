@@ -14,6 +14,7 @@ claim is expected to hold on everything it enumerates.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .families import (
     path,
     t_family,
 )
-from .formats import encode_graph6
+from .formats import decode_graph6, encode_graph6
 from .game import full_visibility, hyperopic, zero_visibility
 from .graph import (
     build_graph,
@@ -124,18 +125,28 @@ class _Ctx:
         return value
 
 
-def _connected_graphs(n_max):
-    """All connected graphs on 1..n_max vertices (n_max <= 7), atlas order."""
-    if n_max > 7:
-        raise ValueError("connected-graph enumeration capped at n = 7")
+@functools.cache
+def _atlas_connected():
+    """(n, graph6) of every connected graph of the networkx atlas (1..7
+    vertices), in atlas order.  The atlas takes a tenth of a second or more
+    to build and leaves its graphs as cyclic garbage, so it is converted
+    once per process; graph6 strings keep what stays in memory small."""
     import networkx as nx
 
     out = []
     for G in nx.graph_atlas_g()[1:]:
-        n = G.number_of_nodes()
-        if 1 <= n <= n_max and nx.is_connected(G):
-            out.append(build_graph(n, [tuple(sorted(e)) for e in G.edges()]))
-    return out
+        if nx.is_connected(G):
+            n = G.number_of_nodes()
+            g = build_graph(n, [tuple(sorted(e)) for e in G.edges()])
+            out.append((n, encode_graph6(g)))
+    return tuple(out)
+
+
+def _connected_graphs(n_max):
+    """All connected graphs on 1..n_max vertices (n_max <= 7), atlas order."""
+    if n_max > 7:
+        raise ValueError("connected-graph enumeration capped at n = 7")
+    return [decode_graph6(s) for n, s in _atlas_connected() if n <= n_max]
 
 
 def _inst(g, **extra):

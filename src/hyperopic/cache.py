@@ -22,8 +22,9 @@ ENV_VAR = "HYPEROPIC_CACHE"
 
 # Bump whenever the game's semantics, the record shape or the values a fresh
 # solve stores change.  Version 2: goal-directed settling changed `states`
-# and some `rounds`.
-SCHEMA_VERSION = 2
+# and some `rounds`.  Version 3: blind specs are searched breadth-first over
+# minimal beliefs, which changed their `states`.
+SCHEMA_VERSION = 3
 
 
 def _checksum(payload):

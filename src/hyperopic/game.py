@@ -9,9 +9,9 @@ reports it invisible, splitting the belief accordingly.  Visibility is also
 checked once at initial placement.
 
 `TransitionTable` is the one implementation of these transitions: the
-solver expands its arena with it and the policy verifier replays policies
-with it.  Beliefs are integer masks (bit v set when the robber may be on
-vertex v); `mask_to_set` turns one into a vertex set.
+solver searches with it and the policy verifier replays policies with it.
+Beliefs are integer masks (bit v set when the robber may be on vertex v);
+`mask_to_set` turns one into a vertex set.
 """
 
 from __future__ import annotations
@@ -127,6 +127,10 @@ class TransitionTable:
     moves are cached, since the solver revisits the same cop tuples across
     many beliefs.  Robber steps are not cached: a belief grows through
     per-chunk neighborhood tables in ceil(n/4) lookups.
+
+    `blind` is true when no cop position sees any vertex (zero visibility,
+    or k at least the diameter): every observation is "invisible", so each
+    step yields at most one belief.
     """
 
     def __init__(self, spec):
@@ -153,6 +157,7 @@ class TransitionTable:
                         m |= 1 << v
                 self._far[c] = m
             self._vis_const = None
+        self.blind = not any(self._far) if self._far else self._vis_const == 0
         self._masks = {}
         self._moves = {}
 

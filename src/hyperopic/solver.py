@@ -9,6 +9,15 @@ decided (a local fixpoint in the style of Liu and Smolka); a robber win is
 only proved once the whole reachable arena is settled.  Placements share one
 arena per game spec, since a state's status does not depend on how play
 reached it.
+
+Blind specs (zero visibility, or k at least the diameter) skip the arena:
+no observation ever splits a belief, so each cop move leads to one belief
+and the cops face a reachability problem, searched breadth-first.  Play is
+monotone in the belief: if B is inside B', each move's successor from B is
+inside its successor from B', so a capture from B' is one from B.  A state
+whose belief contains a kept one with the same cops is therefore dropped;
+the kept one is no deeper, so the first capture found is still the
+shortest, which is the exact worst case because the robber has no choice.
 """
 
 from __future__ import annotations
@@ -266,11 +275,82 @@ def _extract(arena, table, placement, init_idxs):
     return Certificate(placement, moves, bound)
 
 
+def _blind_search(table, placements, state_cap):
+    """Shortest capture in a blind spec, by breadth-first search.
+
+    Each placement's states are expanded level by level from its initial
+    state, moves in `joint_moves` order, until a move captures: the cops
+    cover the belief, or the robber has nowhere safe.  A reached state is
+    kept only if no kept state with the same cops has a belief inside its
+    own (see the module docstring), so per cop tuple the least kept
+    beliefs form an antichain.  It is shared by the placements in turn:
+    states kept for a placement that lost are robber wins, and so is any
+    state whose belief contains one of theirs.
+    """
+    num_cops = table.spec.num_cops
+    cops_of, belief_of, via = [], [], []  # per kept state
+    parent = array("i")
+    minimal = {}  # cop tuple -> the antichain of its least kept beliefs
+
+    def keep(cops, bmask, p, move):
+        least = minimal.get(cops, ())
+        for m in least:
+            if not m & ~bmask:
+                return
+        if len(belief_of) >= state_cap:
+            raise _CapExceeded
+        minimal[cops] = [m for m in least if bmask & ~m] + [bmask]
+        cops_of.append(cops)
+        belief_of.append(bmask)
+        parent.append(p)
+        via.append(move)
+
+    for placement in placements:
+        blocks = table.initial(placement)
+        if not blocks:
+            return SolveResult(
+                "cop_win", num_cops, placement, Certificate(placement), 0,
+                len(belief_of),
+            )
+        lo = len(belief_of)
+        try:
+            keep(placement, blocks[0], -1, None)
+            rounds = 0  # to a capture found while expanding [lo, hi)
+            while lo < len(belief_of):
+                hi = len(belief_of)
+                rounds += 1
+                for i in range(lo, hi):
+                    for move, cops, blocks in table.cop_step(
+                        cops_of[i], belief_of[i]
+                    ):
+                        after = blocks and table.robber_step(cops, blocks[0])
+                        if not after:
+                            moves = {}
+                            while i >= 0:
+                                moves[cops_of[i], belief_of[i]] = move
+                                i, move = parent[i], via[i]
+                            cert = Certificate(placement, moves, rounds)
+                            return SolveResult(
+                                "cop_win", num_cops, placement, cert, rounds,
+                                len(belief_of),
+                            )
+                        keep(cops, after[0], i, move)
+                lo = hi
+        except _CapExceeded:
+            return SolveResult(
+                "undecided", num_cops, states_explored=len(belief_of)
+            )
+    return SolveResult("robber_win", num_cops, states_explored=len(belief_of))
+
+
 def _solve_placements(spec, placements, state_cap):
     """Settle placements in order on one shared arena (a state's status is
     path-independent), each until its initial states are decided; the first
-    winning placement is returned with its certificate."""
+    winning placement is returned with its certificate.  Blind specs go to
+    `_blind_search` instead."""
     table = TransitionTable(spec)
+    if table.blind:
+        return _blind_search(table, placements, state_cap)
     arena = _Arena(table, state_cap)
     for placement in placements:
         blocks = table.initial(placement)

@@ -165,6 +165,22 @@ def test_retraction_search_leaves_no_reference_cycles():
         assert m is None or verify_retraction(g, hs, m)
 
 
+def test_connected_graphs_are_converted_once_without_reference_cycles():
+    audits._connected_graphs(7)  # the first call converts the atlas
+    gc.collect()
+    gc.disable()
+    try:
+        found = [audits._connected_graphs(n) for n in (5, 6, 7)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [len(graphs) for graphs in found] == [31, 143, 996]
+    # smaller bounds give prefixes of the same list, in atlas order
+    shapes = [[(g.n, g.edges) for g in graphs] for graphs in found]
+    assert shapes[2][:143] == shapes[1] and shapes[1][:31] == shapes[0]
+    assert [n for n, _ in shapes[2]] == sorted(n for n, _ in shapes[2])
+
+
 def test_retract_rows_check_every_map(monkeypatch):
     reports = run_claim("retract", n_max=4)
     assert reports and all(r.verdict == PASS for r in reports)

@@ -83,7 +83,7 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
 
 @pytest.mark.parametrize(
     "version",
-    [None, 0, "1", pytest.param(1, id="previous")],
+    [None, 0, "1", pytest.param(2, id="previous")],
 )
 def test_lines_of_another_schema_version_are_not_trusted(tmp_path, version):
     p = tmp_path / "cache.jsonl"

@@ -8,15 +8,18 @@ import pytest
 
 import oracles
 from hyperopic.families import (
+    all_trees,
     complete,
     complete_bipartite,
     cycle,
     g_k,
     path,
+    t_family,
     t_hat,
 )
 from hyperopic.game import (
     GameSpec,
+    TransitionTable,
     full_visibility,
     hyperopic,
     zero_visibility,
@@ -209,6 +212,10 @@ def test_tiny_state_cap_yields_undecided():
     assert res.placement is None
     assert res.certificate is None
     assert 0 < res.states_explored <= 3
+    # the blind search caps its kept states the same way
+    res = solve(GameSpec(cycle(7), zero_visibility(), 2), state_cap=3)
+    assert res.status == "undecided"
+    assert (res.placement, res.states_explored) == (None, 3)
 
 
 def test_cop_number_surfaces_cap_as_undecided_error():
@@ -223,19 +230,30 @@ def test_cop_number_surfaces_cap_as_undecided_error():
         (g_k(3, 1), 1, 2, "cop_win", (9, 10), 3, 597),
         (t_hat(), 3, 1, "robber_win", None, None, 67),
         (cycle(7), 2, 1, "robber_win", None, None, 49),
+        # blind: k = None is zero visibility, and k = 2 sees nothing on K8
+        (t_family(3), None, 2, "robber_win", None, None, (14345, 14833)),
+        (complete(8), 2, 4, "cop_win", (0, 1, 2, 3), 1, 309),
     ],
 )
 def test_pinned_solver_outputs(graph, k, cops, status, placement, rounds, states):
-    spec = GameSpec(graph, hyperopic(k), cops)
-    expect = (status, placement, rounds, states)
+    # states is one count, or a pair (solve's, the single placement's)
+    # where the blind search over all placements prunes against earlier ones
+    rule = zero_visibility() if k is None else hyperopic(k)
+    spec = GameSpec(graph, rule, cops)
+    whole, single = states if isinstance(states, tuple) else (states, states)
     res = solve(spec)
-    assert (res.status, res.placement, res.rounds, res.states_explored) == expect
+    assert (res.status, res.placement, res.rounds, res.states_explored) == (
+        status, placement, rounds, whole,
+    )
     one = solve_placement(spec, placement or (0,) * cops)
-    assert (one.status, one.placement, one.rounds, one.states_explored) == expect
+    assert (one.status, one.placement, one.rounds, one.states_explored) == (
+        status, placement, rounds, single,
+    )
 
 
 def test_settling_stops_once_the_placement_is_decided(monkeypatch):
-    # the first placement's initial state wins at its own first expansion
+    # the first placement leaves the visible robber on one of 6 vertices,
+    # and each of those initial states wins at its own first expansion
     calls = []
     expand = solver._Arena._expand
 
@@ -244,9 +262,31 @@ def test_settling_stops_once_the_placement_is_decided(monkeypatch):
         return expand(arena, idx)
 
     monkeypatch.setattr(solver._Arena, "_expand", counted)
+    spec = GameSpec(complete(8), full_visibility(), 2)
+    res = solve(spec)
+    assert (res.status, res.placement, res.rounds) == ("cop_win", (0, 1), 1)
+    assert len(TransitionTable(spec).initial((0, 1))) == 6
+    assert calls == list(range(6))
+
+
+def test_blind_search_stops_at_the_capture_level(monkeypatch):
+    calls = []
+    cop_step = TransitionTable.cop_step
+
+    def counted(table, cops, bmask):
+        calls.append((cops, bmask))
+        return cop_step(table, cops, bmask)
+
+    monkeypatch.setattr(TransitionTable, "cop_step", counted)
+    # K8 with k = 2 is blind; the initial state captures at once
     res = solve(GameSpec(complete(8), hyperopic(2), 4))
-    assert res.status == "cop_win"
-    assert len(calls) == 1
+    assert (res.status, res.rounds) == ("cop_win", 1)
+    assert calls == [((0, 1, 2, 3), 0b11110000)]
+    # capture at level 3: the states kept at level 4 are never expanded
+    calls.clear()
+    res = solve(GameSpec(t_family(2), zero_visibility(), 2))
+    assert (res.status, res.placement, res.rounds) == ("cop_win", (4, 5), 4)
+    assert (len(calls), res.states_explored) == (10, 21)
 
 
 def test_cop_win_interns_only_part_of_the_arena():
@@ -399,3 +439,54 @@ def test_placements_match_belief_oracle_and_certificates_replay():
                         outcome = verify_policy(g, rule, policy)
                         assert isinstance(outcome, Win), case
                         assert best <= outcome.rounds <= res.certificate.bound, case
+
+
+def test_blind_rounds_equal_the_belief_oracle():
+    # with k at least the diameter, or zero visibility, the robber is never
+    # seen, and the breadth-first search's rounds are the exact optimum
+    rules = [zero_visibility(), hyperopic(1), hyperopic(2), hyperopic(3)]
+    checked = 0
+    for n in range(1, 7):
+        for nn, edges in atlas_connected(n):
+            g = Graph(nn, edges)
+            for rule in rules:
+                for cops in (1, 2) if n <= 5 else (1,):
+                    spec = GameSpec(g, rule, cops)
+                    if not TransitionTable(spec).blind:
+                        continue
+                    expected = oracles.belief_placement_rounds(spec)
+                    for placement, best in expected.items():
+                        res = solve_placement(spec, placement)
+                        assert res.rounds == best, (nn, edges, rule, placement)
+                        checked += 1
+    assert checked == 3139
+
+
+def vertex_separation_number(g):
+    """Pathwidth, as the least over vertex orders of the largest number of
+    placed vertices with a neighbour not yet placed (subset DP)."""
+    nbr = g.neighbor_masks()
+    best = {0: 0}
+    for size in range(1, g.n + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            s = sum(1 << v for v in subset)
+            boundary = sum(1 for v in subset if nbr[v] & ~s)
+            best[s] = max(boundary, min(best[s & ~(1 << v)] for v in subset))
+    return best[(1 << g.n) - 1]
+
+
+def test_zero_visibility_cop_number_is_at_most_the_pathwidth():
+    # cops sweeping a path decomposition clear the graph blind; the bound
+    # is tight on most of these graphs, so a false robber win breaks it
+    graphs = [
+        Graph(nn, edges)
+        for n in range(2, 7) for nn, edges in atlas_connected(n)
+    ]
+    graphs += [t for n in range(7, 11) for t in all_trees(n)]
+    tight = 0
+    for g in graphs:
+        pw = vertex_separation_number(g)
+        c = cop_number(g, zero_visibility())
+        assert c <= pw, (g.n, g.edges)
+        tight += c == pw
+    assert (len(graphs), tight) == (329, 266)
