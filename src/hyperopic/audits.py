@@ -155,23 +155,55 @@ def _inst(g, **extra):
     return d
 
 
-def _copnum_observed(value, decided, bound):
+_UNDECIDED_NOTE = "undecided (state cap)"
+
+
+def _verdict(decided, ok, bad=VIOLATION):
+    """UNDECIDED, else PASS when ok holds and bad when it fails."""
     if not decided:
-        return {"cop_number": None, "note": "undecided (state cap)"}
-    if value is None:
-        return {"cop_number_exceeds": bound}
-    return {"cop_number": value}
+        return UNDECIDED
+    return PASS if ok else bad
 
 
-def _outcome_observed(outcome):
+def _rule_fields(rule):
+    d = {"rule": rule.kind}
+    if rule.k is not None:
+        d["k"] = rule.k
+    return d
+
+
+def _policy_row(claim, inst, expected, g, rule, policy, ok=True, **fields):
+    """Verify a policy: a Win passes when ok holds, an evasion is a
+    violation, a timeout is undecided."""
+    outcome = verify_policy(g, rule, policy)
+    decided = True
     if isinstance(outcome, Win):
-        return {"outcome": "win", "rounds": outcome.rounds}
-    if isinstance(outcome, Evaded):
-        return {
+        observed = {"outcome": "win", "rounds": outcome.rounds}
+    elif isinstance(outcome, Evaded):
+        observed = {
             "outcome": "evaded",
             "witness": [[list(c), sorted(b)] for c, b in outcome.witness],
         }
-    return {"outcome": "timeout", "nodes": outcome.nodes}
+        ok = False
+    else:
+        observed = {"outcome": "timeout", "nodes": outcome.nodes}
+        decided = False
+    observed.update(_rule_fields(rule), cops_used=policy.num_cops, **fields)
+    return AuditReport(claim, inst, expected, observed, _verdict(decided, ok))
+
+
+def _bound_row(claim, inst, expected, ctx, g, rule, limit, exact=False, **fields):
+    """Check that the cop number is at most limit (exactly limit when exact)."""
+    value, decided = ctx.bounded_copnum(g, rule, limit)
+    if not decided:
+        observed = {"cop_number": None, "note": _UNDECIDED_NOTE}
+    elif value is None:
+        observed = {"cop_number_exceeds": limit}
+    else:
+        observed = {"cop_number": value}
+    observed.update(_rule_fields(rule), **fields)
+    ok = value == limit if exact else value is not None
+    return AuditReport(claim, inst, expected, observed, _verdict(decided, ok))
 
 
 def _clamp(n_max, default, hard):
@@ -186,27 +218,23 @@ def _claim_prop_classes(n_max, ctx):
     """Paths need one cop, cycles two, complete graphs ceil(n/2), any k."""
     rows = []
     for k in (1, 2, 3, 4):
-        rule = hyperopic(k)
         for n in range(1, _clamp(n_max, 12, 12) + 1):
-            rows.append(("path", n, k, rule, path(n), 1))
+            rows.append(("path", n, k, path(n), 1))
         for n in range(3, _clamp(n_max, 10, 10) + 1):
-            rows.append(("cycle", n, k, rule, cycle(n), 2))
+            rows.append(("cycle", n, k, cycle(n), 2))
         for n in range(1, _clamp(n_max, 8, 8) + 1):
-            rows.append(("complete", n, k, rule, complete(n), (n + 1) // 2))
-    for family, n, k, rule, g, expect in rows:
-        value, decided = ctx.bounded_copnum(g, rule, expect)
-        observed = _copnum_observed(value, decided, expect)
-        observed.update({"rule": "hyperopic", "k": k, "expected_value": expect})
-        if not decided:
-            verdict = UNDECIDED
-        else:
-            verdict = PASS if value == expect else VIOLATION
-        yield AuditReport(
+            rows.append(("complete", n, k, complete(n), (n + 1) // 2))
+    for family, n, k, g, expect in rows:
+        yield _bound_row(
             "prop-classes",
             _inst(g, family=family, n=n, k=k),
             f"cop_number == {expect}",
-            observed,
-            verdict,
+            ctx,
+            g,
+            hyperopic(k),
+            expect,
+            exact=True,
+            expected_value=expect,
         )
 
 
@@ -217,22 +245,16 @@ def _claim_bipartite(n_max, ctx):
         for n in range(m, top + 1):
             g = complete_bipartite(m, n)
             for k in (2, 3):
-                rule = hyperopic(k)
-                value, decided = ctx.bounded_copnum(g, rule, m)
-                observed = _copnum_observed(value, decided, m)
-                observed.update(
-                    {"rule": "hyperopic", "k": k, "expected_value": m}
-                )
-                if not decided:
-                    verdict = UNDECIDED
-                else:
-                    verdict = PASS if value == m else VIOLATION
-                yield AuditReport(
+                yield _bound_row(
                     "bipartite",
                     _inst(g, family="complete_bipartite", m=m, n=n, k=k),
                     f"cop_number == {m}",
-                    observed,
-                    verdict,
+                    ctx,
+                    g,
+                    hyperopic(k),
+                    m,
+                    exact=True,
+                    expected_value=m,
                 )
 
 
@@ -250,29 +272,22 @@ def _claim_monotonicity(n_max, ctx):
         ("zero", zero_visibility()),
     ]
     for g in _connected_graphs(_clamp(n_max, 6, 6)):
-        values = {}
-        undecided = False
+        observed = {}
         for name, rule in rules:
             v = ctx.exact_copnum(g, rule)
             if v is None:
-                undecided = True
+                observed["note"] = _UNDECIDED_NOTE
                 break
-            values[name] = v
-        if undecided:
-            verdict = UNDECIDED
-            observed = dict(values)
-            observed["note"] = "undecided (state cap)"
-        else:
-            chain = [values[name] for name, _ in rules]
-            ok = all(a <= b for a, b in zip(chain, chain[1:]))
-            verdict = PASS if ok else VIOLATION
-            observed = values
+            observed[name] = v
+        chain = [observed.get(name) for name, _ in rules]
+        decided = "note" not in observed
+        ok = decided and all(a <= b for a, b in zip(chain, chain[1:]))
         yield AuditReport(
             "monotonicity",
             _inst(g, n=g.n),
             "cop numbers weakly increase from full to zero visibility",
             observed,
-            verdict,
+            _verdict(decided, ok),
         )
 
 
@@ -283,51 +298,46 @@ def _claim_zerovis_eq(n_max, ctx):
         hv = ctx.exact_copnum(g, hyperopic(k))
         zv = ctx.exact_copnum(g, zero_visibility())
         observed = {"diameter": diameter(g), "k": k, "hyperopic": hv, "zero": zv}
-        if hv is None or zv is None:
-            verdict = UNDECIDED
-            observed["note"] = "undecided (state cap)"
-        else:
-            verdict = PASS if hv == zv else VIOLATION
+        decided = hv is not None and zv is not None
+        if not decided:
+            observed["note"] = _UNDECIDED_NOTE
         yield AuditReport(
             "zerovis-eq",
             _inst(g, n=g.n),
             "cop_number(hyperopic(diam)) == cop_number(zero)",
             observed,
-            verdict,
+            _verdict(decided, hv == zv),
         )
 
 
 def _claim_diam_bound(n_max, ctx):
     """On graphs of diameter >= 2k+1, hyperopic costs at most 2 extra cops."""
+    expected = "cop_number(hyperopic(k)) <= cop_number(full) + 2"
     for g in _connected_graphs(_clamp(n_max, 7, 7)):
         d = diameter(g)
         for k in (1, 2):
             if d < 2 * k + 1:
                 continue
+            inst = _inst(g, n=g.n, k=k, diameter=d)
             classic = ctx.exact_copnum(g, full_visibility())
             if classic is None:
                 yield AuditReport(
                     "diam-bound",
-                    _inst(g, n=g.n, k=k, diameter=d),
-                    "cop_number(hyperopic(k)) <= cop_number(full) + 2",
-                    {"note": "undecided (state cap)", "k": k},
+                    inst,
+                    expected,
+                    {"note": _UNDECIDED_NOTE, "k": k},
                     UNDECIDED,
                 )
                 continue
-            bound = classic + 2
-            value, decided = ctx.bounded_copnum(g, hyperopic(k), bound)
-            observed = _copnum_observed(value, decided, bound)
-            observed.update({"rule": "hyperopic", "k": k, "full": classic})
-            if not decided:
-                verdict = UNDECIDED
-            else:
-                verdict = PASS if value is not None else VIOLATION
-            yield AuditReport(
+            yield _bound_row(
                 "diam-bound",
-                _inst(g, n=g.n, k=k, diameter=d),
-                "cop_number(hyperopic(k)) <= cop_number(full) + 2",
-                observed,
-                verdict,
+                inst,
+                expected,
+                ctx,
+                g,
+                hyperopic(k),
+                classic + 2,
+                full=classic,
             )
 
 
@@ -412,14 +422,15 @@ def _claim_retract(n_max, ctx):
                         "retract_cop_number": chh,
                         "retraction": [mapping[v] for v in range(g.n)],
                     }
+                    solved = cg is not None and chh is not None
                     if not checked:
-                        verdict = VIOLATION
                         observed["note"] = "map is not a retraction"
-                    elif cg is None or chh is None:
-                        verdict = UNDECIDED
-                        observed["note"] = "undecided (state cap)"
-                    else:
-                        verdict = PASS if chh <= cg else VIOLATION
+                    elif not solved:
+                        observed["note"] = _UNDECIDED_NOTE
+                    # a map that is no retraction fails the row, solved or not
+                    verdict = _verdict(
+                        solved or not checked, checked and solved and chh <= cg
+                    )
                     yield AuditReport(
                         "retract",
                         _inst(
@@ -440,28 +451,25 @@ def _claim_retract(n_max, ctx):
 
 
 def _claim_caterpillar(n_max, ctx):
-    """One cop suffices on a tree (k in {2,3}) exactly for caterpillars."""
+    """One cop suffices on a tree (k in {2,3}) exactly for caterpillars.
+
+    A decided mismatch on either k is a violation, whether or not the other
+    k was decided."""
     for n in range(1, _clamp(n_max, 9, 9) + 1):
         for t in all_trees(n):
             cat = is_caterpillar(t)
             observed = {"is_caterpillar": cat}
-            verdict = PASS
             for k in (2, 3):
                 value, decided = ctx.bounded_copnum(t, hyperopic(k), 1)
-                one_cop = value == 1
-                observed[f"one_cop_wins_k{k}"] = (
-                    one_cop if decided else None
-                )
-                if not decided:
-                    verdict = UNDECIDED
-                elif one_cop != cat and verdict != UNDECIDED:
-                    verdict = VIOLATION
+                observed[f"one_cop_wins_k{k}"] = value == 1 if decided else None
+            wins = [observed["one_cop_wins_k2"], observed["one_cop_wins_k3"]]
+            mismatch = any(w is not None and w != cat for w in wins)
             yield AuditReport(
                 "caterpillar",
                 _inst(t, n=n),
                 "one cop wins iff the tree is a caterpillar (k in {2,3})",
                 observed,
-                verdict,
+                _verdict(mismatch or None not in wins, not mismatch),
             )
 
 
@@ -475,30 +483,17 @@ def _claim_matching_bound(n_max, ctx):
         matching = maximum_matching(g)
         expect = matching.size + (0 if matching.is_perfect else 1)
         policy = matching_policy(g)
-        outcome = verify_policy(g, zero_visibility(), policy)
-        observed = _outcome_observed(outcome)
-        observed.update(
-            {
-                "rule": "zero",
-                "cops_used": policy.num_cops,
-                "matching_number": matching.size,
-                "expected_cops": expect,
-                "ceil_half_n": (g.n + 1) // 2,
-            }
-        )
-        if isinstance(outcome, Win):
-            ok = policy.num_cops == expect and expect <= (g.n + 1) // 2
-            verdict = PASS if ok else VIOLATION
-        elif isinstance(outcome, Evaded):
-            verdict = VIOLATION
-        else:
-            verdict = UNDECIDED
-        yield AuditReport(
+        yield _policy_row(
             "matching-bound",
             _inst(g, n=g.n),
             "policy wins blind with matching-size (+1 if imperfect) cops",
-            observed,
-            verdict,
+            g,
+            zero_visibility(),
+            policy,
+            ok=policy.num_cops == expect and expect <= (g.n + 1) // 2,
+            matching_number=matching.size,
+            expected_cops=expect,
+            ceil_half_n=(g.n + 1) // 2,
         )
 
 
@@ -506,24 +501,13 @@ def _claim_tree2(n_max, ctx):
     """Two cops beat any tree at hyperopic distance two."""
     for n in range(2, _clamp(n_max, 12, 12) + 1):
         for t in all_trees(n):
-            policy = tree_k2_policy(t)
-            outcome = verify_policy(t, hyperopic(2), policy)
-            observed = _outcome_observed(outcome)
-            observed.update(
-                {"rule": "hyperopic", "k": 2, "cops_used": policy.num_cops}
-            )
-            if isinstance(outcome, Win):
-                verdict = PASS
-            elif isinstance(outcome, Evaded):
-                verdict = VIOLATION
-            else:
-                verdict = UNDECIDED
-            yield AuditReport(
+            yield _policy_row(
                 "tree2",
                 _inst(t, n=n),
                 "two-cop tree policy wins under hyperopic(2)",
-                observed,
-                verdict,
+                t,
+                hyperopic(2),
+                tree_k2_policy(t),
             )
 
 
@@ -536,23 +520,13 @@ def _claim_pendant(n_max, ctx):
                     policy = pendant_path_policy(t, k)
                 except ValueError:
                     continue
-                outcome = verify_policy(t, hyperopic(k), policy)
-                observed = _outcome_observed(outcome)
-                observed.update(
-                    {"rule": "hyperopic", "k": k, "cops_used": policy.num_cops}
-                )
-                if isinstance(outcome, Win):
-                    verdict = PASS
-                elif isinstance(outcome, Evaded):
-                    verdict = VIOLATION
-                else:
-                    verdict = UNDECIDED
-                yield AuditReport(
+                yield _policy_row(
                     "pendant",
                     _inst(t, n=n, k=k),
                     "pendant-path policy wins with two cops",
-                    observed,
-                    verdict,
+                    t,
+                    hyperopic(k),
+                    policy,
                 )
 
 
@@ -574,30 +548,15 @@ def _claim_tree_lemmas(n_max, ctx):
                     kind = "neardiam"
                 else:
                     continue
-                outcome = verify_policy(t, hyperopic(k), policy)
-                observed = _outcome_observed(outcome)
-                observed.update(
-                    {
-                        "rule": "hyperopic",
-                        "k": k,
-                        "cops_used": policy.num_cops,
-                        "diameter": d,
-                    }
-                )
-                if isinstance(outcome, Win):
-                    verdict = (
-                        PASS if policy.num_cops <= expect_cops else VIOLATION
-                    )
-                elif isinstance(outcome, Evaded):
-                    verdict = VIOLATION
-                else:
-                    verdict = UNDECIDED
-                yield AuditReport(
+                yield _policy_row(
                     "tree-lemmas",
                     _inst(t, n=n, k=k, kind=kind),
                     f"{kind} policy wins with {expect_cops} cops",
-                    observed,
-                    verdict,
+                    t,
+                    hyperopic(k),
+                    policy,
+                    ok=policy.num_cops <= expect_cops,
+                    diameter=d,
                 )
     # Middle band k+1 <= diam <= 2k-4: no constructive policy, so the bound
     # 2 + floor((2k - diam)/4) is checked against the exact solver.
@@ -608,21 +567,16 @@ def _claim_tree_lemmas(n_max, ctx):
                 if not k + 1 <= d <= 2 * k - 4:
                     continue
                 bound = 2 + (2 * k - d) // 4
-                value, decided = ctx.bounded_copnum(t, hyperopic(k), bound)
-                observed = _copnum_observed(value, decided, bound)
-                observed.update(
-                    {"rule": "hyperopic", "k": k, "diameter": d, "bound": bound}
-                )
-                if not decided:
-                    verdict = UNDECIDED
-                else:
-                    verdict = PASS if value is not None else VIOLATION
-                yield AuditReport(
+                yield _bound_row(
                     "tree-lemmas",
                     _inst(t, n=n, k=k, kind="midrange-bound"),
                     "cop_number <= 2 + floor((2k - diam)/4)",
-                    observed,
-                    verdict,
+                    ctx,
+                    t,
+                    hyperopic(k),
+                    bound,
+                    diameter=d,
+                    bound=bound,
                 )
 
 
@@ -638,13 +592,12 @@ def _claim_tfamily_diam(n_max, ctx):
         d = diameter(t)
         claimed = 4 * m
         observed = {"n": t.n, "diameter": d, "claimed_min_diameter": claimed}
-        verdict = PASS if d >= claimed else VIOLATION_DOCUMENTED
         yield AuditReport(
             "tfamily-diam",
             _inst(t, family="t_family", m=m),
             f"diameter >= {claimed}",
             observed,
-            verdict,
+            _verdict(True, d >= claimed, VIOLATION_DOCUMENTED),
         )
 
 
@@ -665,16 +618,17 @@ def _claim_diam4_bound(n_max, ctx):
                 "zero_cop_number": c0,
             }
             if c0 is None:
-                verdict = UNDECIDED
-                observed["note"] = "undecided (state cap)"
-            else:
-                verdict = PASS if c0 <= bound else VIOLATION_DOCUMENTED
+                observed["note"] = _UNDECIDED_NOTE
             yield AuditReport(
                 "diam4-bound",
                 _inst(t, n=n),
                 "zero-visibility cop_number <= floor(diam/4)",
                 observed,
-                verdict,
+                _verdict(
+                    c0 is not None,
+                    c0 is not None and c0 <= bound,
+                    VIOLATION_DOCUMENTED,
+                ),
             )
 
 
@@ -721,39 +675,23 @@ def _claim_outerplanar2(n_max, ctx):
     the exact solver confirms the bound on small cut-vertex examples too."""
     for n in range(4, _clamp(n_max, 10, 10) + 1):
         for g in all_two_connected_outerplanar(n):
-            policy = outerplanar_k2_policy(g)
-            outcome = verify_policy(g, hyperopic(2), policy)
-            observed = _outcome_observed(outcome)
-            observed.update(
-                {"rule": "hyperopic", "k": 2, "cops_used": policy.num_cops}
-            )
-            if isinstance(outcome, Win):
-                verdict = PASS
-            elif isinstance(outcome, Evaded):
-                verdict = VIOLATION
-            else:
-                verdict = UNDECIDED
-            yield AuditReport(
+            yield _policy_row(
                 "outerplanar2",
                 _inst(g, n=n, kind="two-connected"),
                 "territory policy wins with two cops under hyperopic(2)",
-                observed,
-                verdict,
+                g,
+                hyperopic(2),
+                outerplanar_k2_policy(g),
             )
     for name, g in _cut_vertex_outerplanar_examples():
-        value, decided = ctx.bounded_copnum(g, hyperopic(2), 2)
-        observed = _copnum_observed(value, decided, 2)
-        observed.update({"rule": "hyperopic", "k": 2})
-        if not decided:
-            verdict = UNDECIDED
-        else:
-            verdict = PASS if value is not None else VIOLATION
-        yield AuditReport(
+        yield _bound_row(
             "outerplanar2",
             _inst(g, n=g.n, kind="cut-vertex", name=name),
             "cop_number(hyperopic(2)) <= 2",
-            observed,
-            verdict,
+            ctx,
+            g,
+            hyperopic(2),
+            2,
         )
 
 
@@ -763,19 +701,15 @@ def _claim_outerplanar_sqrt(n_max, ctx):
     for n in range(5, _clamp(n_max, 9, 10) + 1):
         bound = math.isqrt(2 * n)
         for g in all_two_connected_outerplanar(n):
-            value, decided = ctx.bounded_copnum(g, hyperopic(3), bound)
-            observed = _copnum_observed(value, decided, bound)
-            observed.update({"rule": "hyperopic", "k": 3, "bound": bound})
-            if not decided:
-                verdict = UNDECIDED
-            else:
-                verdict = PASS if value is not None else VIOLATION
-            yield AuditReport(
+            yield _bound_row(
                 "outerplanar-sqrt",
                 _inst(g, n=n),
                 "cop_number(hyperopic(3)) <= floor(sqrt(2n))",
-                observed,
-                verdict,
+                ctx,
+                g,
+                hyperopic(3),
+                bound,
+                bound=bound,
             )
 
 

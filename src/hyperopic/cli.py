@@ -181,38 +181,27 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 # gen
 
-_FAMILY_FLAGS = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "complete": ("n",),
-    "bipartite": ("m", "n"),
-    "caterpillar": ("leaves",),
-    "that": (),
-    "gk": ("m", "k"),
-    "tfamily": ("m",),
-    "tree-diam10": (),
-}
-
-_FAMILY_IDS = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
-    "bipartite": "complete_bipartite",
-    "caterpillar": "caterpillar",
-    "that": "t_hat",
-    "gk": "g_k",
-    "tfamily": "t_family",
-    "tree-diam10": "tree_diam10",
+# CLI family name -> (library family id, required flags)
+_FAMILIES = {
+    "path": ("path", ("n",)),
+    "cycle": ("cycle", ("n",)),
+    "complete": ("complete", ("n",)),
+    "bipartite": ("complete_bipartite", ("m", "n")),
+    "caterpillar": ("caterpillar", ("leaves",)),
+    "that": ("t_hat", ()),
+    "gk": ("g_k", ("m", "k")),
+    "tfamily": ("t_family", ("m",)),
+    "tree-diam10": ("tree_diam10", ()),
 }
 
 
 def _family_spec(args):
     try:
-        needed = _FAMILY_FLAGS[args.family]
+        family, needed = _FAMILIES[args.family]
     except KeyError:
         raise _UsageError(f"unknown family {args.family!r}") from None
     for flag in needed:
-        if getattr(args, flag if flag != "leaves" else "leaves") is None:
+        if getattr(args, flag) is None:
             raise _UsageError(f"family {args.family!r} requires --{flag}")
     for flag in ("n", "m", "k", "leaves"):
         if getattr(args, flag) is not None and flag not in needed:
@@ -234,9 +223,7 @@ def _family_spec(args):
         params = ()
     else:
         params = (args.n,)
-    spec = FamilySpec(
-        family=_FAMILY_IDS[args.family], params=params, mode=args.attach
-    )
+    spec = FamilySpec(family=family, params=params, mode=args.attach)
     if args.subdivide:
         spec = FamilySpec(family="subdivision", params=(args.subdivide,), base=spec)
     return spec
@@ -372,7 +359,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("gen", help="emit a named family member")
-    p.add_argument("--family", required=True, choices=sorted(_FAMILY_FLAGS))
+    p.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)

@@ -154,9 +154,6 @@ class Matching:
     def is_perfect(self):
         return 2 * len(self.edges) == self.n
 
-    def covered(self):
-        return frozenset(v for e in self.edges for v in e)
-
 
 def maximum_matching(g):
     """Maximum-cardinality matching (blossom algorithm via networkx)."""
@@ -222,12 +219,6 @@ class OuterEmbedding:
 
     cycle: tuple
     chords: tuple = field(default=())
-
-    def position(self):
-        pos = [0] * len(self.cycle)
-        for i, v in enumerate(self.cycle):
-            pos[v] = i
-        return pos
 
 
 def _chords_cross(a, b, c, d):

@@ -432,28 +432,34 @@ def pendant_path_policy(tree, k):
     for b in branches:
         sweep += [b, u]
     sweep += list(reversed(pendant[1:]))
+    return _parked_hunter("pendant", g, (v1,), u, sweep)
 
-    CHASE, GOTO, SCRIPT = "chase", "goto", "script"
+
+def _parked_hunter(name, g, parked, home, sweep):
+    """Cops that never leave the parked vertices, plus one hunter.
+
+    The hunter steps toward a sighted robber.  Otherwise it walks to home
+    and, once there, runs the sweep one vertex per round.  The policy state
+    is the rest of the sweep.  A sighting clears it to None, which steps
+    like a finished sweep (): a lost chase walks home and starts over.
+    """
+    parked, sweep = tuple(parked), tuple(sweep)
 
     def initial():
-        return (v1, u), (GOTO,)
+        return parked + (home,), ()
 
-    def step(mode, cops, bmask):
-        c2 = cops[1]
+    def step(rest, cops, bmask):
+        hunter = cops[-1]
         target = _sole(bmask)
         if target is not None:
-            return (v1, _step_toward(g, c2, target)), (CHASE,)
-        if mode[0] == SCRIPT and mode[1]:
-            rest = mode[1]
-            nxt = (SCRIPT, rest[1:]) if rest[1:] else (GOTO,)
-            return (v1, rest[0]), nxt
-        if c2 != u or not sweep:
-            return (v1, _step_toward(g, c2, u)), (GOTO,)
-        rest = tuple(sweep)
-        nxt = (SCRIPT, rest[1:]) if rest[1:] else (GOTO,)
-        return (v1, rest[0]), nxt
+            return parked + (_step_toward(g, hunter, target),), None
+        if not rest:
+            if hunter != home or not sweep:
+                return parked + (_step_toward(g, hunter, home),), ()
+            rest = sweep
+        return parked + (rest[0],), rest[1:]
 
-    return CopPolicy("pendant", 2, initial, step)
+    return CopPolicy(name, len(parked) + 1, initial, step)
 
 
 # ---------------------------------------------------------------------------
@@ -594,28 +600,7 @@ def tree_near_diam_policy(tree, k):
             sweep.append(s)
         for leaf in sorted(w for w in g.adj[s] if w in rset and deg_in[w] <= 1):
             sweep += [leaf, s]
-
-    CHASE, GOTO, SCRIPT = "chase", "goto", "script"
-
-    def initial():
-        return (x, y, sweep[0]), (GOTO,)
-
-    def step(mode, cops, bmask):
-        c3 = cops[2]
-        t = _sole(bmask)
-        if t is not None:
-            return (x, y, _step_toward(g, c3, t)), (CHASE,)
-        if mode[0] == SCRIPT and mode[1]:
-            rest = mode[1]
-            nxt = (SCRIPT, rest[1:]) if rest[1:] else (GOTO,)
-            return (x, y, rest[0]), nxt
-        if c3 != sweep[0] or len(sweep) == 1:
-            return (x, y, _step_toward(g, c3, sweep[0])), (GOTO,)
-        rest = tuple(sweep[1:])
-        nxt = (SCRIPT, rest[1:]) if rest[1:] else (GOTO,)
-        return (x, y, rest[0]), nxt
-
-    return CopPolicy("neardiam", 3, initial, step)
+    return _parked_hunter("neardiam", g, (x, y), sweep[0], sweep[1:])
 
 
 # ---------------------------------------------------------------------------

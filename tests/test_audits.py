@@ -1,6 +1,7 @@
 """Tests for the theorem-audit claim runners."""
 
 import gc
+import hashlib
 import itertools
 import json
 
@@ -19,7 +20,8 @@ from hyperopic.audits import (
     run_claim,
 )
 from hyperopic.cache import ResultCache
-from hyperopic.graph import build_graph, verify_retraction
+from hyperopic.graph import Matching, build_graph, verify_retraction
+from hyperopic.strategies import Evaded, Timeout
 
 # small-but-meaningful scope per claim, so the whole registry runs in seconds
 SMALL_SCOPE = {
@@ -97,13 +99,38 @@ def test_blind_diameter_quarter_bound_violations_are_documented():
     assert claim_verdict(reports) == VIOLATION_DOCUMENTED
 
 
+# per claim at SMALL_SCOPE: row count and a sha256 prefix over the rows'
+# to_json() lines, in run_claim order, joined by newlines
+SMALL_SCOPE_ROWS = {
+    "bipartite": (18, "6cee174552f1"),
+    "caterpillar": (25, "896173c16d46"),
+    "diam-bound": (7, "56d2b5eff8a6"),
+    "diam4-bound": (31, "61dde3a34ae9"),
+    "matching-bound": (31, "412bc763694f"),
+    "monotonicity": (31, "e1dcf4f9b2e9"),
+    "outerplanar-sqrt": (32, "4ba1e361f6fd"),
+    "outerplanar2": (39, "c1ecff4e7c68"),
+    "pendant": (58, "48aef8e0053a"),
+    "prop-classes": (64, "e8c97d13406a"),
+    "retract": (812, "917b6ee1b7b0"),
+    "tfamily-diam": (3, "fbe1df3dbbd6"),
+    "tree-lemmas": (60, "1ca134b583b5"),
+    "tree2": (47, "692d11c5f11c"),
+    "zerovis-eq": (31, "045b8d5f0cb6"),
+}
+
+
 def test_every_other_claim_passes_at_reduced_scope():
+    assert set(SMALL_SCOPE_ROWS) == set(CLAIMS)
     for name in sorted(CLAIMS):
         reports = run_claim(name, n_max=SMALL_SCOPE[name])
         assert reports, name
         expect = VIOLATION_DOCUMENTED if name in DOCUMENTED_CLAIMS else PASS
         assert claim_verdict(reports) == expect, name
         assert not any(r.verdict == VIOLATION for r in reports), name
+        text = "\n".join(r.to_json() for r in reports)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+        assert (len(reports), digest) == SMALL_SCOPE_ROWS[name], name
 
 
 def test_reports_come_out_sorted_and_json_clean():
@@ -196,3 +223,131 @@ def test_retract_rows_check_every_map(monkeypatch):
     reports = run_claim("retract", n_max=4)
     assert reports and all(r.verdict == VIOLATION for r in reports)
     assert all(r.observed["note"] == "map is not a retraction" for r in reports)
+
+
+def _fake_search(statuses):
+    """A stand-in for search_cop_number that finds no winning cop count:
+    statuses maps each rule's k to "robber_win" or "undecided"."""
+
+    def search(g, rule, *, bound, cache, state_cap):
+        return None, {"status": statuses[rule.k]}
+
+    return search
+
+
+def test_a_decided_caterpillar_mismatch_is_not_hidden_by_an_undecided_k(
+    monkeypatch,
+):
+    # k = 2 decided (one cop loses everywhere), k = 3 undecided: every
+    # caterpillar is a decided counterexample, every other tree undecided
+    monkeypatch.setattr(
+        audits,
+        "search_cop_number",
+        _fake_search({2: "robber_win", 3: "undecided"}),
+    )
+    reports = run_claim("caterpillar", n_max=7)
+    cats = [r for r in reports if r.observed["is_caterpillar"]]
+    assert cats and len(cats) < len(reports)
+    for r in reports:
+        assert r.observed["one_cop_wins_k2"] is False
+        assert r.observed["one_cop_wins_k3"] is None
+        assert r.verdict == (
+            VIOLATION if r.observed["is_caterpillar"] else UNDECIDED
+        )
+    # the same mismatch on k = 3 with k = 2 undecided
+    monkeypatch.setattr(
+        audits,
+        "search_cop_number",
+        _fake_search({2: "undecided", 3: "robber_win"}),
+    )
+    reports = run_claim("caterpillar", n_max=7)
+    assert [r.verdict for r in reports] == [
+        VIOLATION if r.observed["is_caterpillar"] else UNDECIDED
+        for r in reports
+    ]
+
+
+def test_policy_rows_report_an_evasion_as_a_violation(monkeypatch):
+    loop = (((0, 1), frozenset({3, 2})), ((0, 1), frozenset({2, 3})))
+    monkeypatch.setattr(audits, "verify_policy", lambda g, r, p: Evaded(loop))
+    reports = run_claim("tree2", n_max=4)
+    assert reports
+    for r in reports:
+        assert r.verdict == VIOLATION
+        assert r.observed["outcome"] == "evaded"
+        assert r.observed["witness"] == [[[0, 1], [2, 3]], [[0, 1], [2, 3]]]
+        assert r.observed["cops_used"] == 2
+        assert "rounds" not in r.observed
+
+
+def test_policy_rows_report_a_timeout_as_undecided(monkeypatch):
+    monkeypatch.setattr(audits, "verify_policy", lambda g, r, p: Timeout(5))
+    reports = run_claim("tree-lemmas", n_max=6)
+    policy_rows = [r for r in reports if r.instance["kind"] != "midrange-bound"]
+    assert policy_rows
+    for r in policy_rows:
+        assert r.verdict == UNDECIDED
+        assert r.observed["outcome"] == "timeout"
+        assert r.observed["nodes"] == 5
+        assert r.observed["rule"] == "hyperopic"
+        assert r.observed["k"] == r.instance["k"]
+
+
+def test_a_winning_policy_with_the_wrong_cop_count_is_a_violation(
+    monkeypatch,
+):
+    # claim one vertex more than the graph has: every perfect matching looks
+    # imperfect, so its policy wins with one cop fewer than expected
+    real = audits.maximum_matching
+    monkeypatch.setattr(
+        audits,
+        "maximum_matching",
+        lambda g: Matching(edges=real(g).edges, n=g.n + 1),
+    )
+    reports = run_claim("matching-bound", n_max=4)
+    assert all(r.observed["outcome"] == "win" for r in reports)
+    assert all("k" not in r.observed for r in reports)
+    verdicts = [
+        PASS
+        if r.observed["cops_used"] == r.observed["expected_cops"]
+        else VIOLATION
+        for r in reports
+    ]
+    assert VIOLATION in verdicts and PASS in verdicts
+    assert [r.verdict for r in reports] == verdicts
+
+
+def test_bound_rows_report_a_state_cap_as_undecided():
+    reports = run_claim("outerplanar-sqrt", n_max=5, state_cap=2)
+    assert reports
+    for r in reports:
+        assert r.verdict == UNDECIDED
+        assert r.observed["cop_number"] is None
+        assert r.observed["note"] == "undecided (state cap)"
+        assert r.observed["bound"] == 3
+
+
+def test_bound_rows_report_an_exceeded_bound_as_a_violation(monkeypatch):
+    monkeypatch.setattr(
+        audits, "search_cop_number", _fake_search({3: "robber_win"})
+    )
+    reports = run_claim("outerplanar-sqrt", n_max=6)
+    assert reports
+    for r in reports:
+        assert r.verdict == VIOLATION
+        assert r.observed["cop_number_exceeds"] == r.observed["bound"]
+        assert "cop_number" not in r.observed
+
+
+def test_exact_bound_rows_need_the_exact_value(monkeypatch):
+    def one_cop(g, rule, *, bound, cache, state_cap):
+        return 1, {"status": "cop_win"}
+
+    monkeypatch.setattr(audits, "search_cop_number", one_cop)
+    reports = run_claim("bipartite", n_max=4)
+    assert {r.observed["expected_value"] for r in reports} == {1, 2, 3}
+    for r in reports:
+        assert r.observed["cop_number"] == 1
+        assert r.verdict == (
+            PASS if r.observed["expected_value"] == 1 else VIOLATION
+        )

@@ -168,7 +168,6 @@ def _assert_valid_matching(g, m):
         assert tuple(sorted((u, v))) in eset
         assert u not in seen and v not in seen
         seen.update((u, v))
-    assert m.covered() == frozenset(seen)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -280,7 +279,7 @@ def _check_embedding(g, emb):
     assert ring <= eset
     chordset = {tuple(sorted(c)) for c in emb.chords}
     assert ring | chordset == eset and not ring & chordset
-    pos = emb.position()
+    pos = {v: i for i, v in enumerate(emb.cycle)}
     arcs = sorted(
         tuple(sorted((pos[u], pos[v]))) for u, v in chordset
     )
