@@ -9,6 +9,12 @@ with a warning too, so rows from older game semantics are never trusted.
 Certificates are not persisted (they are cheap to re-derive from the stored
 winning placement); a cached entry carries status, placement, round bound,
 and the explored-state count of the original run.
+
+A hyperopic(k) game with k at least the graph's diameter is the
+zero-visibility game: no cop ever sees the robber, so the transitions, the
+search and the record are identical.  `cached_solve` stores and looks up
+such a game under the zero-visibility key, so it is solved once for every
+rule that makes it blind.
 """
 
 from __future__ import annotations
@@ -171,12 +177,16 @@ def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000):
 
     The record is the JSON-safe dict shape of `result_record`.  Undecided
     outcomes are never stored, so a later run with a larger cap can settle
-    them.
+    them.  A blind hyperopic rule is keyed as zero visibility (see the
+    module docstring).
     """
     from .formats import encode_graph6
-    from .game import GameSpec
+    from .game import GameSpec, zero_visibility
+    from .graph import diameter
     from .solver import solve
 
+    if rule.kind == "hyperopic" and rule.k >= diameter(graph):
+        rule = zero_visibility()
     g6 = encode_graph6(graph)
     if cache is not None:
         hit = cache.get(g6, rule, cops)

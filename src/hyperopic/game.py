@@ -122,11 +122,17 @@ def growth_tables(nbr):
 class TransitionTable:
     """The game's transitions on belief masks.
 
-    States are (sorted cop tuple, belief mask) pairs.  Each
-    cop tuple's unoccupied and visibility masks and its deduplicated joint
-    moves are cached, since the solver revisits the same cop tuples across
-    many beliefs.  Robber steps are not cached: a belief grows through
-    per-chunk neighborhood tables in ceil(n/4) lookups.
+    States are (sorted cop tuple, belief mask) pairs.  Each cop tuple's
+    unoccupied and visibility masks, and its row list (each deduplicated
+    joint move with the masks of the cops it leads to), are cached, since
+    the solver revisits the same cop tuples across many beliefs.  Robber
+    steps are not cached: a belief grows through per-chunk neighborhood
+    tables in ceil(n/4) lookups.
+
+    `successors` is the round kernel the solver searches with: the cop
+    move, the robber's reply and both observations in one pass.
+    `cop_step` and `robber_step` are its two halves, and the policy
+    verifier replays policies with `masks`, `split` and `robber_step`.
 
     `blind` is true when no cop position sees any vertex (zero visibility,
     or k at least the diameter): every observation is "invisible", so each
@@ -159,7 +165,7 @@ class TransitionTable:
             self._vis_const = None
         self.blind = not any(self._far) if self._far else self._vis_const == 0
         self._masks = {}
-        self._moves = {}
+        self._rows = {}
 
     def masks(self, cops):
         """(unoccupied, visible) masks for these cops: the vertices no cop
@@ -191,12 +197,20 @@ class TransitionTable:
             out.append(rest)
         return out
 
+    def _rows_for(self, cops):
+        """(move, newcops, free, vis) per deduplicated joint move, in
+        `joint_cop_moves` order, with the new cops' `masks`."""
+        rows = self._rows.get(cops)
+        if rows is None:
+            masks = self.masks
+            rows = self._rows[cops] = [
+                (move, newcops, *masks(newcops))
+                for move, newcops in joint_cop_moves(self.spec.graph, cops)
+            ]
+        return rows
+
     def joint_moves(self, cops):
-        mv = self._moves.get(cops)
-        if mv is None:
-            mv = joint_cop_moves(self.spec.graph, cops)
-            self._moves[cops] = mv
-        return mv
+        return [(move, newcops) for move, newcops, _, _ in self._rows_for(cops)]
 
     def initial(self, placement):
         """Belief masks after placing cops; [] means the placement covers
@@ -207,13 +221,51 @@ class TransitionTable:
     def cop_step(self, cops, bmask):
         """(move, newcops, blocks) per deduplicated joint move; blocks is []
         when the move captures every belief vertex."""
-        out = []
-        cache, masks = self._masks, self.masks
-        for move, newcops in self.joint_moves(cops):
-            free, vis = cache.get(newcops) or masks(newcops)
-            b1 = bmask & free
-            out.append((move, newcops, self.split(b1, vis) if b1 else []))
-        return out
+        split = self.split
+        return [
+            (move, newcops, split(bmask & free, vis))
+            for move, newcops, free, vis in self._rows_for(cops)
+        ]
+
+    def successors(self, cops, bmask):
+        """One round from a cop-to-move state, lazily per joint move.
+
+        Yields (move, newcops, beliefs) in `joint_moves` order, where
+        beliefs are the masks after the cops move and observe, the robber
+        replies and the cops observe again: `cop_step`'s blocks, each
+        expanded by `robber_step`, in that order with duplicates kept.  []
+        means the move captures.  A visible singleton grows by its closed
+        neighborhood, the invisible rest through the chunk tables; each
+        growth is then split like `split` does.
+        """
+        nbr, grow = self.nbr, self._grow
+        for move, newcops, free, vis in self._rows_for(cops):
+            beliefs = []
+            hid = free & ~vis
+            seen = bmask & free & vis
+            rest = bmask & hid
+            while seen or rest:
+                if seen:
+                    b = seen & -seen
+                    seen ^= b
+                    reach = nbr[b.bit_length() - 1]
+                else:
+                    # the invisible rest, shifted down to 0 chunk by chunk
+                    reach = 0
+                    for tab in grow:
+                        reach |= tab[rest & 15]
+                        rest >>= 4
+                        if not rest:
+                            break
+                reach &= free
+                sight = reach & vis
+                while sight:
+                    v = sight & -sight
+                    beliefs.append(v)
+                    sight ^= v
+                if reach & hid:
+                    beliefs.append(reach & hid)
+            yield move, newcops, beliefs
 
     def robber_step(self, cops, bmask):
         """Belief masks after the robber moves; [] means it had nowhere safe."""

@@ -159,17 +159,17 @@ class _Arena:
     def _expand(self, idx):
         table = self.table
         index, cop_base, rank = self.index, self.cop_base, self.rank
+        intern = self.intern
         undecided = []
-        for move, newcops, blocks in table.cop_step(*self.state(idx)):
+        for move, newcops, beliefs in table.successors(*self.state(idx)):
             base = cop_base.get(newcops)
             if base is None:
                 base = self.base(newcops)
             succs = set()
-            for b1 in blocks:
-                for b2 in table.robber_step(newcops, b1):
-                    key = base | b2
-                    t = index.get(key)
-                    succs.add(self.intern(key) if t is None else t)
+            for b in beliefs:
+                key = base | b
+                t = index.get(key)
+                succs.add(intern(key) if t is None else t)
             known = 0
             for t in succs:
                 r = rank[t]
@@ -254,12 +254,12 @@ def _extract(arena, table, placement, init_idxs):
         if idx in chosen:
             continue
         best = None
-        for move, newcops, blocks in table.cop_step(*arena.state(idx)):
+        for move, newcops, beliefs in table.successors(*arena.state(idx)):
             base = arena.cop_base.get(newcops)
-            succs = set()
-            for b1 in blocks:
-                for b2 in table.robber_step(newcops, b1):
-                    succs.add(None if base is None else arena.index.get(base | b2))
+            succs = {
+                None if base is None else arena.index.get(base | b)
+                for b in beliefs
+            }
             if any(t is None or arena.rank[t] < 0 for t in succs):
                 continue
             key = (max((arena.rank[t] for t in succs), default=0), move)
@@ -320,10 +320,9 @@ def _blind_search(table, placements, state_cap):
                 hi = len(belief_of)
                 rounds += 1
                 for i in range(lo, hi):
-                    for move, cops, blocks in table.cop_step(
+                    for move, cops, after in table.successors(
                         cops_of[i], belief_of[i]
                     ):
-                        after = blocks and table.robber_step(cops, blocks[0])
                         if not after:
                             moves = {}
                             while i >= 0:

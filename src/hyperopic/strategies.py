@@ -313,7 +313,7 @@ def tree_k2_policy(tree):
         leaf = min(v for v in range(n) if g.degree(v) == 1)
         placement = (leaf, g.adj[leaf][0])
 
-    REST, PURSUIT, SCRIPT = "rest", "pursuit", "script"
+    REST, SCRIPT = "rest", "script"
 
     def _joint(post_role, post_pos, walker_pos):
         m = [None, None]
@@ -372,13 +372,12 @@ def tree_k2_policy(tree):
         belief = mask_to_set(bmask)
         if len(belief) == 1:
             moves, front = pursuit_move(belief, cops)
-            return moves, (front, (PURSUIT,))
+            return moves, (front, (REST, frozenset()))
         if mode[0] == SCRIPT:
             steps, stomped = mode[1], mode[2]
             nxt = (SCRIPT, steps[1:], stomped) if steps[1:] else (REST, stomped)
             return steps[0], (post_role, nxt)
-        stomped = mode[1] if mode[0] == REST else frozenset()
-        steps, stomped = commit(belief, cops, post_role, stomped)
+        steps, stomped = commit(belief, cops, post_role, mode[1])
         nxt = (
             (SCRIPT, tuple(steps[1:]), stomped)
             if steps[1:]
@@ -440,8 +439,8 @@ def _parked_hunter(name, g, parked, home, sweep):
 
     The hunter steps toward a sighted robber.  Otherwise it walks to home
     and, once there, runs the sweep one vertex per round.  The policy state
-    is the rest of the sweep.  A sighting clears it to None, which steps
-    like a finished sweep (): a lost chase walks home and starts over.
+    is the rest of the sweep.  A sighting clears it to (), as if the sweep
+    had finished: a lost chase walks home and starts over.
     """
     parked, sweep = tuple(parked), tuple(sweep)
 
@@ -452,7 +451,7 @@ def _parked_hunter(name, g, parked, home, sweep):
         hunter = cops[-1]
         target = _sole(bmask)
         if target is not None:
-            return parked + (_step_toward(g, hunter, target),), None
+            return parked + (_step_toward(g, hunter, target),), ()
         if not rest:
             if hunter != home or not sweep:
                 return parked + (_step_toward(g, hunter, home),), ()

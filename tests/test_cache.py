@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import networkx as nx
 import pytest
 
 from hyperopic.cache import (
@@ -14,7 +15,8 @@ from hyperopic.cache import (
 )
 from hyperopic.families import cycle, path
 from hyperopic.formats import encode_graph6
-from hyperopic.game import GameSpec, hyperopic, zero_visibility
+from hyperopic.game import GameSpec, cop_cap, hyperopic, zero_visibility
+from hyperopic.graph import build_graph, diameter
 from hyperopic.solver import solve
 
 
@@ -191,3 +193,30 @@ def test_cached_solve_without_cache():
     rec, hit = cached_solve(path(3), hyperopic(1), 1, None)
     assert rec["status"] == "cop_win"
     assert not hit
+
+
+def test_blind_hyperopic_games_share_the_zero_visibility_key():
+    # hyperopic(k) with k >= diameter never sees the robber: it is the
+    # zero-visibility game, stored once under the zero-visibility key
+    for nxg in nx.graph_atlas_g()[1:]:
+        if nxg.number_of_nodes() > 5 or not nx.is_connected(nxg):
+            continue
+        g = build_graph(nxg.number_of_nodes(), list(nxg.edges()))
+        g6, diam = encode_graph6(g), diameter(g)
+        blind = max(diam, 1)
+        for cops in range(1, min(2, cop_cap(g.n)) + 1):
+            cache = ResultCache(None)
+            rec, hit = cached_solve(g, hyperopic(blind), cops, cache)
+            assert not hit
+            fresh = solve(GameSpec(g, hyperopic(blind), cops))
+            assert rec == result_record(fresh)
+            assert list(cache.entries) == [(g6, "zero", None, cops)]
+            for rule in (zero_visibility(), hyperopic(blind + 1)):
+                again, hit = cached_solve(g, rule, cops, cache)
+                assert hit and again == rec
+            assert cache.hits == 2
+            if diam >= 2:
+                # a k below the diameter sees something: its own key
+                _, hit = cached_solve(g, hyperopic(diam - 1), cops, cache)
+                assert not hit
+                assert (g6, "hyperopic", diam - 1, cops) in cache.entries

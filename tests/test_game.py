@@ -335,33 +335,57 @@ def _blocks(states):
 def _check_table_against_the_set_semantics(g, rule, size):
     table = TransitionTable(GameSpec(g, rule, size))
     spec = table.spec
+    robber_turns = {}  # (cops, block) -> the oracle's robber turn
+
+    def robber_turn(cops, block):
+        key = (cops, block)
+        if key not in robber_turns:
+            robber_turns[key] = robber_turn_successors(spec, cops, block)
+        return robber_turns[key]
+
     for cops in itertools.combinations_with_replacement(range(g.n), size):
         init = initial_states(spec, cops)
         got = [(cops, mask_to_set(b)) for b in table.initial(cops)]
         assert got == ([] if init is COP_WIN else _blocks(init))
+        moves = joint_cop_moves(g, cops)
         rest = [v for v in range(g.n) if v not in cops]
         for r in range(1, len(rest) + 1):
             for belief in itertools.combinations(rest, r):
                 bmask = set_to_mask(belief)
-                state = BeliefState(cops, frozenset(belief))
+                turns = cop_turn_successors(spec, BeliefState(cops, belief))
                 want = [
                     (move, [] if out is COP_WIN else _blocks(out))
-                    for move, out in cop_turn_successors(spec, state)
+                    for move, out in turns
                 ]
                 got = [
                     (move, [(new, mask_to_set(b)) for b in blocks])
                     for move, new, blocks in table.cop_step(cops, bmask)
                 ]
                 assert got == want
-                out = robber_turn_successors(spec, cops, belief)
+                # one round: the robber turn from each block, in order
+                want = [
+                    (move, new, [
+                        s.belief
+                        for block in ([] if out is COP_WIN else out)
+                        for s in robber_turn(new, block.belief)
+                    ])
+                    for (move, new), (_, out) in zip(moves, turns)
+                ]
+                got = [
+                    (move, new, [mask_to_set(b) for b in beliefs])
+                    for move, new, beliefs in table.successors(cops, bmask)
+                ]
+                assert got == want
+                out = robber_turn(cops, frozenset(belief))
                 got = [(cops, mask_to_set(b))
                        for b in table.robber_step(cops, bmask)]
                 assert got == ([] if out is COP_WIN else _blocks(out))
 
 
 def test_transition_table_matches_the_set_semantics():
-    # every cop tuple of size 1-3 and every belief disjoint from it, on
-    # every connected graph with n <= 5 and on three graphs with n = 6
+    # the cop turn, the robber turn and the fused round, from every cop
+    # tuple of size 1-3 and every belief disjoint from it, on every
+    # connected graph with n <= 5 and on three graphs with n = 6
     rules = (full_visibility(), zero_visibility(), hyperopic(1), hyperopic(2),
              hyperopic(3))
     cases = [(g, size) for g in _connected_graphs(5)

@@ -271,13 +271,13 @@ def test_settling_stops_once_the_placement_is_decided(monkeypatch):
 
 def test_blind_search_stops_at_the_capture_level(monkeypatch):
     calls = []
-    cop_step = TransitionTable.cop_step
+    successors = TransitionTable.successors
 
     def counted(table, cops, bmask):
         calls.append((cops, bmask))
-        return cop_step(table, cops, bmask)
+        return successors(table, cops, bmask)
 
-    monkeypatch.setattr(TransitionTable, "cop_step", counted)
+    monkeypatch.setattr(TransitionTable, "successors", counted)
     # K8 with k = 2 is blind; the initial state captures at once
     res = solve(GameSpec(complete(8), hyperopic(2), 4))
     assert (res.status, res.rounds) == ("cop_win", 1)
