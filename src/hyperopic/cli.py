@@ -83,6 +83,9 @@ def _cmd_copnum(args):
     if args.max_cops is not None and args.max_cops < 1:
         print("error: --max-cops must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.state_cap < 1:
+        print("error: --state-cap must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     cache = open_cache(args.cache)
     value, record = search_cop_number(
         g, rule, bound=args.max_cops, cache=cache, state_cap=args.state_cap
@@ -268,6 +271,9 @@ def _cmd_audit(args):
         if name not in CLAIMS:
             print(f"error: unknown claim {name!r}", file=sys.stderr)
             return EXIT_USAGE
+    if args.state_cap < 1:
+        print("error: --state-cap must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     cache = open_cache(args.cache)
     exit_code = EXIT_OK
     rows = []

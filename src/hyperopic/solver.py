@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, combinations_with_replacement, repeat
 
 from .cache import ResultCache, cached_solve
@@ -378,8 +378,26 @@ def _solve_placements(spec, placements, state_cap):
     )
 
 
+# ((spec, placement, state_cap), result) of the latest `solve` that won on
+# its first placement, or None.
+_first_win = None
+
+
+def _with_own_moves(res):
+    """The cop win with a fresh copy of its certificate's move map, so no
+    two callers share one mutable dict."""
+    cert = res.certificate
+    return replace(res, certificate=replace(cert, moves=dict(cert.moves)))
+
+
 def solve_placement(spec, placement, *, state_cap=1_000_000):
-    """Decide winnability for one fixed starting placement."""
+    """Decide winnability for one fixed starting placement.
+
+    When the last `solve` to win on its first placement asked exactly this
+    (same spec, placement and cap), its result is returned without solving
+    again: that solve started on a fresh arena, so it did exactly what this
+    one would.  The result carries its own copy of the move map.
+    """
     placement = tuple(sorted(placement))
     if len(placement) != spec.num_cops:
         raise ValueError(f"placement must list {spec.num_cops} cop positions")
@@ -388,6 +406,8 @@ def solve_placement(spec, placement, *, state_cap=1_000_000):
             raise ValueError(
                 f"placement vertex {v} is not in range(0, {spec.graph.n})"
             )
+    if _first_win is not None and _first_win[0] == (spec, placement, state_cap):
+        return _with_own_moves(_first_win[1])
     return _solve_placements(spec, [placement], state_cap)
 
 
@@ -395,11 +415,16 @@ def solve(spec, *, state_cap=1_000_000):
     """Decide whether the spec's cops can guarantee capture from some start.
 
     Placements are tried in `placement_order`, most spread-out first, and
-    the first winning one is returned with its certificate.
+    the first winning one is returned with its certificate.  A win on the
+    very first placement is remembered (the latest one only) for
+    `solve_placement`, so certifying it does not solve it again.
     """
-    return _solve_placements(
-        spec, placement_order(spec.graph, spec.num_cops), state_cap
-    )
+    global _first_win
+    order = placement_order(spec.graph, spec.num_cops)
+    res = _solve_placements(spec, order, state_cap)
+    if res.is_cop_win and res.placement == order[0]:
+        _first_win = (spec, res.placement, state_cap), _with_own_moves(res)
+    return res
 
 
 def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_000):
@@ -451,9 +476,12 @@ def cop_number(graph, rule, *, max_cops=None, state_cap=1_000_000):
 def extract_certificate(spec, placement, *, state_cap=1_000_000):
     """Winning strategy for a cop-winning placement, checked by replay.
 
-    Re-derives the strategy from a fresh solve of the placement, then plays
-    it against every robber line through the policy verifier; any replay
-    failure raises instead of returning a bad certificate.
+    Takes the strategy from `solve_placement`, which reuses the result of
+    the `solve` just made when that solve won on this very placement first
+    with the same cap, and solves the placement afresh otherwise.  Either
+    way the strategy is then played against every robber line through the
+    policy verifier; any replay failure raises instead of returning a bad
+    certificate.
     """
     placement = tuple(sorted(placement))
     res = solve_placement(spec, placement, state_cap=state_cap)

@@ -100,6 +100,29 @@ def fullvis_cop_number(n, edges):
     raise AssertionError("matching-bound cap exceeded; game rules broken")
 
 
+def is_dismantlable(n, edges):
+    """Whether corner removal reduces the graph to one vertex.
+
+    A corner is a vertex u whose closed neighbourhood lies inside that of
+    some other vertex v.  Deleting a corner leaves a retract, and a retract
+    of a dismantlable graph is dismantlable, so the removal order does not
+    matter.  One cop wins the full-visibility game exactly on these graphs
+    (Nowakowski and Winkler 1983; Quilliot 1978).
+    """
+    nbr = _closed_neighborhoods(n, edges)
+    alive = set(range(n))
+    while len(alive) > 1:
+        corner = next(
+            (u for u in alive
+             if any(v != u and nbr[u] & alive <= nbr[v] for v in alive)),
+            None,
+        )
+        if corner is None:
+            return False
+        alive.remove(corner)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Set-based reference game.
 #

@@ -95,6 +95,15 @@ def test_copnum_usage_errors(capsys):
     )
     assert code == 2 and "max-cops" in err
 
+    for cap in ("0", "-5"):
+        code, out, err = run(
+            capsys,
+            ["copnum", encode_graph6(path(5)), "--rule", "zero",
+             "--state-cap", cap],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --state-cap must be at least 1\n"
+
 
 def test_copnum_undecided_exits_three(capsys):
     code, out, err = run(
@@ -320,6 +329,16 @@ def test_audit_all_claims_small(capsys):
 def test_audit_unknown_claim_exits_two(capsys):
     code, _, err = run(capsys, ["audit", "--claim", "flat-earth"])
     assert code == 2 and "unknown claim" in err
+
+
+def test_audit_rejects_a_state_cap_below_one(capsys):
+    # a cap of 0 would turn every row undecided instead of failing fast
+    for cap in ("0", "-5"):
+        code, out, err = run(
+            capsys, ["audit", "--claim", "caterpillar", "--state-cap", cap]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --state-cap must be at least 1\n"
 
 
 def test_audit_plain_violation_exits_one(capsys, monkeypatch):

@@ -20,18 +20,20 @@ from hyperopic.families import (
 from hyperopic.game import (
     GameSpec,
     TransitionTable,
+    cop_cap,
     full_visibility,
     hyperopic,
     zero_visibility,
 )
 from hyperopic.graph import Graph
-from hyperopic import solver
+from hyperopic import solver, strategies
 from hyperopic.cache import ResultCache
 from hyperopic.solver import (
     Certificate,
     UndecidedError,
     cop_number,
     extract_certificate,
+    placement_order,
     search_cop_number,
     solve,
     solve_placement,
@@ -366,6 +368,93 @@ def test_certificates_replay_across_rules():
         outcome = verify_policy(graph, rule, policy)
         assert isinstance(outcome, Win)
         assert outcome.rounds <= res.certificate.bound
+
+
+def test_a_first_placement_win_is_what_that_placement_alone_gives():
+    # the premise that lets `solve_placement` reuse `solve`'s result: a win
+    # on the first placement tried came from a fresh arena (or a fresh blind
+    # search), so solving that placement alone yields the same result
+    rules = [
+        full_visibility(), zero_visibility(),
+        hyperopic(1), hyperopic(2), hyperopic(3),
+    ]
+    checked = 0
+    for n in range(1, 6):
+        for nn, edges in atlas_connected(n):
+            g = Graph(nn, edges)
+            for rule in rules:
+                for cops in range(1, min(3, cop_cap(nn)) + 1):
+                    spec = GameSpec(g, rule, cops)
+                    res = solve(spec)
+                    first = placement_order(g, cops)[0]
+                    if not res.is_cop_win or res.placement != first:
+                        continue
+                    alone = solver._solve_placements(spec, [first], 1_000_000)
+                    assert alone == res, (nn, edges, rule, cops)
+                    assert alone.certificate == res.certificate
+                    checked += 1
+    assert checked == 353
+
+
+def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
+    calls = {"successors": 0, "verify_policy": 0}
+    successors = TransitionTable.successors
+    replay = strategies.verify_policy
+
+    def counted_successors(self, *args):
+        calls["successors"] += 1
+        return successors(self, *args)
+
+    def counted_replay(*args, **kwargs):
+        calls["verify_policy"] += 1
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(TransitionTable, "successors", counted_successors)
+    monkeypatch.setattr(strategies, "verify_policy", counted_replay)
+    for spec in (
+        GameSpec(g_k(3, 1), hyperopic(1), 2),  # the AND-OR arena
+        GameSpec(complete(4), zero_visibility(), 2),  # the blind search
+    ):
+        res = solve(spec)
+        assert res.placement == placement_order(spec.graph, 2)[0]
+        calls.update(successors=0, verify_policy=0)
+        cert = extract_certificate(spec, res.placement)
+        assert calls == {"successors": 0, "verify_policy": 1}
+        assert cert == res.certificate
+
+        # the two results share no move map
+        key, move = next(iter(cert.moves.items()))
+        cert.moves[key] = None
+        assert res.certificate.moves[key] == move
+        res.certificate.moves[key] = None
+        assert extract_certificate(spec, res.placement).moves[key] == move
+
+    # another cap, or another winning placement, is solved afresh
+    spec = GameSpec(g_k(3, 1), hyperopic(1), 2)
+    res = solve(spec)
+    calls["successors"] = 0
+    assert solve_placement(spec, res.placement, state_cap=10**9) == res
+    assert calls["successors"] > 0
+    other = next(
+        p for p in placement_order(spec.graph, 2)[1:]
+        if solver._solve_placements(spec, [p], 1_000_000).is_cop_win
+    )
+    calls["successors"] = 0
+    assert extract_certificate(spec, other).placement == other
+    assert calls["successors"] > 0
+
+
+def test_one_cop_wins_with_full_visibility_exactly_on_dismantlable_graphs():
+    # Nowakowski and Winkler 1983, Quilliot 1978; a false robber win, which
+    # no certificate can expose, breaks this
+    graphs = [atlas_connected(n) for n in range(1, 8)]
+    dismantlable = 0
+    for nn, edges in itertools.chain.from_iterable(graphs):
+        spec = GameSpec(Graph(nn, edges), full_visibility(), 1)
+        expected = oracles.is_dismantlable(nn, edges)
+        assert solve(spec).is_cop_win == expected, (nn, edges)
+        dismantlable += expected
+    assert (sum(map(len, graphs)), dismantlable) == (996, 496)
 
 
 # ---------------------------------------------------------------------------
