@@ -332,9 +332,10 @@ def build_parser():
     _add_common_graph_flags(p)
     p.add_argument(
         "--rule",
-        choices=("hyperopic", "zero", "classic"),
+        choices=("hyperopic", "zero", "full", "classic"),
         default="hyperopic",
-        help="visibility rule (default hyperopic; requires --k)",
+        help="visibility rule (default hyperopic; requires --k); classic is"
+        " another name for full",
     )
     p.add_argument("--k", type=int, help="hyperopic distance parameter")
     p.add_argument("--max-cops", type=int, help="stop after this many cops")

@@ -129,10 +129,12 @@ class TransitionTable:
     steps are not cached: a belief grows through per-chunk neighborhood
     tables in ceil(n/4) lookups.
 
-    `successors` is the round kernel the solver searches with: the cop
-    move, the robber's reply and both observations in one pass.
-    `cop_step` and `robber_step` are its two halves, and the policy
-    verifier replays policies with `masks`, `split` and `robber_step`.
+    The solver searches with the round kernel: a cop-to-move state's row
+    list, where a move leaves the belief masked by the new cops' `free`,
+    then `reply`, the cops' observation, the robber's reply and the second
+    observation in one pass.  `cop_step` and `robber_step` are the round's
+    two halves as separate steps, and the policy verifier replays policies
+    with `masks`, `split` and `robber_step`.
 
     `blind` is true when no cop position sees any vertex (zero visibility,
     or k at least the diameter): every observation is "invisible", so each
@@ -227,45 +229,45 @@ class TransitionTable:
             for move, newcops, free, vis in self._rows_for(cops)
         ]
 
-    def successors(self, cops, bmask):
-        """One round from a cop-to-move state, lazily per joint move.
+    def reply(self, bf, free, vis):
+        """The robber's half round from a robber-to-move position.
 
-        Yields (move, newcops, beliefs) in `joint_moves` order, where
-        beliefs are the masks after the cops move and observe, the robber
-        replies and the cops observe again: `cop_step`'s blocks, each
-        expanded by `robber_step`, in that order with duplicates kept.  []
-        means the move captures.  A visible singleton grows by its closed
+        bf is the belief left after the cops moved (the belief masked by
+        free), and free and vis are the new cops' `masks`.  Returns the
+        beliefs after the cops observe, the robber replies and the cops
+        observe again: `split(bf, vis)`'s blocks, each expanded by
+        `robber_step`, in that order with duplicates kept.  [] means the
+        cops captured.  A visible singleton grows by its closed
         neighborhood, the invisible rest through the chunk tables; each
         growth is then split like `split` does.
         """
         nbr, grow = self.nbr, self._grow
-        for move, newcops, free, vis in self._rows_for(cops):
-            beliefs = []
-            hid = free & ~vis
-            seen = bmask & free & vis
-            rest = bmask & hid
-            while seen or rest:
-                if seen:
-                    b = seen & -seen
-                    seen ^= b
-                    reach = nbr[b.bit_length() - 1]
-                else:
-                    # the invisible rest, shifted down to 0 chunk by chunk
-                    reach = 0
-                    for tab in grow:
-                        reach |= tab[rest & 15]
-                        rest >>= 4
-                        if not rest:
-                            break
-                reach &= free
-                sight = reach & vis
-                while sight:
-                    v = sight & -sight
-                    beliefs.append(v)
-                    sight ^= v
-                if reach & hid:
-                    beliefs.append(reach & hid)
-            yield move, newcops, beliefs
+        beliefs = []
+        hid = free & ~vis
+        seen = bf & vis
+        rest = bf & hid
+        while seen or rest:
+            if seen:
+                b = seen & -seen
+                seen ^= b
+                reach = nbr[b.bit_length() - 1]
+            else:
+                # the invisible rest, shifted down to 0 chunk by chunk
+                reach = 0
+                for tab in grow:
+                    reach |= tab[rest & 15]
+                    rest >>= 4
+                    if not rest:
+                        break
+            reach &= free
+            sight = reach & vis
+            while sight:
+                v = sight & -sight
+                beliefs.append(v)
+                sight ^= v
+            if reach & hid:
+                beliefs.append(reach & hid)
+        return beliefs
 
     def robber_step(self, cops, bmask):
         """Belief masks after the robber moves; [] means it had nowhere safe."""

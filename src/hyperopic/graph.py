@@ -15,7 +15,7 @@ class Graph:
     entry is finite.
     """
 
-    __slots__ = ("n", "adj", "edges", "dist_matrix", "_nbr_mask")
+    __slots__ = ("n", "adj", "edges", "dist_matrix", "_nbr_mask", "_matching")
 
     def __init__(self, n, edges):
         if n < 1:
@@ -55,6 +55,7 @@ class Graph:
             mat.append(tuple(dist))
         self.dist_matrix = tuple(mat)
         self._nbr_mask = None
+        self._matching = None
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -156,15 +157,21 @@ class Matching:
 
 
 def maximum_matching(g):
-    """Maximum-cardinality matching (blossom algorithm via networkx)."""
-    import networkx as nx
+    """Maximum-cardinality matching (blossom algorithm via networkx).
 
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    raw = nx.max_weight_matching(h, maxcardinality=True)
-    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in raw))
-    return Matching(edges=edges, n=g.n)
+    Computed once per graph: the matching-bound audit reads it and then
+    builds `matching_policy` from it.
+    """
+    if g._matching is None:
+        import networkx as nx
+
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        raw = nx.max_weight_matching(h, maxcardinality=True)
+        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in raw))
+        g._matching = Matching(edges=edges, n=g.n)
+    return g._matching
 
 
 def blocks(g):

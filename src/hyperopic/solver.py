@@ -6,9 +6,12 @@ where every robber possibility is captured imposes nothing).  The solver
 explores the arena breadth-first from a placement's initial states and
 propagates wins as they appear, stopping as soon as those states are
 decided (a local fixpoint in the style of Liu and Smolka); a robber win is
-only proved once the whole reachable arena is settled.  Placements share one
-arena per game spec, since a state's status does not depend on how play
-reached it.
+only proved once the whole reachable arena is settled.  The arena has two
+kinds of node: cop-to-move states, and the robber-to-move positions their
+moves lead to.  A position is the new cops plus the belief they did not
+step on, and determines the robber's replies, so the round kernel runs once
+per position however many moves reach it.  Placements share one arena per
+game spec, since a state's status does not depend on how play reached it.
 
 Blind specs (zero visibility, or k at least the diameter) skip the arena:
 no observation ever splits a belief, so each cop move leads to one belief
@@ -25,7 +28,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import combinations, combinations_with_replacement, repeat
+from itertools import combinations, combinations_with_replacement
 
 from .cache import ResultCache, cached_solve
 from .game import TransitionTable, cop_cap
@@ -57,6 +60,11 @@ class SolveResult:
     status is "cop_win" (with placement, certificate, and worst-case round
     count), "robber_win" (no placement wins), or "undecided" (the state cap
     was hit first).
+
+    rounds is the certificate's worst case, which is an upper bound on the
+    optimum, not always the optimum: outside blind specs the arena ranks
+    states by the first move found winning, not the fastest one.  Blind
+    rounds are exact.
     """
 
     status: str
@@ -83,20 +91,27 @@ class _Arena:
     tuples interned to small ids.  States are expanded in intern order, so
     the pending ones are exactly those from index `expanded` on.
 
-    Expanding a state interns its moves' successors in move order and
-    stops at the first move whose successors are all winning already.  A
-    state not won that way owns one slot per deduplicated joint move,
-    holding a countdown of successors not yet known winning plus the
-    largest rank confirmed for that move so far; a move hitting zero marks
-    its owner winning with rank one more than that maximum.  A rank is
-    therefore always 1 + the max rank over some move's full successor set,
-    so ranks strictly decrease along any rank-minimizing strategy and bound
-    the rounds to capture.
+    A joint move leads to a robber-to-move *position*: the new cops and the
+    belief they have not stepped on.  Its successors depend on nothing
+    else, so each position is a node of its own, keyed by (new cops' id <<
+    n) | that belief, and `TransitionTable.reply` runs once per position,
+    when an expansion first reaches it; its successors are interned then,
+    in reply order, and kept as distinct ids in one flat array.  A position
+    holds a countdown of successors not yet known winning and the largest
+    rank among those that are.  Expanding a state walks its moves in order
+    and stops at the first whose position has count zero, winning with
+    rank one more than that position's maximum; a state not won that way
+    waits on each of its moves' positions, and when a position's count
+    hits zero, every state still waiting on it wins the same way.  A rank
+    is therefore always 1 + the max rank over some move's full successor
+    set, so ranks strictly decrease along any rank-minimizing strategy and
+    bound the rounds to capture.
 
-    Ranks are -1 until known.  Slots and reverse edges live in flat int
-    arrays.  Each successor heads a linked list (ended by -1) of edges to
-    the slots waiting on it, newest first; a win walks its list oldest
-    first.
+    Ranks are -1 until known.  Everything lives in flat int arrays of
+    linked lists ended by -1: each state heads a list of edges to the
+    positions counting it down, and each position a list of waiter edges
+    from its waiting states, newest first.  When one win completes several
+    positions, their waiters are woken in waiter-edge creation order.
     """
 
     def __init__(self, table, cap):
@@ -109,12 +124,17 @@ class _Arena:
         self.keys = []
         self.expanded = 0
         self.rank = []
-        self.head = array("i")  # per state: newest edge into it
-        self.count = array("i")  # per slot: successors not yet winning
-        self.maxk = array("i")  # per slot: largest successor rank so far
-        self.owner = array("i")  # per slot: the state it belongs to
-        self.slot = array("i")  # per edge: the slot it counts down
+        self.head = array("i")  # per state: newest edge to a position
+        self.pos = {}  # position key -> position id
+        self.start = array("i", [0])  # offsets into succ, one per position + end
+        self.succ = array("i")  # position p's: succ[start[p]:start[p + 1]]
+        self.count = array("i")  # per position: successors not yet winning
+        self.maxk = array("i")  # per position: largest successor rank so far
+        self.waiters = array("i")  # per position: newest waiter edge
+        self.target = array("i")  # per edge: the position it counts down
         self.next = array("i")  # per edge: the next older edge
+        self.owner = array("i")  # per waiter edge: the waiting state
+        self.wnext = array("i")  # per waiter edge: the next older one
         self.wins = deque()
 
     def base(self, cops):
@@ -141,6 +161,10 @@ class _Arena:
         key = self.keys[idx]
         return self.cop_tuples[key >> self.n], key & self.table.full
 
+    def successors(self, p):
+        """Distinct successor state ids of position p."""
+        return self.succ[self.start[p]:self.start[p + 1]]
+
     def settle(self, goal):
         """Expand pending states breadth-first, propagating wins after each
         expansion, until every goal state is ranked or nothing is pending.
@@ -156,71 +180,90 @@ class _Arena:
                 if self.wins:
                     self._propagate()
 
+    def _position(self, key, base, beliefs):
+        """Intern a new position whose reply is `beliefs`, interning its
+        successors in that order; returns its id."""
+        index, rank, head = self.index, self.rank, self.head
+        intern = self.intern
+        succs = set()
+        for b in beliefs:
+            k = base | b
+            t = index.get(k)
+            succs.add(intern(k) if t is None else t)
+        p = self.pos[key] = len(self.count)
+        self.succ.extend(succs)
+        self.start.append(len(self.succ))
+        target, nexts = self.target, self.next
+        first = e = len(target)
+        known = 0
+        for t in succs:
+            r = rank[t]
+            if r < 0:
+                target.append(p)
+                nexts.append(head[t])
+                head[t] = e
+                e += 1
+            elif r > known:
+                known = r
+        self.count.append(e - first)
+        self.maxk.append(known)
+        self.waiters.append(-1)
+        return p
+
     def _expand(self, idx):
         table = self.table
-        index, cop_base, rank = self.index, self.cop_base, self.rank
-        intern = self.intern
-        undecided = []
-        for move, newcops, beliefs in table.successors(*self.state(idx)):
+        cops, bmask = self.state(idx)
+        pos, cop_base, count = self.pos, self.cop_base, self.count
+        reply, position = table.reply, self._position
+        waits = []
+        for move, newcops, free, vis in table._rows_for(cops):
             base = cop_base.get(newcops)
             if base is None:
                 base = self.base(newcops)
-            succs = set()
-            for b in beliefs:
-                key = base | b
-                t = index.get(key)
-                succs.add(intern(key) if t is None else t)
-            known = 0
-            for t in succs:
-                r = rank[t]
-                if r < 0:
-                    break
-                if r > known:
-                    known = r
-            else:
+            bf = bmask & free
+            key = base | bf
+            p = pos.get(key)
+            if p is None:
+                p = position(key, base, reply(bf, free, vis))
+            if not count[p]:
                 # every successor already winning (or immediate capture)
-                rank[idx] = 1 + known
+                self.rank[idx] = 1 + self.maxk[p]
                 self.wins.append(idx)
                 return
-            undecided.append(succs)
-        head, nexts, slots = self.head, self.next, self.slot
-        count, maxk, owner = self.count, self.maxk, self.owner
-        for succs in undecided:
-            first = e = len(nexts)
-            known = 0
-            for t in succs:
-                r = rank[t]
-                if r < 0:
-                    nexts.append(head[t])
-                    head[t] = e
-                    e += 1
-                elif r > known:
-                    known = r
-            slots.extend(repeat(len(count), e - first))
-            count.append(e - first)
-            maxk.append(known)
+            waits.append(p)
+        waiters, owner, wnext = self.waiters, self.owner, self.wnext
+        for p in waits:
+            wnext.append(waiters[p])
+            waiters[p] = len(owner)
             owner.append(idx)
 
     def _propagate(self):
-        rank, count, maxk, owner = self.rank, self.count, self.maxk, self.owner
-        slots, nexts, wins = self.slot, self.next, self.wins
+        rank, count, maxk = self.rank, self.count, self.maxk
+        head, target, nexts = self.head, self.target, self.next
+        waiters, owner, wnext = self.waiters, self.owner, self.wnext
+        wins = self.wins
         while wins:
             t = wins.popleft()
             r = rank[t]
-            waiting = []
-            e = self.head[t]
+            woken = []
+            e = head[t]
             while e >= 0:
-                waiting.append(slots[e])
+                p = target[e]
+                if r > maxk[p]:
+                    maxk[p] = r
+                c = count[p] = count[p] - 1
+                if c == 0:
+                    w = waiters[p]
+                    while w >= 0:
+                        woken.append((w, maxk[p] + 1))
+                        w = wnext[w]
                 e = nexts[e]
-            for s in reversed(waiting):
-                p = owner[s]
-                if rank[p] < 0:
-                    if r > maxk[s]:
-                        maxk[s] = r
-                    c = count[s] = count[s] - 1
-                    if c == 0:
-                        rank[p] = maxk[s] + 1
-                        wins.append(p)
+            woken.sort()
+            for w, k in woken:
+                s = owner[w]
+                if rank[s] < 0:
+                    rank[s] = k
+                    wins.append(s)
 
 
 def placement_order(graph, num_cops):
@@ -236,11 +279,13 @@ def _extract(arena, table, placement, init_idxs):
     """Deterministic strategy read-off from a solved arena.
 
     At each reachable winning state, play the move minimizing the worst
-    successor rank, breaking ties by lexicographically least joint move;
-    moves with a successor that was never interned (expansion stopped early
-    once the state was known winning) or never ranked (settling stopped once
-    the placement was decided) are skipped.  Returns the certificate with
-    its exact worst-case round count as the bound.
+    successor rank, breaking ties by lexicographically least joint move.  A
+    move's successors are its position's; a move whose position was never
+    created (expansion stopped early once the state was known winning) has
+    its `reply` looked up without interning.  Moves with a successor that
+    was never interned or never ranked (settling stopped once the placement
+    was decided) are skipped.  Returns the certificate with its exact
+    worst-case round count as the bound.
     """
     chosen = {}
     rounds = {}
@@ -254,12 +299,18 @@ def _extract(arena, table, placement, init_idxs):
         if idx in chosen:
             continue
         best = None
-        for move, newcops, beliefs in table.successors(*arena.state(idx)):
+        cops, bmask = arena.state(idx)
+        for move, newcops, free, vis in table._rows_for(cops):
+            bf = bmask & free
             base = arena.cop_base.get(newcops)
-            succs = {
-                None if base is None else arena.index.get(base | b)
-                for b in beliefs
-            }
+            p = None if base is None else arena.pos.get(base | bf)
+            if p is None:
+                succs = {
+                    None if base is None else arena.index.get(base | b)
+                    for b in table.reply(bf, free, vis)
+                }
+            else:
+                succs = arena.successors(p)
             if any(t is None or arena.rank[t] < 0 for t in succs):
                 continue
             key = (max((arena.rank[t] for t in succs), default=0), move)
@@ -320,9 +371,9 @@ def _blind_search(table, placements, state_cap):
                 hi = len(belief_of)
                 rounds += 1
                 for i in range(lo, hi):
-                    for move, cops, after in table.successors(
-                        cops_of[i], belief_of[i]
-                    ):
+                    bmask = belief_of[i]
+                    for move, cops, free, vis in table._rows_for(cops_of[i]):
+                        after = table.reply(bmask & free, free, vis)
                         if not after:
                             moves = {}
                             while i >= 0:

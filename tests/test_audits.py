@@ -317,6 +317,23 @@ def test_a_winning_policy_with_the_wrong_cop_count_is_a_violation(
     assert [r.verdict for r in reports] == verdicts
 
 
+def test_the_matching_claim_matches_each_graph_once(monkeypatch):
+    # the claim and the policy it verifies share one blossom run per graph
+    import networkx as nx
+
+    calls = []
+    real = nx.max_weight_matching
+
+    def counted(h, **kwargs):
+        calls.append(h.number_of_nodes())
+        return real(h, **kwargs)
+
+    monkeypatch.setattr(nx, "max_weight_matching", counted)
+    reports = run_claim("matching-bound", n_max=4)
+    assert len(calls) == len(reports) == 10
+    assert {r.verdict for r in reports} == {PASS}
+
+
 def test_bound_rows_report_a_state_cap_as_undecided():
     reports = run_claim("outerplanar-sqrt", n_max=5, state_cap=2)
     assert reports

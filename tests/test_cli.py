@@ -60,6 +60,28 @@ def test_copnum_more_examples(capsys):
     assert code == 0 and out.strip().splitlines()[0] == "2"
 
 
+def test_copnum_full_is_the_classic_rule(capsys):
+    # the library's name for the rule, and the older CLI name, give the
+    # same answer; the record echoes the name asked for
+    outs = {}
+    for name in ("full", "classic"):
+        code, out, _ = run(capsys, ["copnum", encode_graph6(cycle(4)), "--rule", name])
+        assert code == 0
+        value, rec = out.strip().splitlines()
+        outs[name] = (value, json.loads(rec))
+    assert outs["full"][0] == outs["classic"][0] == "2"
+    assert outs["full"][1]["rule"] == "full"
+    assert outs["classic"][1]["rule"] == "classic"
+    assert outs["full"][1]["k"] is None
+    del outs["full"][1]["rule"], outs["classic"][1]["rule"]
+    assert outs["full"][1] == outs["classic"][1]
+
+    code, _, err = run(
+        capsys, ["copnum", encode_graph6(cycle(4)), "--rule", "full", "--k", "2"]
+    )
+    assert code == 2 and "--rule full takes no --k" in err
+
+
 def test_copnum_reads_edge_lists_and_files(tmp_path, capsys, monkeypatch):
     code, out, _ = run(
         capsys,

@@ -362,7 +362,8 @@ def _check_table_against_the_set_semantics(g, rule, size):
                     for move, new, blocks in table.cop_step(cops, bmask)
                 ]
                 assert got == want
-                # one round: the robber turn from each block, in order
+                # one round: the robber turn from each block, in order, is
+                # `reply` from the position the move leads to
                 want = [
                     (move, new, [
                         s.belief
@@ -372,8 +373,11 @@ def _check_table_against_the_set_semantics(g, rule, size):
                     for (move, new), (_, out) in zip(moves, turns)
                 ]
                 got = [
-                    (move, new, [mask_to_set(b) for b in beliefs])
-                    for move, new, beliefs in table.successors(cops, bmask)
+                    (move, new, [
+                        mask_to_set(b)
+                        for b in table.reply(bmask & free, free, vis)
+                    ])
+                    for move, new, free, vis in table._rows_for(cops)
                 ]
                 assert got == want
                 out = robber_turn(cops, frozenset(belief))
@@ -383,7 +387,7 @@ def _check_table_against_the_set_semantics(g, rule, size):
 
 
 def test_transition_table_matches_the_set_semantics():
-    # the cop turn, the robber turn and the fused round, from every cop
+    # the cop turn, the robber turn and the round kernel, from every cop
     # tuple of size 1-3 and every belief disjoint from it, on every
     # connected graph with n <= 5 and on three graphs with n = 6
     rules = (full_visibility(), zero_visibility(), hyperopic(1), hyperopic(2),

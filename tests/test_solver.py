@@ -271,24 +271,61 @@ def test_settling_stops_once_the_placement_is_decided(monkeypatch):
     assert calls == list(range(6))
 
 
+@pytest.mark.parametrize(
+    "graph, k, placement, states, positions, waiters",
+    [
+        (t_hat(), 2, (2, 4), 43, 53, 111),
+        (g_k(3, 1), 1, (9, 10), 597, 2883, 7337),
+    ],
+)
+def test_the_arena_replies_once_per_position(
+    monkeypatch, graph, k, placement, states, positions, waiters
+):
+    # moves reaching a position already replied to (one waiter edge per
+    # undecided move) reuse its successors instead of running the kernel
+    calls = []
+    reply = TransitionTable.reply
+
+    def counted(table, bf, free, vis):
+        calls.append((bf, free))
+        return reply(table, bf, free, vis)
+
+    monkeypatch.setattr(TransitionTable, "reply", counted)
+    table = TransitionTable(GameSpec(graph, hyperopic(k), 2))
+    arena = solver._Arena(table, 1_000_000)
+    base = arena.base(placement)
+    arena.settle([arena.intern(base | b) for b in table.initial(placement)])
+    assert len(set(calls)) == len(calls) == len(arena.pos) == positions
+    assert (len(arena.index), len(arena.owner)) == (states, waiters)
+
+
 def test_blind_search_stops_at_the_capture_level(monkeypatch):
     calls = []
-    successors = TransitionTable.successors
+    reply = TransitionTable.reply
 
-    def counted(table, cops, bmask):
-        calls.append((cops, bmask))
-        return successors(table, cops, bmask)
+    def counted(table, bf, free, vis):
+        out = reply(table, bf, free, vis)
+        calls.append((bf, free, out))
+        return out
 
-    monkeypatch.setattr(TransitionTable, "successors", counted)
-    # K8 with k = 2 is blind; the initial state captures at once
-    res = solve(GameSpec(complete(8), hyperopic(2), 4))
+    monkeypatch.setattr(TransitionTable, "reply", counted)
+    # K8 with k = 2 is blind; the initial state captures at once: its moves
+    # are tried in order up to the one onto the belief, and no other
+    # state's are
+    spec = GameSpec(complete(8), hyperopic(2), 4)
+    res = solve(spec)
     assert (res.status, res.rounds) == ("cop_win", 1)
-    assert calls == [((0, 1, 2, 3), 0b11110000)]
-    # capture at level 3: the states kept at level 4 are never expanded
+    moves = TransitionTable(spec).joint_moves((0, 1, 2, 3))
+    tried = [new for _, new in moves][:len(calls)]
+    assert tried[-1] == (4, 5, 6, 7) and calls[-1][2] == []
+    assert all(bf == 0b11110000 & free for bf, free, _ in calls)
+    # capture at level 3: the states kept at level 4 are never expanded (the
+    # 10 states of levels 0-3 try 76 moves, the last one capturing)
     calls.clear()
     res = solve(GameSpec(t_family(2), zero_visibility(), 2))
     assert (res.status, res.placement, res.rounds) == ("cop_win", (4, 5), 4)
-    assert (len(calls), res.states_explored) == (10, 21)
+    assert (len(calls), res.states_explored) == (76, 21)
+    assert calls[-1][2] == []
 
 
 def test_cop_win_interns_only_part_of_the_arena():
@@ -397,19 +434,20 @@ def test_a_first_placement_win_is_what_that_placement_alone_gives():
 
 
 def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
-    calls = {"successors": 0, "verify_policy": 0}
-    successors = TransitionTable.successors
+    # the round kernel's `reply` runs in every solve, arena or blind
+    calls = {"reply": 0, "verify_policy": 0}
+    reply = TransitionTable.reply
     replay = strategies.verify_policy
 
-    def counted_successors(self, *args):
-        calls["successors"] += 1
-        return successors(self, *args)
+    def counted_reply(self, *args):
+        calls["reply"] += 1
+        return reply(self, *args)
 
     def counted_replay(*args, **kwargs):
         calls["verify_policy"] += 1
         return replay(*args, **kwargs)
 
-    monkeypatch.setattr(TransitionTable, "successors", counted_successors)
+    monkeypatch.setattr(TransitionTable, "reply", counted_reply)
     monkeypatch.setattr(strategies, "verify_policy", counted_replay)
     for spec in (
         GameSpec(g_k(3, 1), hyperopic(1), 2),  # the AND-OR arena
@@ -417,9 +455,9 @@ def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
     ):
         res = solve(spec)
         assert res.placement == placement_order(spec.graph, 2)[0]
-        calls.update(successors=0, verify_policy=0)
+        calls.update(reply=0, verify_policy=0)
         cert = extract_certificate(spec, res.placement)
-        assert calls == {"successors": 0, "verify_policy": 1}
+        assert calls == {"reply": 0, "verify_policy": 1}
         assert cert == res.certificate
 
         # the two results share no move map
@@ -432,16 +470,16 @@ def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
     # another cap, or another winning placement, is solved afresh
     spec = GameSpec(g_k(3, 1), hyperopic(1), 2)
     res = solve(spec)
-    calls["successors"] = 0
+    calls["reply"] = 0
     assert solve_placement(spec, res.placement, state_cap=10**9) == res
-    assert calls["successors"] > 0
+    assert calls["reply"] > 0
     other = next(
         p for p in placement_order(spec.graph, 2)[1:]
         if solver._solve_placements(spec, [p], 1_000_000).is_cop_win
     )
-    calls["successors"] = 0
+    calls["reply"] = 0
     assert extract_certificate(spec, other).placement == other
-    assert calls["successors"] > 0
+    assert calls["reply"] > 0
 
 
 def test_one_cop_wins_with_full_visibility_exactly_on_dismantlable_graphs():
@@ -505,11 +543,14 @@ def test_full_visibility_matches_positional_oracle():
 def test_placements_match_belief_oracle_and_certificates_replay():
     # every placement, every rule: the solver's verdict equals a brute-force
     # attractor over the set-based transitions, and each cop win's
-    # certificate replays within its bound, which is never below optimal
+    # certificate replays within its bound, which is never below optimal;
+    # the bound, which is the solver's rounds, is above optimal on 48
+    # placements (never a blind one)
     rules = [
         full_visibility(), zero_visibility(),
         hyperopic(1), hyperopic(2), hyperopic(3),
     ]
+    above = 0
     for n in range(1, 6):
         for nn, edges in atlas_connected(n):
             g = Graph(nn, edges)
@@ -528,6 +569,9 @@ def test_placements_match_belief_oracle_and_certificates_replay():
                         outcome = verify_policy(g, rule, policy)
                         assert isinstance(outcome, Win), case
                         assert best <= outcome.rounds <= res.certificate.bound, case
+                        assert res.rounds == res.certificate.bound, case
+                        above += res.rounds > best
+    assert above == 48
 
 
 def test_blind_rounds_equal_the_belief_oracle():
