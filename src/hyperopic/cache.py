@@ -5,7 +5,8 @@ distance parameter, cop count) plus a schema version, together with a
 checksum over the canonical JSON of the key and result.  Lines that fail to
 parse or whose checksum does not match are skipped with a warning, so a torn
 write never poisons later runs; lines of another schema version are skipped
-with a warning too, so rows from older game semantics are never trusted.
+too, with one warning per file, so rows from older game semantics are never
+trusted.
 Certificates are not persisted (they are cheap to re-derive from the stored
 winning placement); a cached entry carries status, placement, round bound,
 and the explored-state count of the original run.
@@ -29,8 +30,9 @@ ENV_VAR = "HYPEROPIC_CACHE"
 # Bump whenever the game's semantics, the record shape or the values a fresh
 # solve stores change.  Version 2: goal-directed settling changed `states`
 # and some `rounds`.  Version 3: blind specs are searched breadth-first over
-# minimal beliefs, which changed their `states`.
-SCHEMA_VERSION = 3
+# minimal beliefs, which changed their `states`.  Version 4: a spec is
+# settled on its first placement only, which changed robber wins' `states`.
+SCHEMA_VERSION = 4
 
 
 def _checksum(payload):
@@ -68,6 +70,7 @@ class ResultCache:
         self.writable = path is not None
         if path is None:
             return
+        stale = 0
         try:
             with open(path, "r", encoding="utf8") as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -82,16 +85,18 @@ class ResultCache:
                         continue
                     version, key, result = parsed
                     if version != SCHEMA_VERSION:
-                        warnings.warn(
-                            f"cache {path}:{lineno}: schema version {version!r}"
-                            f" is not {SCHEMA_VERSION}; stale line skipped"
-                        )
+                        stale += 1
                         continue
                     self.entries[key] = result
         except FileNotFoundError:
             pass
         except OSError as exc:
             warnings.warn(f"cache {path}: unreadable ({exc}); reads disabled")
+        if stale:
+            warnings.warn(
+                f"cache {path}: {stale} line(s) of a schema version other"
+                f" than {SCHEMA_VERSION}; each stale line skipped"
+            )
         try:
             with open(path, "a", encoding="utf8"):
                 pass

@@ -10,8 +10,13 @@ only proved once the whole reachable arena is settled.  The arena has two
 kinds of node: cop-to-move states, and the robber-to-move positions their
 moves lead to.  A position is the new cops plus the belief they did not
 step on, and determines the robber's replies, so the round kernel runs once
-per position however many moves reach it.  Placements share one arena per
-game spec, since a state's status does not depend on how play reached it.
+per position however many moves reach it.
+
+One placement decides a spec.  Cops who win from a placement q also win
+from any placement p of the same connected graph: they walk from p to q,
+and the belief they then face lies inside one of q's initial blocks, while
+cop wins are downward-closed in the belief.  So `solve` settles only the
+most spread-out placement, on a fresh arena.
 
 Blind specs (zero visibility, or k at least the diameter) skip the arena:
 no observation ever splits a belief, so each cop move leads to one belief
@@ -58,8 +63,8 @@ class SolveResult:
     """Outcome of a winnability question for a fixed number of cops.
 
     status is "cop_win" (with placement, certificate, and worst-case round
-    count), "robber_win" (no placement wins), or "undecided" (the state cap
-    was hit first).
+    count), "robber_win" (the placement settled loses, and so, for `solve`,
+    does every other), or "undecided" (the state cap was hit first).
 
     rounds is the certificate's worst case, which is an upper bound on the
     optimum, not always the optimum: outside blind specs the arena ranks
@@ -266,13 +271,15 @@ class _Arena:
                     wins.append(s)
 
 
-def placement_order(graph, num_cops):
-    """All starting placements (cops may share a vertex), most spread-out
-    first: descending total pairwise distance, ties lexicographic."""
+def first_placement(graph, num_cops):
+    """The starting placement `solve` settles (cops may share a vertex): the
+    most spread-out one, by largest total pairwise distance, ties
+    lexicographic."""
     dist = graph.distances()
-    places = list(combinations_with_replacement(range(graph.n), num_cops))
-    places.sort(key=lambda p: (-sum(dist[a][b] for a, b in combinations(p, 2)), p))
-    return places
+    return min(
+        combinations_with_replacement(range(graph.n), num_cops),
+        key=lambda p: (-sum(dist[a][b] for a, b in combinations(p, 2)), p),
+    )
 
 
 def _extract(arena, table, placement, init_idxs):
@@ -326,17 +333,15 @@ def _extract(arena, table, placement, init_idxs):
     return Certificate(placement, moves, bound)
 
 
-def _blind_search(table, placements, state_cap):
+def _blind_search(table, placement, state_cap):
     """Shortest capture in a blind spec, by breadth-first search.
 
-    Each placement's states are expanded level by level from its initial
+    The placement's states are expanded level by level from its initial
     state, moves in `joint_moves` order, until a move captures: the cops
     cover the belief, or the robber has nowhere safe.  A reached state is
     kept only if no kept state with the same cops has a belief inside its
     own (see the module docstring), so per cop tuple the least kept
-    beliefs form an antichain.  It is shared by the placements in turn:
-    states kept for a placement that lost are robber wins, and so is any
-    state whose belief contains one of theirs.
+    beliefs form an antichain.
     """
     num_cops = table.spec.num_cops
     cops_of, belief_of, via = [], [], []  # per kept state
@@ -356,81 +361,67 @@ def _blind_search(table, placements, state_cap):
         parent.append(p)
         via.append(move)
 
-    for placement in placements:
-        blocks = table.initial(placement)
-        if not blocks:
-            return SolveResult(
-                "cop_win", num_cops, placement, Certificate(placement), 0,
-                len(belief_of),
-            )
-        lo = len(belief_of)
-        try:
-            keep(placement, blocks[0], -1, None)
-            rounds = 0  # to a capture found while expanding [lo, hi)
-            while lo < len(belief_of):
-                hi = len(belief_of)
-                rounds += 1
-                for i in range(lo, hi):
-                    bmask = belief_of[i]
-                    for move, cops, free, vis in table._rows_for(cops_of[i]):
-                        after = table.reply(bmask & free, free, vis)
-                        if not after:
-                            moves = {}
-                            while i >= 0:
-                                moves[cops_of[i], belief_of[i]] = move
-                                i, move = parent[i], via[i]
-                            cert = Certificate(placement, moves, rounds)
-                            return SolveResult(
-                                "cop_win", num_cops, placement, cert, rounds,
-                                len(belief_of),
-                            )
-                        keep(cops, after[0], i, move)
-                lo = hi
-        except _CapExceeded:
-            return SolveResult(
-                "undecided", num_cops, states_explored=len(belief_of)
-            )
+    try:
+        keep(placement, table.initial(placement)[0], -1, None)
+        lo, rounds = 0, 0  # rounds to a capture found while expanding [lo, hi)
+        while lo < len(belief_of):
+            hi = len(belief_of)
+            rounds += 1
+            for i in range(lo, hi):
+                bmask = belief_of[i]
+                for move, cops, free, vis in table._rows_for(cops_of[i]):
+                    after = table.reply(bmask & free, free, vis)
+                    if not after:
+                        moves = {}
+                        while i >= 0:
+                            moves[cops_of[i], belief_of[i]] = move
+                            i, move = parent[i], via[i]
+                        cert = Certificate(placement, moves, rounds)
+                        return SolveResult(
+                            "cop_win", num_cops, placement, cert, rounds,
+                            len(belief_of),
+                        )
+                    keep(cops, after[0], i, move)
+            lo = hi
+    except _CapExceeded:
+        return SolveResult("undecided", num_cops, states_explored=len(belief_of))
     return SolveResult("robber_win", num_cops, states_explored=len(belief_of))
 
 
-def _solve_placements(spec, placements, state_cap):
-    """Settle placements in order on one shared arena (a state's status is
-    path-independent), each until its initial states are decided; the first
-    winning placement is returned with its certificate.  Blind specs go to
+def _solve(spec, placement, state_cap):
+    """Settle one placement on a fresh arena until its initial states are
+    decided; a cop win comes with its certificate.  Blind specs go to
     `_blind_search` instead."""
     table = TransitionTable(spec)
+    blocks = table.initial(placement)
+    if not blocks:
+        # the cops cover the whole graph: immediate win
+        return SolveResult(
+            "cop_win", spec.num_cops, placement, Certificate(placement), 0
+        )
     if table.blind:
-        return _blind_search(table, placements, state_cap)
+        return _blind_search(table, placement, state_cap)
     arena = _Arena(table, state_cap)
-    for placement in placements:
-        blocks = table.initial(placement)
-        if not blocks:
-            # the cops cover the whole graph: immediate win
-            return SolveResult(
-                "cop_win", spec.num_cops, placement, Certificate(placement),
-                0, len(arena.index),
-            )
-        try:
-            base = arena.base(placement)
-            idxs = [arena.intern(base | b) for b in blocks]
-            arena.settle(idxs)
-        except _CapExceeded:
-            return SolveResult(
-                "undecided", spec.num_cops, states_explored=len(arena.index)
-            )
-        if all(arena.rank[i] >= 0 for i in idxs):
-            cert = _extract(arena, table, placement, idxs)
-            return SolveResult(
-                "cop_win", spec.num_cops, placement, cert, cert.bound,
-                len(arena.index),
-            )
+    try:
+        base = arena.base(placement)
+        idxs = [arena.intern(base | b) for b in blocks]
+        arena.settle(idxs)
+    except _CapExceeded:
+        return SolveResult(
+            "undecided", spec.num_cops, states_explored=len(arena.index)
+        )
+    if any(arena.rank[i] < 0 for i in idxs):
+        return SolveResult(
+            "robber_win", spec.num_cops, states_explored=len(arena.index)
+        )
+    cert = _extract(arena, table, placement, idxs)
     return SolveResult(
-        "robber_win", spec.num_cops, states_explored=len(arena.index)
+        "cop_win", spec.num_cops, placement, cert, cert.bound, len(arena.index)
     )
 
 
-# ((spec, placement, state_cap), result) of the latest `solve` that won on
-# its first placement, or None.
+# ((spec, placement, state_cap), result) of the latest `solve` that was a
+# cop win, or None.
 _first_win = None
 
 
@@ -444,10 +435,10 @@ def _with_own_moves(res):
 def solve_placement(spec, placement, *, state_cap=1_000_000):
     """Decide winnability for one fixed starting placement.
 
-    When the last `solve` to win on its first placement asked exactly this
-    (same spec, placement and cap), its result is returned without solving
-    again: that solve started on a fresh arena, so it did exactly what this
-    one would.  The result carries its own copy of the move map.
+    When the latest `solve` to be a cop win asked exactly this (same spec,
+    placement and cap), its result is returned without solving again: that
+    solve settled this placement alone, as this one would.  The result
+    carries its own copy of the move map.
     """
     placement = tuple(sorted(placement))
     if len(placement) != spec.num_cops:
@@ -459,21 +450,24 @@ def solve_placement(spec, placement, *, state_cap=1_000_000):
             )
     if _first_win is not None and _first_win[0] == (spec, placement, state_cap):
         return _with_own_moves(_first_win[1])
-    return _solve_placements(spec, [placement], state_cap)
+    return _solve(spec, placement, state_cap)
 
 
 def solve(spec, *, state_cap=1_000_000):
     """Decide whether the spec's cops can guarantee capture from some start.
 
-    Placements are tried in `placement_order`, most spread-out first, and
-    the first winning one is returned with its certificate.  A win on the
-    very first placement is remembered (the latest one only) for
+    One placement decides this (see the module docstring), so only
+    `first_placement` is settled; a cop win is returned with its
+    certificate.  A cop win is remembered (the latest one only) for
     `solve_placement`, so certifying it does not solve it again.
+
+    state_cap bounds the cop-to-move states interned (the kept states in a
+    blind spec), not the robber-to-move positions the arena also holds,
+    which can far outnumber them; it is a bound on work, not on memory.
     """
     global _first_win
-    order = placement_order(spec.graph, spec.num_cops)
-    res = _solve_placements(spec, order, state_cap)
-    if res.is_cop_win and res.placement == order[0]:
+    res = _solve(spec, first_placement(spec.graph, spec.num_cops), state_cap)
+    if res.is_cop_win:
         _first_win = (spec, res.placement, state_cap), _with_own_moves(res)
     return res
 
@@ -528,8 +522,8 @@ def extract_certificate(spec, placement, *, state_cap=1_000_000):
     """Winning strategy for a cop-winning placement, checked by replay.
 
     Takes the strategy from `solve_placement`, which reuses the result of
-    the `solve` just made when that solve won on this very placement first
-    with the same cap, and solves the placement afresh otherwise.  Either
+    the `solve` just made when that solve won on this very placement with
+    the same cap, and solves the placement afresh otherwise.  Either
     way the strategy is then played against every robber line through the
     policy verifier; any replay failure raises instead of returning a bad
     certificate.

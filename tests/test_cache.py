@@ -8,6 +8,7 @@ import pytest
 
 from hyperopic.cache import (
     ENV_VAR,
+    SCHEMA_VERSION,
     ResultCache,
     cached_solve,
     open_cache,
@@ -85,7 +86,7 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
 
 @pytest.mark.parametrize(
     "version",
-    [None, 0, "1", pytest.param(2, id="previous")],
+    [None, 0, "1", pytest.param(SCHEMA_VERSION - 1, id="previous")],
 )
 def test_lines_of_another_schema_version_are_not_trusted(tmp_path, version):
     p = tmp_path / "cache.jsonl"
@@ -98,11 +99,13 @@ def test_lines_of_another_schema_version_are_not_trusted(tmp_path, version):
         {"key": key, "result": wrong}, sort_keys=True, separators=(",", ":")
     )
     check = hashlib.sha256(canonical.encode("utf8")).hexdigest()[:16]
-    p.write_text(json.dumps({"key": key, "result": wrong, "check": check}) + "\n")
+    line = json.dumps({"key": key, "result": wrong, "check": check}) + "\n"
+    p.write_text(line * 3)
 
-    with pytest.warns(UserWarning, match="stale line skipped"):
+    # one warning per file, however many lines are stale
+    with pytest.warns(UserWarning, match="3 line.*stale line skipped") as caught:
         cache = ResultCache(str(p))
-    assert len(cache) == 0
+    assert (len(cache), len(caught)) == (0, 1)
     rec, hit = cached_solve(g, rule, 1, cache)
     assert not hit
     assert rec["status"] == "robber_win"

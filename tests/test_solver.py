@@ -20,7 +20,6 @@ from hyperopic.families import (
 from hyperopic.game import (
     GameSpec,
     TransitionTable,
-    cop_cap,
     full_visibility,
     hyperopic,
     zero_visibility,
@@ -33,7 +32,7 @@ from hyperopic.solver import (
     UndecidedError,
     cop_number,
     extract_certificate,
-    placement_order,
+    first_placement,
     search_cop_number,
     solve,
     solve_placement,
@@ -233,24 +232,28 @@ def test_cop_number_surfaces_cap_as_undecided_error():
         (t_hat(), 3, 1, "robber_win", None, None, 67),
         (cycle(7), 2, 1, "robber_win", None, None, 49),
         # blind: k = None is zero visibility, and k = 2 sees nothing on K8
-        (t_family(3), None, 2, "robber_win", None, None, (14345, 14833)),
+        (t_family(3), None, 2, "robber_win", None, None, 14345),
         (complete(8), 2, 4, "cop_win", (0, 1, 2, 3), 1, 309),
+        # the paw (a triangle with a pendant vertex): settling the other
+        # placements too would intern a 12th state
+        (
+            Graph(4, [(0, 3), (1, 2), (1, 3), (2, 3)]), 1, 1,
+            "robber_win", None, None, 11,
+        ),
     ],
 )
 def test_pinned_solver_outputs(graph, k, cops, status, placement, rounds, states):
-    # states is one count, or a pair (solve's, the single placement's)
-    # where the blind search over all placements prunes against earlier ones
     rule = zero_visibility() if k is None else hyperopic(k)
     spec = GameSpec(graph, rule, cops)
-    whole, single = states if isinstance(states, tuple) else (states, states)
     res = solve(spec)
     assert (res.status, res.placement, res.rounds, res.states_explored) == (
-        status, placement, rounds, whole,
+        status, placement, rounds, states,
     )
-    one = solve_placement(spec, placement or (0,) * cops)
-    assert (one.status, one.placement, one.rounds, one.states_explored) == (
-        status, placement, rounds, single,
-    )
+    # solved afresh: a cap other than solve's bypasses its remembered win
+    first = first_placement(graph, cops)
+    assert solve_placement(spec, first, state_cap=10**9) == res
+    # a cap of exactly the states the answer took still decides it
+    assert solve(spec, state_cap=res.states_explored) == res
 
 
 def test_settling_stops_once_the_placement_is_decided(monkeypatch):
@@ -407,32 +410,6 @@ def test_certificates_replay_across_rules():
         assert outcome.rounds <= res.certificate.bound
 
 
-def test_a_first_placement_win_is_what_that_placement_alone_gives():
-    # the premise that lets `solve_placement` reuse `solve`'s result: a win
-    # on the first placement tried came from a fresh arena (or a fresh blind
-    # search), so solving that placement alone yields the same result
-    rules = [
-        full_visibility(), zero_visibility(),
-        hyperopic(1), hyperopic(2), hyperopic(3),
-    ]
-    checked = 0
-    for n in range(1, 6):
-        for nn, edges in atlas_connected(n):
-            g = Graph(nn, edges)
-            for rule in rules:
-                for cops in range(1, min(3, cop_cap(nn)) + 1):
-                    spec = GameSpec(g, rule, cops)
-                    res = solve(spec)
-                    first = placement_order(g, cops)[0]
-                    if not res.is_cop_win or res.placement != first:
-                        continue
-                    alone = solver._solve_placements(spec, [first], 1_000_000)
-                    assert alone == res, (nn, edges, rule, cops)
-                    assert alone.certificate == res.certificate
-                    checked += 1
-    assert checked == 353
-
-
 def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
     # the round kernel's `reply` runs in every solve, arena or blind
     calls = {"reply": 0, "verify_policy": 0}
@@ -454,7 +431,7 @@ def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
         GameSpec(complete(4), zero_visibility(), 2),  # the blind search
     ):
         res = solve(spec)
-        assert res.placement == placement_order(spec.graph, 2)[0]
+        assert res.placement == first_placement(spec.graph, 2)
         calls.update(reply=0, verify_policy=0)
         cert = extract_certificate(spec, res.placement)
         assert calls == {"reply": 0, "verify_policy": 1}
@@ -467,16 +444,14 @@ def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
         res.certificate.moves[key] = None
         assert extract_certificate(spec, res.placement).moves[key] == move
 
-    # another cap, or another winning placement, is solved afresh
+    # another cap, or another placement (which wins too), is solved afresh
     spec = GameSpec(g_k(3, 1), hyperopic(1), 2)
     res = solve(spec)
     calls["reply"] = 0
     assert solve_placement(spec, res.placement, state_cap=10**9) == res
     assert calls["reply"] > 0
-    other = next(
-        p for p in placement_order(spec.graph, 2)[1:]
-        if solver._solve_placements(spec, [p], 1_000_000).is_cop_win
-    )
+    other = (0, 1)
+    assert other != res.placement
     calls["reply"] = 0
     assert extract_certificate(spec, other).placement == other
     assert calls["reply"] > 0
@@ -545,7 +520,9 @@ def test_placements_match_belief_oracle_and_certificates_replay():
     # attractor over the set-based transitions, and each cop win's
     # certificate replays within its bound, which is never below optimal;
     # the bound, which is the solver's rounds, is above optimal on 48
-    # placements (never a blind one)
+    # placements (never a blind one).  One placement decides the spec: the
+    # oracle gives every placement the same verdict, and `solve`, which
+    # settles only the first, agrees with it
     rules = [
         full_visibility(), zero_visibility(),
         hyperopic(1), hyperopic(2), hyperopic(3),
@@ -558,6 +535,8 @@ def test_placements_match_belief_oracle_and_certificates_replay():
                 for cops in (1, 2):
                     spec = GameSpec(g, rule, cops)
                     expected = oracles.belief_placement_rounds(spec)
+                    wins = {best is not None for best in expected.values()}
+                    assert wins == {solve(spec).is_cop_win}, (nn, edges, rule)
                     for placement, best in expected.items():
                         case = (nn, edges, rule, placement)
                         res = solve_placement(spec, placement)
