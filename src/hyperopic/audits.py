@@ -129,16 +129,19 @@ class _Ctx:
 def _atlas_connected():
     """(n, graph6) of every connected graph of the networkx atlas (1..7
     vertices), in atlas order.  The atlas takes a tenth of a second or more
-    to build and leaves its graphs as cyclic garbage, so it is converted
-    once per process; graph6 strings keep what stays in memory small."""
+    to build, so it is converted once per process; graph6 strings keep
+    what stays in memory small.  Edges are read through `G.adj`: the edge
+    view `G.edges` caches itself on its graph, which would leave every
+    atlas graph as cyclic garbage (about 4 MB, held until the collector's
+    next full pass)."""
     import networkx as nx
 
     out = []
     for G in nx.graph_atlas_g()[1:]:
         if nx.is_connected(G):
-            n = G.number_of_nodes()
-            g = build_graph(n, [tuple(sorted(e)) for e in G.edges()])
-            out.append((n, encode_graph6(g)))
+            adj = G.adj
+            g = build_graph(len(adj), [(u, v) for u in adj for v in adj[u]])
+            out.append((g.n, encode_graph6(g)))
     return tuple(out)
 
 

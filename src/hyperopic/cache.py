@@ -32,7 +32,10 @@ ENV_VAR = "HYPEROPIC_CACHE"
 # and some `rounds`.  Version 3: blind specs are searched breadth-first over
 # minimal beliefs, which changed their `states`.  Version 4: a spec is
 # settled on its first placement only, which changed robber wins' `states`.
-SCHEMA_VERSION = 4
+# Version 5: the solver keys states by cop-tuple orbit under the graph's
+# automorphisms, which changed `states` for every spec whose graph has
+# symmetries and some non-blind `rounds` (blind `rounds` stay exact).
+SCHEMA_VERSION = 5
 
 
 def _checksum(payload):

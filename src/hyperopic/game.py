@@ -108,7 +108,8 @@ def growth_tables(nbr):
 
     Entry x of table j is the union of nbr[4j + b] over the set bits b of x,
     so a mask grows by ceil(n/4) lookups instead of one per vertex.  The
-    last table is shorter when 4 does not divide n.
+    last table is shorter when 4 does not divide n.  With nbr[v] = 1 << p[v]
+    for a permutation p, the tables relabel a mask by p instead.
     """
     tables = []
     for base in range(0, len(nbr), 4):
@@ -117,6 +118,18 @@ def growth_tables(nbr):
             tab += [x | m for x in tab]
         tables.append(tab)
     return tables
+
+
+def chunk_union(tables, mask):
+    """The union, through `growth_tables` tables, of the masks behind the
+    set bits of mask."""
+    out = 0
+    for tab in tables:
+        if not mask:
+            break
+        out |= tab[mask & 15]
+        mask >>= 4
+    return out
 
 
 class TransitionTable:
@@ -130,15 +143,20 @@ class TransitionTable:
     tables in ceil(n/4) lookups.
 
     The solver searches with the round kernel: a cop-to-move state's row
-    list, where a move leaves the belief masked by the new cops' `free`,
-    then `reply`, the cops' observation, the robber's reply and the second
-    observation in one pass.  `cop_step` and `robber_step` are the round's
+    list (`frame_rows`), where a move leaves the belief masked by the new
+    cops' `free`, then `reply`, the cops' observation, the robber's reply
+    and the second observation in one pass.  `cop_step` and `robber_step` are the round's
     two halves as separate steps, and the policy verifier replays policies
     with `masks`, `split` and `robber_step`.
 
     `blind` is true when no cop position sees any vertex (zero visibility,
     or k at least the diameter): every observation is "invisible", so each
     step yields at most one belief.
+
+    The game commutes with the graph's automorphisms, so the solver keeps
+    one cop tuple per orbit: `frame` gives a tuple's representative and a
+    fixed automorphism onto it, and `frame_rows` is the row list with each
+    move's new cops carried onto their representative.
     """
 
     def __init__(self, spec):
@@ -168,6 +186,10 @@ class TransitionTable:
         self.blind = not any(self._far) if self._far else self._vis_const == 0
         self._masks = {}
         self._rows = {}
+        self._gens = None  # the graph's automorphism generators, when needed
+        self._frames = {}  # cop tuple -> (representative, frame or None)
+        self._frame_rows = {}
+        self._frame_tables = {}  # frame -> its chunk tables
 
     def masks(self, cops):
         """(unoccupied, visible) masks for these cops: the vertices no cop
@@ -209,6 +231,82 @@ class TransitionTable:
                 (move, newcops, *masks(newcops))
                 for move, newcops in joint_cop_moves(self.spec.graph, cops)
             ]
+        return rows
+
+    def frame(self, cops):
+        """(representative, frame) of a sorted cop tuple.
+
+        The representative is the least sorted image of the tuple under the
+        graph's automorphism group; the frame is one fixed automorphism
+        carrying the tuple onto it, a tuple p with p[v] the image of v, or
+        None when the tuple is its own representative.  Every tuple of an
+        orbit gets its pair when the orbit is first asked for: a search over
+        the generators finds the orbit and so its representative, and a
+        second one from the representative gives each tuple y = p(x)
+        reached through a generator p the frame of x after the inverse of
+        p.  A trivial group makes every tuple its own representative
+        without a search.
+        """
+        gens = self._gens
+        if gens is None:
+            gens = self._gens = self.spec.graph.automorphisms()
+        if not gens:
+            return cops, None
+        pair = self._frames.get(cops)
+        if pair is None:
+            orbit = {cops}
+            queue = [cops]
+            for x in queue:
+                for p in gens:
+                    y = tuple(sorted([p[c] for c in x]))
+                    if y not in orbit:
+                        orbit.add(y)
+                        queue.append(y)
+            rep = min(orbit)
+            onto = {rep: tuple(range(self.n))}
+            queue = [rep]
+            for x in queue:
+                fx = onto[x]
+                for p in gens:
+                    y = tuple(sorted([p[c] for c in x]))
+                    if y not in onto:
+                        fy = [0] * self.n
+                        for v, u in enumerate(p):
+                            fy[u] = fx[v]
+                        onto[y] = tuple(fy)
+                        queue.append(y)
+            for x, fx in onto.items():
+                self._frames[x] = (rep, None if x == rep else fx)
+            pair = self._frames[cops]
+        return pair
+
+    def frame_rows(self, cops):
+        """(move, rep, tables, free, rfree, rvis) per deduplicated joint
+        move, in `joint_cop_moves` order: the new cops' representative, the
+        chunk tables of their frame (None for the identity), the new cops'
+        free mask and the representative's `masks`.
+
+        A move's belief masked by free and mapped through the tables, entry
+        x of table j being the image of the set bits b of x at 4j + b, is
+        the belief of the same robber-to-move position seen from the
+        representative.
+        """
+        rows = self._frame_rows.get(cops)
+        if rows is None:
+            rows = self._frame_rows[cops] = []
+            masks, frame_of = self.masks, self.frame
+            for move, newcops in joint_cop_moves(self.spec.graph, cops):
+                free, vis = masks(newcops)
+                rep, frame = frame_of(newcops)
+                if frame is None:
+                    rows.append((move, newcops, None, free, free, vis))
+                    continue
+                tables = self._frame_tables.get(frame)
+                if tables is None:
+                    tables = self._frame_tables[frame] = growth_tables(
+                        [1 << u for u in frame]
+                    )
+                rows.append((move, rep, tables, free, *masks(rep)))
         return rows
 
     def joint_moves(self, cops):
@@ -272,13 +370,7 @@ class TransitionTable:
     def robber_step(self, cops, bmask):
         """Belief masks after the robber moves; [] means it had nowhere safe."""
         free, vis = self._masks.get(cops) or self.masks(cops)
-        grown = 0
-        for tab in self._grow:
-            if not bmask:
-                break
-            grown |= tab[bmask & 15]
-            bmask >>= 4
-        return self.split(grown & free, vis)
+        return self.split(chunk_union(self._grow, bmask) & free, vis)
 
 
 def mask_to_set(mask):

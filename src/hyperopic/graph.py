@@ -1,4 +1,5 @@
-"""Immutable graph substrate: distances, structure tests, matchings, embeddings."""
+"""Immutable graph substrate: distances, structure tests, matchings,
+automorphisms, embeddings."""
 
 from __future__ import annotations
 
@@ -15,7 +16,10 @@ class Graph:
     entry is finite.
     """
 
-    __slots__ = ("n", "adj", "edges", "dist_matrix", "_nbr_mask", "_matching")
+    __slots__ = (
+        "n", "adj", "edges", "dist_matrix", "_nbr_mask", "_matching",
+        "_automorphisms",
+    )
 
     def __init__(self, n, edges):
         if n < 1:
@@ -56,6 +60,7 @@ class Graph:
         self.dist_matrix = tuple(mat)
         self._nbr_mask = None
         self._matching = None
+        self._automorphisms = None
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -83,6 +88,14 @@ class Graph:
 
     def degree(self, v):
         return len(self.adj[v])
+
+    def automorphisms(self):
+        """Generators of the automorphism group, from
+        `automorphism_generators`, found once per graph; () when the group
+        is trivial."""
+        if self._automorphisms is None:
+            self._automorphisms = automorphism_generators(self)
+        return self._automorphisms
 
 
 def build_graph(n, edges):
@@ -140,6 +153,133 @@ def is_caterpillar(g):
                 seen.add(w)
                 frontier.append(w)
     return len(seen) == len(spine)
+
+
+def _refine(adj, colors):
+    """The coarsest equitable refinement of an ordered colouring, and its
+    quotient.
+
+    Colours are cell ranks 0..k-1.  Each round splits every cell by the
+    sorted colours of its vertices' neighbours, the parts ordered by that
+    signature, until no cell splits; the quotient is the sorted tuple of
+    the last round's signatures, each a vertex's colour followed by its
+    neighbours' sorted colours.  Relabelling the graph relabels the result
+    the same way and leaves the quotient unchanged.
+    """
+    k = len(set(colors))
+    while True:
+        at = colors.__getitem__
+        sigs = [(c, *sorted(map(at, nb))) for c, nb in zip(colors, adj)]
+        order = sorted(set(sigs))
+        if len(order) == k:
+            return colors, tuple(order)
+        rank = {s: i for i, s in enumerate(order)}
+        colors = [rank[s] for s in sigs]
+        k = len(order)
+
+
+def _individualize(colors, v):
+    """v's cell split into v first, then the rest."""
+    c = colors[v]
+    return [x + (x > c or (x == c and u != v)) for u, x in enumerate(colors)]
+
+
+def _target_cell(colors):
+    """The vertices of the lowest-ranked cell with more than one vertex."""
+    counts = [0] * len(colors)
+    for c in colors:
+        counts[c] += 1
+    t = next(c for c, size in enumerate(counts) if size > 1)
+    return [v for v, c in enumerate(colors) if c == t]
+
+
+def _root(parent, x):
+    """x's orbit in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def automorphism_generators(g):
+    """Generators of g's automorphism group, each a tuple p with p[v] the
+    image of v; () when the group is trivial.
+
+    Individualization-refinement with orbit pruning on the first path
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014).  The
+    first path individualizes the least vertex of the target cell until the
+    equitable colouring is discrete.  Its levels are then taken deepest
+    first.  At each, a vertex of the target cell is tried unless the
+    generators found so far put it in an orbit with the first path's vertex
+    or with a vertex already tried: its subtree is searched for a leaf
+    whose map from the first leaf is an automorphism, pruning every node
+    whose quotient differs from the first path's at its depth.  A level's
+    generators fix the earlier path vertices, so the orbit of its path
+    vertex is a basic orbit, and the group's order is the product of their
+    sizes.  Each generator is checked to preserve the edge set before it is
+    kept, so a generator the search missed costs only reduction, never
+    soundness.
+    """
+    n, adj = g.n, g.adj
+    edges = set(g.edges)
+    colors, quotient = _refine(adj, [0] * n)
+    path, quotients = [], [quotient]
+    while len(quotient) < n:
+        path.append(colors)
+        colors, quotient = _refine(
+            adj, _individualize(colors, _target_cell(colors)[0])
+        )
+        quotients.append(quotient)
+    first_leaf = colors
+
+    def leaf_map(colors):
+        at = [0] * n
+        for v, c in enumerate(colors):
+            at[c] = v
+        p = tuple(at[c] for c in first_leaf)
+        for u, v in g.edges:
+            a, b = p[u], p[v]
+            if (min(a, b), max(a, b)) not in edges:
+                return None
+        return p
+
+    def search(colors, level, v):
+        """An automorphism taking the first leaf to a leaf below the node
+        that individualizes v at this depth, or None: a depth-first search
+        (iterative, so it leaves no reference cycle)."""
+        stack = [(colors, level, v)]
+        while stack:
+            colors, level, v = stack.pop()
+            colors, quotient = _refine(adj, _individualize(colors, v))
+            level += 1
+            if quotient != quotients[level]:
+                continue
+            if level == len(path):
+                found = leaf_map(colors)
+                if found:
+                    return found
+                continue
+            stack.extend(
+                (colors, level, u) for u in reversed(_target_cell(colors))
+            )
+        return None
+
+    gens = []
+    orbits = list(range(n))  # union-find over the generators' orbits
+    for level in reversed(range(len(path))):
+        colors = path[level]
+        cell = _target_cell(colors)
+        tried = [cell[0]]
+        for v in cell[1:]:
+            if _root(orbits, v) in {_root(orbits, u) for u in tried}:
+                continue
+            found = search(colors, level, v)
+            if found:
+                gens.append(found)
+                for u in range(n):
+                    a, b = _root(orbits, u), _root(orbits, found[u])
+                    orbits[max(a, b)] = min(a, b)
+            tried.append(v)
+    return tuple(gens)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,18 @@ inside its successor from B', so a capture from B' is one from B.  A state
 whose belief contains a kept one with the same cops is therefore dropped;
 the kept one is no deeper, so the first capture found is still the
 shortest, which is the exact worst case because the robber has no choice.
+
+Both searches work up to the graph's symmetry.  An automorphism of the
+graph maps a state to one that wins exactly when it does, in as many
+rounds, so every cop tuple reached is replaced by its orbit
+representative and the belief is carried along by one fixed automorphism
+per tuple (`TransitionTable.frame`); states and positions are keyed in
+the representative's frame, and `states_explored` and `state_cap` count
+those states.  A state and a relabelling of it by an automorphism fixing
+its cops stay distinct.  Certificates are lifted back to the graph's own
+labels (`_extract`, `_replay_path`), so their replay knows nothing of
+symmetry.  A trivial group makes every frame the identity: the same
+searches as without the quotient.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations, combinations_with_replacement
 
 from .cache import ResultCache, cached_solve
-from .game import TransitionTable, cop_cap
+from .game import TransitionTable, chunk_union, cop_cap
 
 
 class UndecidedError(Exception):
@@ -49,8 +61,8 @@ class Certificate:
     every cop-to-move state reachable while following it, and a bound on
     rounds to capture.
 
-    moves is keyed by (sorted cop tuple, belief mask), the solver's own
-    state, and each move tuple is aligned with that sorted cop tuple.
+    moves is keyed by (sorted cop tuple, belief mask) in the graph's own
+    labels, and each move tuple is aligned with that sorted cop tuple.
     """
 
     placement: tuple
@@ -93,24 +105,27 @@ class _Arena:
     propagation.
 
     A state is keyed by one int, (cops_id << n) | belief mask, with cop
-    tuples interned to small ids.  States are expanded in intern order, so
-    the pending ones are exactly those from index `expanded` on.
+    tuples interned to small ids; the cops are always their orbit's
+    representative.  States are expanded in intern order, so the pending
+    ones are exactly those from index `expanded` on.
 
     A joint move leads to a robber-to-move *position*: the new cops and the
     belief they have not stepped on.  Its successors depend on nothing
-    else, so each position is a node of its own, keyed by (new cops' id <<
-    n) | that belief, and `TransitionTable.reply` runs once per position,
-    when an expansion first reaches it; its successors are interned then,
-    in reply order, and kept as distinct ids in one flat array.  A position
-    holds a countdown of successors not yet known winning and the largest
-    rank among those that are.  Expanding a state walks its moves in order
-    and stops at the first whose position has count zero, winning with
-    rank one more than that position's maximum; a state not won that way
-    waits on each of its moves' positions, and when a position's count
-    hits zero, every state still waiting on it wins the same way.  A rank
-    is therefore always 1 + the max rank over some move's full successor
-    set, so ranks strictly decrease along any rank-minimizing strategy and
-    bound the rounds to capture.
+    else, so each position is a node of its own.  It is seen from the new
+    cops' representative, through their frame's chunk tables, and keyed by
+    (representative's id << n) | that belief.  `TransitionTable.reply`
+    runs on it there, so its successors need no mapping, and runs once per
+    position, when an expansion first reaches it; its successors are
+    interned then, in reply order, and kept as distinct ids in one flat
+    array.  A position holds a countdown of successors not yet known
+    winning and the largest rank among those that are.  Expanding a state
+    walks its moves in order and stops at the first whose position has
+    count zero, winning with rank one more than that position's maximum; a
+    state not won that way waits on each of its moves' positions, and when
+    a position's count hits zero, every state still waiting on it wins the
+    same way.  A rank is therefore always 1 + the max rank over some move's
+    full successor set, so ranks strictly decrease along any
+    rank-minimizing strategy and bound the rounds to capture.
 
     Ranks are -1 until known.  Everything lives in flat int arrays of
     linked lists ended by -1: each state heads a list of edges to the
@@ -221,15 +236,17 @@ class _Arena:
         pos, cop_base, count = self.pos, self.cop_base, self.count
         reply, position = table.reply, self._position
         waits = []
-        for move, newcops, free, vis in table._rows_for(cops):
-            base = cop_base.get(newcops)
+        for move, rep, tables, free, rfree, vis in table.frame_rows(cops):
+            base = cop_base.get(rep)
             if base is None:
-                base = self.base(newcops)
+                base = self.base(rep)
             bf = bmask & free
+            if tables is not None:
+                bf = chunk_union(tables, bf)
             key = base | bf
             p = pos.get(key)
             if p is None:
-                p = position(key, base, reply(bf, free, vis))
+                p = position(key, base, reply(bf, rfree, vis))
             if not count[p]:
                 # every successor already winning (or immediate capture)
                 self.rank[idx] = 1 + self.maxk[p]
@@ -282,54 +299,124 @@ def first_placement(graph, num_cops):
     )
 
 
+def _back(back, frame):
+    """The map to real labels after a move: `back` (from the current
+    representative frame to real labels, None for the identity) composed
+    with the inverse of the new cops' frame."""
+    if frame is None:
+        return back
+    inv = [0] * len(frame)
+    for v, u in enumerate(frame):
+        inv[u] = v
+    return tuple(inv) if back is None else tuple([back[u] for u in inv])
+
+
+def _relabel(perm, mask):
+    """The image of a belief mask under a permutation (None is the
+    identity)."""
+    if perm is None:
+        return mask
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << perm[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
+def _lift(back, cops, move):
+    """A joint move of cops seen in a representative frame, in real labels:
+    each cop's target mapped through `back`, aligned with the sorted real
+    cops."""
+    if back is None:
+        return move
+    pairs = sorted(zip([back[c] for c in cops], [back[t] for t in move]))
+    return tuple(t for _, t in pairs)
+
+
 def _extract(arena, table, placement, init_idxs):
-    """Deterministic strategy read-off from a solved arena.
+    """Deterministic strategy read-off from a solved arena, in real labels.
 
-    At each reachable winning state, play the move minimizing the worst
-    successor rank, breaking ties by lexicographically least joint move.  A
-    move's successors are its position's; a move whose position was never
-    created (expansion stopped early once the state was known winning) has
-    its `reply` looked up without interning.  Moves with a successor that
-    was never interned or never ranked (settling stopped once the placement
-    was decided) are skipped.  Returns the certificate with its exact
-    worst-case round count as the bound.
+    At each winning arena state, the best move is the one minimizing the
+    worst successor rank, ties broken by lexicographically least joint
+    move.  A move's successors are its position's; a move whose position
+    was never created (expansion stopped early once the state was known
+    winning) has its `reply` looked up without interning.  Moves with a
+    successor that was never interned or never ranked (settling stopped
+    once the placement was decided) are skipped.
+
+    Arena states live in representative frames, and a real state can have
+    several images there (isomorphic states the arena never identified)
+    with different ranks, because ranks are first found.  So every (real
+    state, image) pair reachable by lifting each image's best move to real
+    labels is collected first, composing the frames on the way, and then
+    each real state plays the lifted best move of its lowest-ranked image.
+    Each successor of that move has an image of lower rank, so ranks
+    strictly decrease along play.  Returns the certificate, in real labels,
+    with its exact worst-case round count as the bound.
     """
-    chosen = {}
-    rounds = {}
-    stack = [(i, False) for i in init_idxs]
-    while stack:
-        idx, done = stack.pop()
-        if done:
-            _, succs = chosen[idx]
-            rounds[idx] = 1 + max((rounds[t] for t in succs), default=0)
-            continue
-        if idx in chosen:
-            continue
-        best = None
-        cops, bmask = arena.state(idx)
-        for move, newcops, free, vis in table._rows_for(cops):
-            bf = bmask & free
-            base = arena.cop_base.get(newcops)
-            p = None if base is None else arena.pos.get(base | bf)
-            if p is None:
-                succs = {
-                    None if base is None else arena.index.get(base | b)
-                    for b in table.reply(bf, free, vis)
-                }
-            else:
-                succs = arena.successors(p)
-            if any(t is None or arena.rank[t] < 0 for t in succs):
-                continue
-            key = (max((arena.rank[t] for t in succs), default=0), move)
-            if best is None or key < best[0]:
-                best = (key, move, succs)
-        _, move, succs = best
-        chosen[idx] = (move, succs)
-        stack.append((idx, True))
-        stack.extend((t, False) for t in succs if t not in chosen)
+    rank = arena.rank
+    best = {}
 
-    moves = {arena.state(idx): move for idx, (move, _) in chosen.items()}
-    bound = max((rounds[i] for i in init_idxs), default=0)
+    def best_move(idx):
+        if idx not in best:
+            top = None
+            cops, bmask = arena.state(idx)
+            for move, rep, tables, free, rfree, vis in table.frame_rows(cops):
+                bf = bmask & free
+                if tables is not None:
+                    bf = chunk_union(tables, bf)
+                base = arena.cop_base.get(rep)
+                p = None if base is None else arena.pos.get(base | bf)
+                if p is None:
+                    succs = {
+                        None if base is None else arena.index.get(base | b)
+                        for b in table.reply(bf, rfree, vis)
+                    }
+                else:
+                    succs = arena.successors(p)
+                if any(t is None or rank[t] < 0 for t in succs):
+                    continue
+                key = (max((rank[t] for t in succs), default=0), move)
+                if top is None or key < top[0]:
+                    top = (key, move, tables, succs)
+            _, move, tables, succs = top
+            frame = None
+            if tables is not None:
+                frame = table.frame(tuple(sorted(move)))[1]
+            best[idx] = move, frame, succs
+        return best[idx]
+
+    back = _back(None, table.frame(placement)[1])
+    starts = [(placement, _relabel(back, arena.state(i)[1])) for i in init_idxs]
+    stack = [(s, i, back) for s, i in zip(starts, init_idxs)]
+    seen = set()
+    options = {}  # real state -> (rank, move, successors) of its least image
+    while stack:
+        state, idx, back = stack.pop()
+        if (state, idx) in seen:
+            continue
+        seen.add((state, idx))
+        move, frame, succs = best_move(idx)
+        move = _lift(back, arena.state(idx)[0], move)
+        cops, after = tuple(sorted(move)), _back(back, frame)
+        reals = [(cops, _relabel(after, arena.state(t)[1])) for t in succs]
+        if state not in options or rank[idx] < options[state][0]:
+            options[state] = (rank[idx], move, reals)
+        stack.extend(zip(reals, succs, [after] * len(reals)))
+
+    moves, rounds = {}, {}
+    stack = [(s, False) for s in starts]
+    while stack:
+        state, done = stack.pop()
+        _, move, succs = options[state]
+        if done:
+            rounds[state] = 1 + max((rounds[t] for t in succs), default=0)
+        elif state not in moves:
+            moves[state] = move
+            stack.append((state, True))
+            stack.extend((t, False) for t in succs if t not in moves)
+    bound = max(rounds[s] for s in starts)
     return Certificate(placement, moves, bound)
 
 
@@ -338,10 +425,12 @@ def _blind_search(table, placement, state_cap):
 
     The placement's states are expanded level by level from its initial
     state, moves in `joint_moves` order, until a move captures: the cops
-    cover the belief, or the robber has nowhere safe.  A reached state is
-    kept only if no kept state with the same cops has a belief inside its
+    cover the belief, or the robber has nowhere safe.  States are kept in
+    their cops' representative frame.  A reached state is kept only if no
+    kept state with the same (representative) cops has a belief inside its
     own (see the module docstring), so per cop tuple the least kept
-    beliefs form an antichain.
+    beliefs form an antichain.  The capturing path is then replayed in the
+    graph's own labels (`_replay_path`).
     """
     num_cops = table.spec.num_cops
     cops_of, belief_of, via = [], [], []  # per kept state
@@ -362,21 +451,27 @@ def _blind_search(table, placement, state_cap):
         via.append(move)
 
     try:
-        keep(placement, table.initial(placement)[0], -1, None)
+        rep = table.frame(placement)[0]
+        keep(rep, table.initial(rep)[0], -1, None)
         lo, rounds = 0, 0  # rounds to a capture found while expanding [lo, hi)
         while lo < len(belief_of):
             hi = len(belief_of)
             rounds += 1
             for i in range(lo, hi):
                 bmask = belief_of[i]
-                for move, cops, free, vis in table._rows_for(cops_of[i]):
-                    after = table.reply(bmask & free, free, vis)
+                for move, cops, tables, free, rfree, vis in table.frame_rows(
+                    cops_of[i]
+                ):
+                    bf = bmask & free
+                    if tables is not None:
+                        bf = chunk_union(tables, bf)
+                    after = table.reply(bf, rfree, vis)
                     if not after:
-                        moves = {}
+                        path = []
                         while i >= 0:
-                            moves[cops_of[i], belief_of[i]] = move
+                            path.append((cops_of[i], move))
                             i, move = parent[i], via[i]
-                        cert = Certificate(placement, moves, rounds)
+                        cert = _replay_path(table, placement, path[::-1])
                         return SolveResult(
                             "cop_win", num_cops, placement, cert, rounds,
                             len(belief_of),
@@ -386,6 +481,28 @@ def _blind_search(table, placement, state_cap):
     except _CapExceeded:
         return SolveResult("undecided", num_cops, states_explored=len(belief_of))
     return SolveResult("robber_win", num_cops, states_explored=len(belief_of))
+
+
+def _replay_path(table, placement, path):
+    """The certificate of a blind capture found in representative frames.
+
+    path lists (cops, move) from the kept initial state to the capturing
+    move.  It is replayed forward from the placement in real labels: each
+    move is lifted through the map back from its state's frame, which
+    composes the frames of the new cops along the way, and the real belief
+    follows from `reply`.
+    """
+    back = _back(None, table.frame(placement)[1])
+    cops, bmask = placement, table.initial(placement)[0]
+    moves = {}
+    for rep, move in path:
+        real = moves[cops, bmask] = _lift(back, rep, move)
+        back = _back(back, table.frame(tuple(sorted(move)))[1])
+        cops = tuple(sorted(real))
+        free, vis = table.masks(cops)
+        after = table.reply(bmask & free, free, vis)
+        bmask = after[0] if after else 0
+    return Certificate(placement, moves, len(path))
 
 
 def _solve(spec, placement, state_cap):
@@ -402,9 +519,10 @@ def _solve(spec, placement, state_cap):
     if table.blind:
         return _blind_search(table, placement, state_cap)
     arena = _Arena(table, state_cap)
+    rep = table.frame(placement)[0]
     try:
-        base = arena.base(placement)
-        idxs = [arena.intern(base | b) for b in blocks]
+        base = arena.base(rep)
+        idxs = [arena.intern(base | b) for b in table.initial(rep)]
         arena.settle(idxs)
     except _CapExceeded:
         return SolveResult(
@@ -461,9 +579,10 @@ def solve(spec, *, state_cap=1_000_000):
     certificate.  A cop win is remembered (the latest one only) for
     `solve_placement`, so certifying it does not solve it again.
 
-    state_cap bounds the cop-to-move states interned (the kept states in a
-    blind spec), not the robber-to-move positions the arena also holds,
-    which can far outnumber them; it is a bound on work, not on memory.
+    state_cap bounds the cop-to-move states interned, whose cops are
+    always their orbit's representative (the kept states in a blind spec),
+    not the robber-to-move positions the arena also holds, which can far
+    outnumber them; it is a bound on work, not on memory.
     """
     global _first_win
     res = _solve(spec, first_placement(spec.graph, spec.num_cops), state_cap)

@@ -1,4 +1,5 @@
-"""Graph substrate: metrics, matchings, blocks, embeddings, retractions."""
+"""Graph substrate: metrics, matchings, automorphisms, blocks, embeddings,
+retractions."""
 
 import gc
 import itertools
@@ -15,8 +16,11 @@ from hyperopic.families import (
     complete,
     complete_bipartite,
     cycle,
+    g_k,
     path,
+    t_family,
     t_hat,
+    tree_diam10,
 )
 from hyperopic.graph import (
     blocks,
@@ -185,6 +189,70 @@ def test_matching_exact_on_small_connected_graphs(n):
         m = maximum_matching(g)
         _assert_valid_matching(g, m)
         assert m.size == oracles.brute_force_matching_size(nn, edges)
+
+
+# --- automorphisms ----------------------------------------------------------
+
+
+def _check_generators(g):
+    for p in g.automorphisms():
+        assert sorted(p) == list(range(g.n))
+        assert {tuple(sorted((p[u], p[v]))) for u, v in g.edges} == set(g.edges)
+
+
+def group_order(g):
+    """Order of the group the generators generate, by enumerating it."""
+    ident = tuple(range(g.n))
+    seen, frontier = {ident}, [ident]
+    for p in frontier:
+        for q in g.automorphisms():
+            r = tuple(q[v] for v in p)
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return len(seen)
+
+
+def test_automorphisms_generate_the_whole_group_on_small_graphs():
+    # VF2 takes minutes beyond this scope; the search itself takes well
+    # under a second on every connected graph with n <= 7 and tree n <= 10
+    graphs = [
+        build_graph(nn, edges)
+        for n in range(1, 7) for nn, edges in atlas_connected(n)
+    ]
+    graphs += [t for n in range(1, 9) for t in all_trees(n)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            assert g.automorphisms() is g.automorphisms()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    trivial = 0
+    for g in graphs:
+        _check_generators(g)
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(g.n))
+        vf2 = nx.algorithms.isomorphism.GraphMatcher(h, h)
+        assert group_order(g) == sum(1 for _ in vf2.isomorphisms_iter()), g.edges
+        trivial += not g.automorphisms()
+    assert (len(graphs), trivial) == (191, 12)
+
+
+@pytest.mark.parametrize(
+    "graph, order",
+    [
+        pytest.param(g_k(3, 2), 1296, id="g_k(3,2)"),
+        pytest.param(tree_diam10(), 1296, id="tree_diam10"),
+        pytest.param(t_family(3), 1296, id="t_family(3)"),
+        pytest.param(complete(8), 40320, id="complete(8)"),
+    ]
+    + [pytest.param(cycle(n), 2 * n, id=f"cycle({n})") for n in range(3, 9)],
+)
+def test_pinned_automorphism_group_orders(graph, order):
+    _check_generators(graph)
+    assert group_order(graph) == order
 
 
 # --- blocks and 2-connectivity ----------------------------------------------

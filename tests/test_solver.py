@@ -1,6 +1,7 @@
 """Tests for the exact belief-state solver."""
 
 import itertools
+import random
 import tracemalloc
 
 import networkx as nx
@@ -16,10 +17,12 @@ from hyperopic.families import (
     path,
     t_family,
     t_hat,
+    tree_diam10,
 )
 from hyperopic.game import (
     GameSpec,
     TransitionTable,
+    chunk_union,
     full_visibility,
     hyperopic,
     zero_visibility,
@@ -195,7 +198,7 @@ def test_search_cop_number_same_without_cache_and_with_cold_or_warm_cache(
 
 def test_search_cop_number_reports_why_it_stopped():
     assert search_cop_number(cycle(4), full_visibility(), bound=1) == (
-        1, {"status": "robber_win", "states": 12},
+        1, {"status": "robber_win", "states": 3},
     )
     cops, record = search_cop_number(cycle(7), hyperopic(2), state_cap=3)
     assert (cops, record["status"]) == (1, "undecided")
@@ -227,18 +230,39 @@ def test_cop_number_surfaces_cap_as_undecided_error():
 @pytest.mark.parametrize(
     "graph, k, cops, status, placement, rounds, states",
     [
-        (t_hat(), 2, 2, "cop_win", (2, 4), 4, 43),
-        (g_k(3, 1), 1, 2, "cop_win", (9, 10), 3, 597),
-        (t_hat(), 3, 1, "robber_win", None, None, 67),
-        (cycle(7), 2, 1, "robber_win", None, None, 49),
+        pytest.param(t_hat(), 2, 2, "cop_win", (2, 4), 4, 28, id="t_hat-hyp2-2"),
+        pytest.param(
+            g_k(3, 1), 1, 2, "cop_win", (9, 10), 3, 57, id="g_k(3,1)-hyp1-2"
+        ),
+        pytest.param(
+            t_hat(), 3, 1, "robber_win", None, None, 27, id="t_hat-hyp3-1"
+        ),
+        pytest.param(
+            cycle(7), 2, 1, "robber_win", None, None, 7, id="cycle(7)-hyp2-1"
+        ),
         # blind: k = None is zero visibility, and k = 2 sees nothing on K8
-        (t_family(3), None, 2, "robber_win", None, None, 14345),
-        (complete(8), 2, 4, "cop_win", (0, 1, 2, 3), 1, 309),
-        # the paw (a triangle with a pendant vertex): settling the other
-        # placements too would intern a 12th state
-        (
+        pytest.param(
+            t_family(3), None, 2, "robber_win", None, None, 1122,
+            id="t_family(3)-zero-2",
+        ),
+        pytest.param(
+            complete(8), 2, 4, "cop_win", (0, 1, 2, 3), 1, 5,
+            id="complete(8)-hyp2-4",
+        ),
+        # the paw (a triangle with a pendant vertex), a robber win settled
+        # on its first placement alone
+        pytest.param(
             Graph(4, [(0, 3), (1, 2), (1, 3), (2, 3)]), 1, 1,
-            "robber_win", None, None, 11,
+            "robber_win", None, None, 8, id="paw-hyp1-1",
+        ),
+        # with t_family(3) and complete(8) above, the solve-big arenas
+        pytest.param(
+            tree_diam10(), 3, 2, "cop_win", (9, 18), 11, 893,
+            id="tree_diam10-hyp3-2",
+        ),
+        pytest.param(
+            g_k(3, 2), 2, 3, "cop_win", (10, 12, 14), 3, 234,
+            id="g_k(3,2)-hyp2-3",
         ),
     ],
 )
@@ -277,8 +301,8 @@ def test_settling_stops_once_the_placement_is_decided(monkeypatch):
 @pytest.mark.parametrize(
     "graph, k, placement, states, positions, waiters",
     [
-        (t_hat(), 2, (2, 4), 43, 53, 111),
-        (g_k(3, 1), 1, (9, 10), 597, 2883, 7337),
+        pytest.param(t_hat(), 2, (2, 4), 28, 34, 80, id="t_hat-hyp2"),
+        pytest.param(g_k(3, 1), 1, (9, 10), 57, 127, 559, id="g_k(3,1)-hyp1"),
     ],
 )
 def test_the_arena_replies_once_per_position(
@@ -296,8 +320,9 @@ def test_the_arena_replies_once_per_position(
     monkeypatch.setattr(TransitionTable, "reply", counted)
     table = TransitionTable(GameSpec(graph, hyperopic(k), 2))
     arena = solver._Arena(table, 1_000_000)
-    base = arena.base(placement)
-    arena.settle([arena.intern(base | b) for b in table.initial(placement)])
+    rep = table.frame(placement)[0]
+    base = arena.base(rep)
+    arena.settle([arena.intern(base | b) for b in table.initial(rep)])
     assert len(set(calls)) == len(calls) == len(arena.pos) == positions
     assert (len(arena.index), len(arena.owner)) == (states, waiters)
 
@@ -313,42 +338,52 @@ def test_blind_search_stops_at_the_capture_level(monkeypatch):
 
     monkeypatch.setattr(TransitionTable, "reply", counted)
     # K8 with k = 2 is blind; the initial state captures at once: its moves
-    # are tried in order up to the one onto the belief, and no other
-    # state's are
+    # are tried in order up to the one onto the belief, each seen from its
+    # new cops' representative, and no other state's are; the capture is
+    # then replayed once in real labels
     spec = GameSpec(complete(8), hyperopic(2), 4)
     res = solve(spec)
     assert (res.status, res.rounds) == ("cop_win", 1)
-    moves = TransitionTable(spec).joint_moves((0, 1, 2, 3))
-    tried = [new for _, new in moves][:len(calls)]
-    assert tried[-1] == (4, 5, 6, 7) and calls[-1][2] == []
-    assert all(bf == 0b11110000 & free for bf, free, _ in calls)
+    assert res.certificate.moves == {((0, 1, 2, 3), 0b11110000): (4, 5, 6, 7)}
+    table = TransitionTable(spec)
+    rows = table.frame_rows((0, 1, 2, 3))[:len(calls) - 1]
+    assert tuple(sorted(rows[-1][0])) == (4, 5, 6, 7)
+    for (_, rep, tables, free, rfree, _), (bf, seen, _) in zip(rows, calls):
+        assert seen == rfree == table.masks(rep)[0]
+        assert bf == (0b11110000 & free if tables is None
+                      else chunk_union(tables, 0b11110000 & free))
+    assert calls[-2] == (0, 0b11110000, []) and calls[-1] == (0, 0b1111, [])
     # capture at level 3: the states kept at level 4 are never expanded (the
-    # 10 states of levels 0-3 try 76 moves, the last one capturing)
+    # states of levels 0-3 try 51 moves, the last one capturing, and the
+    # 4-move path is replayed in real labels)
     calls.clear()
     res = solve(GameSpec(t_family(2), zero_visibility(), 2))
     assert (res.status, res.placement, res.rounds) == ("cop_win", (4, 5), 4)
-    assert (len(calls), res.states_explored) == (76, 21)
-    assert calls[-1][2] == []
+    assert (len(calls), res.states_explored) == (55, 14)
+    assert calls[-5][2] == [] and calls[-1][2] == []
 
 
 def test_cop_win_interns_only_part_of_the_arena():
-    # expanding the whole reachable arena interns 7523 states
+    # expanding the whole reachable arena interns 433 states (7523 without
+    # the automorphism quotient)
     res = solve(GameSpec(g_k(3, 2), hyperopic(2), 3))
     assert res.status == "cop_win"
-    assert res.states_explored < 7523
+    assert res.states_explored < 433
 
 
 def test_memory_per_state_stays_small():
-    # flat per-state storage: about 650 B per state; a per-state memo of
-    # robber steps and tuple-keyed reverse edges took about 1800
+    # the budget of 1000 B per state over the 3512 states this solve took
+    # before the automorphism quotient (flat per-state storage took about
+    # 650 B per state; a per-state memo of robber steps and tuple-keyed
+    # reverse edges about 1800), as an absolute peak
     spec = GameSpec(g_k(3, 2), hyperopic(2), 3)
     tracemalloc.start()
     try:
-        res = solve(spec)
+        solve(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / res.states_explored < 1000
+    assert peak < 1000 * 3512
 
 
 def test_generous_cap_changes_nothing():
@@ -408,6 +443,44 @@ def test_certificates_replay_across_rules():
         outcome = verify_policy(graph, rule, policy)
         assert isinstance(outcome, Win)
         assert outcome.rounds <= res.certificate.bound
+
+
+def relabelled(graph, seed):
+    perm = list(range(graph.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
+
+
+@pytest.mark.parametrize(
+    "graph, rule, cops",
+    [
+        pytest.param(t_hat(), hyperopic(2), 2, id="t_hat-hyp2-2"),
+        pytest.param(cycle(6), hyperopic(1), 2, id="cycle(6)-hyp1-2"),
+        pytest.param(
+            complete_bipartite(3, 3), hyperopic(2), 3, id="K33-hyp2-3"
+        ),
+        pytest.param(g_k(3, 1), hyperopic(1), 2, id="g_k(3,1)-hyp1-2"),
+        pytest.param(tree_diam10(), hyperopic(3), 2, id="tree_diam10-hyp3-2"),
+    ],
+)
+def test_certificates_lift_to_real_labels_under_relabelling(graph, rule, cops):
+    # every graph here has symmetries, so the solver works in
+    # representative frames; its certificate must still be a strategy in
+    # the graph's own labels, whatever they are.  Reading each real
+    # state's move off the image its own frame gives it, instead of its
+    # least-ranked image along the lifted moves, reaches states the arena
+    # never interned on t_hat at seed 5 and tree_diam10 at seeds 4 and 6
+    assert cop_number(graph, rule) == cops
+    want = solve(GameSpec(graph, rule, cops))
+    for seed in (4, 5, 6):
+        g = relabelled(graph, seed)
+        assert g.automorphisms()
+        spec = GameSpec(g, rule, cops)
+        res = solve(spec)
+        assert (res.status, res.num_cops) == (want.status, want.num_cops)
+        assert cop_number(g, rule) == cops
+        cert = extract_certificate(spec, res.placement)
+        assert res.rounds == cert.bound
 
 
 def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
@@ -519,7 +592,7 @@ def test_placements_match_belief_oracle_and_certificates_replay():
     # every placement, every rule: the solver's verdict equals a brute-force
     # attractor over the set-based transitions, and each cop win's
     # certificate replays within its bound, which is never below optimal;
-    # the bound, which is the solver's rounds, is above optimal on 48
+    # the bound, which is the solver's rounds, is above optimal on 44
     # placements (never a blind one).  One placement decides the spec: the
     # oracle gives every placement the same verdict, and `solve`, which
     # settles only the first, agrees with it
@@ -550,7 +623,7 @@ def test_placements_match_belief_oracle_and_certificates_replay():
                         assert best <= outcome.rounds <= res.certificate.bound, case
                         assert res.rounds == res.certificate.bound, case
                         above += res.rounds > best
-    assert above == 48
+    assert above == 44
 
 
 def test_blind_rounds_equal_the_belief_oracle():
