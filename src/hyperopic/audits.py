@@ -14,9 +14,11 @@ claim is expected to hold on everything it enumerates.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from .cache import ResultCache
@@ -30,7 +32,7 @@ from .families import (
     t_family,
 )
 from .formats import decode_graph6, encode_graph6
-from .game import full_visibility, hyperopic, zero_visibility
+from .game import VisibilityRule, full_visibility, hyperopic, zero_visibility
 from .graph import (
     build_graph,
     diameter,
@@ -93,13 +95,20 @@ class AuditReport:
 
 
 class _Ctx:
-    """Shared evaluation context: the state cap and a result cache, which
-    an in-memory cache stands in for when none is given, so each level is
-    solved at most once per claim."""
+    """Shared evaluation context: the state cap, a result cache, which an
+    in-memory cache stands in for when none is given, so each level is
+    solved at most once per shard, and the shard this context runs."""
 
-    def __init__(self, cache=None, state_cap=1_000_000):
+    def __init__(self, cache=None, state_cap=1_000_000, shard=0, shards=1):
         self.cache = ResultCache(None) if cache is None else cache
         self.state_cap = state_cap
+        self.shard = shard
+        self.shards = shards
+
+    def share(self, items):
+        """This shard's part of a claim's instance list: every shards-th
+        item, starting at the shard's index."""
+        return items[self.shard::self.shards]
 
     def bounded_copnum(self, g, rule, bound):
         """(least winning cop count <= bound or None, decided flag).
@@ -227,7 +236,7 @@ def _claim_prop_classes(n_max, ctx):
             rows.append(("cycle", n, k, cycle(n), 2))
         for n in range(1, _clamp(n_max, 8, 8) + 1):
             rows.append(("complete", n, k, complete(n), (n + 1) // 2))
-    for family, n, k, g, expect in rows:
+    for family, n, k, g, expect in ctx.share(rows):
         yield _bound_row(
             "prop-classes",
             _inst(g, family=family, n=n, k=k),
@@ -245,7 +254,7 @@ def _claim_bipartite(n_max, ctx):
     """Complete bipartite graphs with k >= 2 need exactly min-side cops."""
     top = _clamp(n_max, 5, 5)
     for m in range(1, 4):
-        for n in range(m, top + 1):
+        for n in ctx.share(range(m, top + 1)):
             g = complete_bipartite(m, n)
             for k in (2, 3):
                 yield _bound_row(
@@ -274,7 +283,7 @@ def _claim_monotonicity(n_max, ctx):
         ("hyperopic-3", hyperopic(3)),
         ("zero", zero_visibility()),
     ]
-    for g in _connected_graphs(_clamp(n_max, 6, 6)):
+    for g in ctx.share(_connected_graphs(_clamp(n_max, 6, 6))):
         observed = {}
         for name, rule in rules:
             v = ctx.exact_copnum(g, rule)
@@ -296,7 +305,7 @@ def _claim_monotonicity(n_max, ctx):
 
 def _claim_zerovis_eq(n_max, ctx):
     """Once k reaches the diameter, hyperopic play equals zero visibility."""
-    for g in _connected_graphs(_clamp(n_max, 6, 6)):
+    for g in ctx.share(_connected_graphs(_clamp(n_max, 6, 6))):
         k = max(diameter(g), 1)
         hv = ctx.exact_copnum(g, hyperopic(k))
         zv = ctx.exact_copnum(g, zero_visibility())
@@ -316,7 +325,7 @@ def _claim_zerovis_eq(n_max, ctx):
 def _claim_diam_bound(n_max, ctx):
     """On graphs of diameter >= 2k+1, hyperopic costs at most 2 extra cops."""
     expected = "cop_number(hyperopic(k)) <= cop_number(full) + 2"
-    for g in _connected_graphs(_clamp(n_max, 7, 7)):
+    for g in ctx.share(_connected_graphs(_clamp(n_max, 7, 7))):
         d = diameter(g)
         for k in (1, 2):
             if d < 2 * k + 1:
@@ -404,7 +413,7 @@ def _claim_retract(n_max, ctx):
     that fails makes its rows violations."""
     from itertools import combinations
 
-    for g in _connected_graphs(_clamp(n_max, 5, 5)):
+    for g in ctx.share(_connected_graphs(_clamp(n_max, 5, 5))):
         if g.n < 3:
             continue
         for size in range(2, g.n):
@@ -459,7 +468,7 @@ def _claim_caterpillar(n_max, ctx):
     A decided mismatch on either k is a violation, whether or not the other
     k was decided."""
     for n in range(1, _clamp(n_max, 9, 9) + 1):
-        for t in all_trees(n):
+        for t in ctx.share(all_trees(n)):
             cat = is_caterpillar(t)
             observed = {"is_caterpillar": cat}
             for k in (2, 3):
@@ -482,7 +491,7 @@ def _claim_caterpillar(n_max, ctx):
 
 def _claim_matching_bound(n_max, ctx):
     """The alternating-pairs policy wins blind with matching-number many cops."""
-    for g in _connected_graphs(_clamp(n_max, 7, 7)):
+    for g in ctx.share(_connected_graphs(_clamp(n_max, 7, 7))):
         matching = maximum_matching(g)
         expect = matching.size + (0 if matching.is_perfect else 1)
         policy = matching_policy(g)
@@ -503,7 +512,7 @@ def _claim_matching_bound(n_max, ctx):
 def _claim_tree2(n_max, ctx):
     """Two cops beat any tree at hyperopic distance two."""
     for n in range(2, _clamp(n_max, 12, 12) + 1):
-        for t in all_trees(n):
+        for t in ctx.share(all_trees(n)):
             yield _policy_row(
                 "tree2",
                 _inst(t, n=n),
@@ -517,7 +526,7 @@ def _claim_tree2(n_max, ctx):
 def _claim_pendant(n_max, ctx):
     """Two cops win on trees that carry a long-enough pendant path."""
     for n in range(2, _clamp(n_max, 9, 12) + 1):
-        for t in all_trees(n):
+        for t in ctx.share(all_trees(n)):
             for k in (3, 4, 5):
                 try:
                     policy = pendant_path_policy(t, k)
@@ -538,7 +547,7 @@ def _claim_tree_lemmas(n_max, ctx):
     near-diameter trees, and the solver-checked bound in the middle band."""
     top = _clamp(n_max, 12, 12)
     for n in range(2, top + 1):
-        for t in all_trees(n):
+        for t in ctx.share(all_trees(n)):
             d = diameter(t)
             for k in (3, 4):
                 if d >= 2 * k - 1:
@@ -564,7 +573,7 @@ def _claim_tree_lemmas(n_max, ctx):
     # Middle band k+1 <= diam <= 2k-4: no constructive policy, so the bound
     # 2 + floor((2k - diam)/4) is checked against the exact solver.
     for n in range(2, min(top, 10) + 1):
-        for t in all_trees(n):
+        for t in ctx.share(all_trees(n)):
             d = diameter(t)
             for k in (5, 6):
                 if not k + 1 <= d <= 2 * k - 4:
@@ -590,7 +599,7 @@ def _claim_tree_lemmas(n_max, ctx):
 def _claim_tfamily_diam(n_max, ctx):
     """The recursive spider family's claimed diameter growth of 4 per level
     fails: measured diameters run 0, 4, 8 against claimed minima 4, 8, 12."""
-    for m in (1, 2, 3):
+    for m in ctx.share((1, 2, 3)):
         t = t_family(m)
         d = diameter(t)
         claimed = 4 * m
@@ -608,7 +617,7 @@ def _claim_diam4_bound(n_max, ctx):
     """The floor(diam/4) bound on the blind cop number of trees fails already
     on the 7-vertex spider (blind cop number 2, floor(4/4) = 1)."""
     for n in range(5, _clamp(n_max, 8, 9) + 1):
-        for t in all_trees(n):
+        for t in ctx.share(all_trees(n)):
             d = diameter(t)
             if d < 4:
                 continue
@@ -677,7 +686,7 @@ def _claim_outerplanar2(n_max, ctx):
     """Two cops win hyperopic(2) on every 2-connected outerplanar graph, and
     the exact solver confirms the bound on small cut-vertex examples too."""
     for n in range(4, _clamp(n_max, 10, 10) + 1):
-        for g in all_two_connected_outerplanar(n):
+        for g in ctx.share(all_two_connected_outerplanar(n)):
             yield _policy_row(
                 "outerplanar2",
                 _inst(g, n=n, kind="two-connected"),
@@ -686,7 +695,7 @@ def _claim_outerplanar2(n_max, ctx):
                 hyperopic(2),
                 outerplanar_k2_policy(g),
             )
-    for name, g in _cut_vertex_outerplanar_examples():
+    for name, g in ctx.share(_cut_vertex_outerplanar_examples()):
         yield _bound_row(
             "outerplanar2",
             _inst(g, n=g.n, kind="cut-vertex", name=name),
@@ -703,7 +712,7 @@ def _claim_outerplanar_sqrt(n_max, ctx):
     sqrt(2n) cops."""
     for n in range(5, _clamp(n_max, 9, 10) + 1):
         bound = math.isqrt(2 * n)
-        for g in all_two_connected_outerplanar(n):
+        for g in ctx.share(all_two_connected_outerplanar(n)):
             yield _bound_row(
                 "outerplanar-sqrt",
                 _inst(g, n=n),
@@ -735,14 +744,100 @@ CLAIMS = {
 }
 
 
-def run_claim(claim, *, n_max=None, cache=None, state_cap=1_000_000):
-    """All reports for one claim, sorted by instance key."""
+def _shard_count():
+    """How many shards a claim's instances are split into: one per CPU this
+    process may run on."""
     try:
-        fn = CLAIMS[claim]
-    except KeyError:
-        raise ValueError(f"unknown claim {claim!r}") from None
-    ctx = _Ctx(cache=cache, state_cap=state_cap)
-    return sorted(fn(n_max, ctx), key=AuditReport.sort_key)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+# The worker pool of sharded claims: made by the first one, then kept for
+# the rest of the process, so its workers keep their imports and atlas.
+_pool = None
+
+
+def _close_pool():
+    """Shut the worker pool down; the next sharded claim starts a new one."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown()
+
+
+# Drop the pool before the interpreter tears its modules down, which the
+# pool's own clean-up still needs.
+atexit.register(_close_pool)
+
+
+def _run_shard(claim, n_max, state_cap, shard, shards, entries):
+    """One worker's shard of a claim, solved against a copy of the parent's
+    cache entries: (rows, new cache records in solve order, cache hits)."""
+    cache = ResultCache(None)
+    cache.entries = entries
+    known = len(entries)
+    rows = list(CLAIMS[claim](n_max, _Ctx(cache, state_cap, shard, shards)))
+    return rows, list(entries.items())[known:], cache.hits
+
+
+def _run_sharded(claim, n_max, ctx):
+    """A claim's rows, unsorted: this process runs shard 0 while pool
+    workers run the others.  The workers' cache records are put in shard
+    order, so this process is the cache file's only writer."""
+    global _pool
+    from concurrent.futures.process import BrokenProcessPool
+
+    if _pool is None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        _pool = ProcessPoolExecutor(
+            ctx.shards - 1, mp_context=multiprocessing.get_context("spawn")
+        )
+    # The pool pickles its arguments later, on a thread of its own, while
+    # shard 0 below is already adding entries: hand it a copy of them now.
+    entries = dict(ctx.cache.entries)
+    try:
+        futures = [
+            _pool.submit(
+                _run_shard, claim, n_max, ctx.state_cap, w, ctx.shards, entries
+            )
+            for w in range(1, ctx.shards)
+        ]
+    except BrokenProcessPool:
+        _close_pool()
+        raise
+    try:
+        rows = list(CLAIMS[claim](n_max, ctx))
+    finally:
+        # every future is waited for and read, even when shard 0 raised
+        failures = [f.exception() for f in futures]
+        if any(isinstance(e, BrokenProcessPool) for e in failures):
+            _close_pool()
+    for future in futures:
+        shard_rows, records, hits = future.result()
+        rows += shard_rows
+        for (graph6, kind, k, cops), result in records:
+            ctx.cache.put(graph6, VisibilityRule(kind, k), cops, result)
+        ctx.cache.hits += hits
+    return rows
+
+
+def run_claim(claim, *, n_max=None, cache=None, state_cap=1_000_000):
+    """All reports for one claim, sorted by instance key.
+
+    The instances are split into `_shard_count()` shards, run at once in
+    this process and in spawned worker processes; the rows, sorted, are
+    those of one serial run, and the cache receives the same records."""
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    ctx = _Ctx(cache=cache, state_cap=state_cap, shards=_shard_count())
+    if ctx.shards == 1:
+        rows = CLAIMS[claim](n_max, ctx)
+    else:
+        rows = _run_sharded(claim, n_max, ctx)
+    return sorted(rows, key=AuditReport.sort_key)
 
 
 def claim_verdict(reports):

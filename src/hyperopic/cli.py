@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .cache import open_cache
 from .families import FamilySpec, generate
@@ -279,28 +280,34 @@ def _cmd_audit(args):
     rows = []
     summary = []
     for name in names:
+        started = time.perf_counter()
         reports = run_claim(
             name,
             n_max=args.n_max,
             cache=cache,
             state_cap=args.state_cap,
         )
+        seconds = time.perf_counter() - started
         rows.extend(reports)
         verdict = claim_verdict(reports)
         counts = {}
         for r in reports:
             counts[r.verdict] = counts.get(r.verdict, 0) + 1
-        summary.append((name, len(reports), counts, verdict))
+        summary.append((name, len(reports), seconds, counts, verdict))
         if any(r.verdict == "violation" for r in reports):
             exit_code = 1
     for r in sorted(rows, key=lambda r: r.sort_key()):
         print(r.to_json())
     width = max(len(name) for name, *_ in summary)
-    print(f"{'claim':<{width}}  instances  verdict  breakdown", file=sys.stderr)
-    for name, total, counts, verdict in summary:
+    print(
+        f"{'claim':<{width}}  instances  seconds  verdict  breakdown",
+        file=sys.stderr,
+    )
+    for name, total, seconds, counts, verdict in summary:
         breakdown = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(
-            f"{name:<{width}}  {total:>9}  {verdict:<22} {breakdown}",
+            f"{name:<{width}}  {total:>9}  {seconds:>7.2f}  {verdict:<22} "
+            f"{breakdown}",
             file=sys.stderr,
         )
     return exit_code

@@ -185,11 +185,11 @@ class TransitionTable:
             self._vis_const = None
         self.blind = not any(self._far) if self._far else self._vis_const == 0
         self._masks = {}
-        self._rows = {}
         self._gens = None  # the graph's automorphism generators, when needed
-        self._frames = {}  # cop tuple -> (representative, frame or None)
+        # cop tuple -> (representative, frame or None), and frame -> its
+        # chunk tables: both depend on the graph alone, so they live on it
+        self._frames = self._frame_tables = None
         self._frame_rows = {}
-        self._frame_tables = {}  # frame -> its chunk tables
 
     def masks(self, cops):
         """(unoccupied, visible) masks for these cops: the vertices no cop
@@ -221,18 +221,6 @@ class TransitionTable:
             out.append(rest)
         return out
 
-    def _rows_for(self, cops):
-        """(move, newcops, free, vis) per deduplicated joint move, in
-        `joint_cop_moves` order, with the new cops' `masks`."""
-        rows = self._rows.get(cops)
-        if rows is None:
-            masks = self.masks
-            rows = self._rows[cops] = [
-                (move, newcops, *masks(newcops))
-                for move, newcops in joint_cop_moves(self.spec.graph, cops)
-            ]
-        return rows
-
     def frame(self, cops):
         """(representative, frame) of a sorted cop tuple.
 
@@ -244,12 +232,17 @@ class TransitionTable:
         the generators finds the orbit and so its representative, and a
         second one from the representative gives each tuple y = p(x)
         reached through a generator p the frame of x after the inverse of
-        p.  A trivial group makes every tuple its own representative
-        without a search.
+        p.  The pairs are kept on the graph, so every table of one graph
+        searches each orbit once.  A trivial group makes every tuple its
+        own representative without a search.
         """
         gens = self._gens
         if gens is None:
-            gens = self._gens = self.spec.graph.automorphisms()
+            g = self.spec.graph
+            gens = self._gens = g.automorphisms()
+            if g._frames is None:
+                g._frames, g._frame_tables = {}, {}
+            self._frames, self._frame_tables = g._frames, g._frame_tables
         if not gens:
             return cops, None
         pair = self._frames.get(cops)
@@ -310,7 +303,7 @@ class TransitionTable:
         return rows
 
     def joint_moves(self, cops):
-        return [(move, newcops) for move, newcops, _, _ in self._rows_for(cops)]
+        return joint_cop_moves(self.spec.graph, cops)
 
     def initial(self, placement):
         """Belief masks after placing cops; [] means the placement covers
@@ -321,11 +314,12 @@ class TransitionTable:
     def cop_step(self, cops, bmask):
         """(move, newcops, blocks) per deduplicated joint move; blocks is []
         when the move captures every belief vertex."""
-        split = self.split
-        return [
-            (move, newcops, split(bmask & free, vis))
-            for move, newcops, free, vis in self._rows_for(cops)
-        ]
+        split, masks = self.split, self.masks
+        out = []
+        for move, newcops in joint_cop_moves(self.spec.graph, cops):
+            free, vis = masks(newcops)
+            out.append((move, newcops, split(bmask & free, vis)))
+        return out
 
     def reply(self, bf, free, vis):
         """The robber's half round from a robber-to-move position.

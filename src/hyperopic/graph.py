@@ -18,7 +18,7 @@ class Graph:
 
     __slots__ = (
         "n", "adj", "edges", "dist_matrix", "_nbr_mask", "_matching",
-        "_automorphisms",
+        "_automorphisms", "_frames", "_frame_tables",
     )
 
     def __init__(self, n, edges):
@@ -61,6 +61,9 @@ class Graph:
         self._nbr_mask = None
         self._matching = None
         self._automorphisms = None
+        # cop-tuple orbits, filled by `TransitionTable.frame` for every rule
+        self._frames = None
+        self._frame_tables = None
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

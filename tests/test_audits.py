@@ -4,6 +4,10 @@ import gc
 import hashlib
 import itertools
 import json
+import multiprocessing
+import threading
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import pytest
 
@@ -20,6 +24,9 @@ from hyperopic.audits import (
     run_claim,
 )
 from hyperopic.cache import ResultCache
+from hyperopic.families import all_trees
+from hyperopic.formats import encode_graph6
+from hyperopic.game import hyperopic, zero_visibility
 from hyperopic.graph import Matching, build_graph, verify_retraction
 from hyperopic.strategies import Evaded, Timeout
 
@@ -41,6 +48,13 @@ SMALL_SCOPE = {
     "outerplanar2": 7,
     "outerplanar-sqrt": 7,
 }
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """Run every shard in this process: spawned workers import the library
+    afresh and never see a test's patches."""
+    monkeypatch.setattr(audits, "_shard_count", lambda: 1)
 
 
 def test_claim_registry():
@@ -208,6 +222,7 @@ def test_connected_graphs_are_converted_once_without_reference_cycles():
     assert [n for n, _ in shapes[2]] == sorted(n for n, _ in shapes[2])
 
 
+@pytest.mark.usefixtures("serial")
 def test_retract_rows_check_every_map(monkeypatch):
     reports = run_claim("retract", n_max=4)
     assert reports and all(r.verdict == PASS for r in reports)
@@ -235,6 +250,7 @@ def _fake_search(statuses):
     return search
 
 
+@pytest.mark.usefixtures("serial")
 def test_a_decided_caterpillar_mismatch_is_not_hidden_by_an_undecided_k(
     monkeypatch,
 ):
@@ -267,6 +283,7 @@ def test_a_decided_caterpillar_mismatch_is_not_hidden_by_an_undecided_k(
     ]
 
 
+@pytest.mark.usefixtures("serial")
 def test_policy_rows_report_an_evasion_as_a_violation(monkeypatch):
     loop = (((0, 1), frozenset({3, 2})), ((0, 1), frozenset({2, 3})))
     monkeypatch.setattr(audits, "verify_policy", lambda g, r, p: Evaded(loop))
@@ -280,6 +297,7 @@ def test_policy_rows_report_an_evasion_as_a_violation(monkeypatch):
         assert "rounds" not in r.observed
 
 
+@pytest.mark.usefixtures("serial")
 def test_policy_rows_report_a_timeout_as_undecided(monkeypatch):
     monkeypatch.setattr(audits, "verify_policy", lambda g, r, p: Timeout(5))
     reports = run_claim("tree-lemmas", n_max=6)
@@ -293,6 +311,7 @@ def test_policy_rows_report_a_timeout_as_undecided(monkeypatch):
         assert r.observed["k"] == r.instance["k"]
 
 
+@pytest.mark.usefixtures("serial")
 def test_a_winning_policy_with_the_wrong_cop_count_is_a_violation(
     monkeypatch,
 ):
@@ -317,6 +336,7 @@ def test_a_winning_policy_with_the_wrong_cop_count_is_a_violation(
     assert [r.verdict for r in reports] == verdicts
 
 
+@pytest.mark.usefixtures("serial")
 def test_the_matching_claim_matches_each_graph_once(monkeypatch):
     # the claim and the policy it verifies share one blossom run per graph
     import networkx as nx
@@ -344,6 +364,7 @@ def test_bound_rows_report_a_state_cap_as_undecided():
         assert r.observed["bound"] == 3
 
 
+@pytest.mark.usefixtures("serial")
 def test_bound_rows_report_an_exceeded_bound_as_a_violation(monkeypatch):
     monkeypatch.setattr(
         audits, "search_cop_number", _fake_search({3: "robber_win"})
@@ -356,6 +377,7 @@ def test_bound_rows_report_an_exceeded_bound_as_a_violation(monkeypatch):
         assert "cop_number" not in r.observed
 
 
+@pytest.mark.usefixtures("serial")
 def test_exact_bound_rows_need_the_exact_value(monkeypatch):
     def one_cop(g, rule, *, bound, cache, state_cap):
         return 1, {"status": "cop_win"}
@@ -368,3 +390,103 @@ def test_exact_bound_rows_need_the_exact_value(monkeypatch):
         assert r.verdict == (
             PASS if r.observed["expected_value"] == 1 else VIOLATION
         )
+
+
+# ---------------------------------------------------------------------------
+# Sharded claims: with two shards, shard 1 runs in a spawned pool worker.
+
+
+def _shards(monkeypatch, k):
+    monkeypatch.setattr(audits, "_shard_count", lambda: k)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+
+
+@pytest.mark.filterwarnings("error")
+def test_two_shards_give_the_rows_of_one(monkeypatch):
+    for name in sorted(CLAIMS):
+        rows = {}
+        for k in (1, 2):
+            _shards(monkeypatch, k)
+            reports = run_claim(name, n_max=SMALL_SCOPE[name])
+            rows[k] = [r.to_json() for r in reports]
+        assert rows[2] == rows[1], name
+        assert (len(rows[2]), _digest(rows[2])) == SMALL_SCOPE_ROWS[name], name
+
+
+@pytest.mark.filterwarnings("error")
+def test_two_shards_write_the_cache_lines_of_one(monkeypatch, tmp_path):
+    # zerovis-eq's workers start from the entries monotonicity left, and
+    # retract solves some retracts in both shards
+    lines = {}
+    for k in (1, 2):
+        _shards(monkeypatch, k)
+        path = tmp_path / f"cache-{k}.jsonl"
+        cache = ResultCache(str(path))
+        for name in ("monotonicity", "zerovis-eq", "retract"):
+            run_claim(name, n_max=5, cache=cache)
+        lines[k] = path.read_text().splitlines()
+    assert lines[1] and sorted(lines[2]) == sorted(lines[1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_worker_cache_hits_are_counted(monkeypatch, tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    run_claim("caterpillar", n_max=6, cache=ResultCache(path))
+    hits = {}
+    for k in (1, 2):
+        _shards(monkeypatch, k)
+        warm = ResultCache(path)
+        run_claim("caterpillar", n_max=6, cache=warm)
+        hits[k] = warm.hits
+    assert hits[2] == hits[1] > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_failure_in_a_worker_shard_raises_from_run_claim(monkeypatch):
+    _shards(monkeypatch, 2)
+    # trees on 1..4 vertices: the second tree on 4 vertices is the only
+    # instance of shard 1, and a record without a status fails its search
+    tree = all_trees(4)[1]
+    cache = ResultCache(None)
+    for rule in (hyperopic(2), hyperopic(3), zero_visibility()):
+        cache.put(encode_graph6(tree), rule, 1, {})
+    with pytest.raises(KeyError, match="status") as raised:
+        run_claim("caterpillar", n_max=4, cache=cache)
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+    # the pool is still usable
+    assert len(run_claim("caterpillar", n_max=4)) == 5
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_dead_worker_fails_its_claim_and_the_next_gets_a_new_pool(
+    monkeypatch,
+):
+    _shards(monkeypatch, 2)
+    expect = run_claim("bipartite", n_max=3)
+    workers = multiprocessing.active_children()
+    assert workers
+    for p in workers:
+        p.kill()
+    assert len(wait([p.sentinel for p in workers], timeout=30)) == len(workers)
+    with pytest.raises(BrokenProcessPool):
+        run_claim("bipartite", n_max=3)
+    assert run_claim("bipartite", n_max=3) == expect
+
+
+@pytest.mark.filterwarnings("error")
+def test_no_worker_outlives_the_pool(monkeypatch):
+    _shards(monkeypatch, 2)
+    run_claim("bipartite", n_max=3)
+    workers = multiprocessing.active_children()
+    assert workers
+    closer = threading.Thread(target=audits._close_pool)
+    closer.start()
+    closer.join(timeout=60)
+    assert not closer.is_alive()
+    for p in workers:
+        p.join(timeout=10)
+        assert not p.is_alive()
+    assert multiprocessing.active_children() == []

@@ -325,7 +325,12 @@ def test_audit_single_claim(capsys):
     rows = [json.loads(ln) for ln in out.strip().splitlines()]
     assert rows and all(r["claim"] == "caterpillar" for r in rows)
     assert all(r["verdict"] == "pass" for r in rows)
-    assert "caterpillar" in err  # summary table on stderr
+    # summary table on stderr, with the claim's wall time in seconds
+    header, line = err.splitlines()[-2:]
+    assert header.split()[:3] == ["claim", "instances", "seconds"]
+    name, count, seconds = line.split()[:3]
+    assert (name, int(count)) == ("caterpillar", len(rows))
+    assert float(seconds) >= 0
 
 
 def test_audit_documented_discrepancy_exits_zero(capsys):

@@ -377,7 +377,8 @@ def _check_table_against_the_set_semantics(g, rule, size):
                         mask_to_set(b)
                         for b in table.reply(bmask & free, free, vis)
                     ])
-                    for move, new, free, vis in table._rows_for(cops)
+                    for move, new in moves
+                    for free, vis in [table.masks(new)]
                 ]
                 assert got == want
                 out = robber_turn(cops, frozenset(belief))
@@ -452,3 +453,17 @@ def test_mask_helpers_roundtrip():
 @given(st.sets(st.integers(min_value=0, max_value=30)))
 def test_mask_roundtrip_property(verts):
     assert mask_to_set(set_to_mask(verts)) == frozenset(verts)
+
+
+def test_cop_tuple_frames_are_kept_per_graph():
+    # the orbit of a cop tuple depends on the graph alone: a second table
+    # of the same graph, under another rule, reuses the first one's frames
+    g = t_hat()
+    first = TransitionTable(GameSpec(g, hyperopic(2), 2))
+    pair = first.frame((5, 6))
+    assert pair[0] == (1, 2) and pair[1] is not None
+    again = TransitionTable(GameSpec(g, zero_visibility(), 2))
+    assert again.frame((5, 6)) is pair
+    # an equal graph built separately searches its own orbits
+    other = TransitionTable(GameSpec(t_hat(), hyperopic(2), 2))
+    assert other.frame((5, 6)) == pair and other.frame((5, 6)) is not pair
