@@ -15,7 +15,6 @@ claim is expected to hold on everything it enumerates.
 from __future__ import annotations
 
 import atexit
-import functools
 import json
 import math
 import os
@@ -134,31 +133,23 @@ class _Ctx:
         return value
 
 
-@functools.cache
-def _atlas_connected():
-    """(n, graph6) of every connected graph of the networkx atlas (1..7
-    vertices), in atlas order.  The atlas takes a tenth of a second or more
-    to build, so it is converted once per process; graph6 strings keep
-    what stays in memory small.  Edges are read through `G.adj`: the edge
-    view `G.edges` caches itself on its graph, which would leave every
-    atlas graph as cyclic garbage (about 4 MB, held until the collector's
-    next full pass)."""
-    import networkx as nx
-
-    out = []
-    for G in nx.graph_atlas_g()[1:]:
-        if nx.is_connected(G):
-            adj = G.adj
-            g = build_graph(len(adj), [(u, v) for u in adj for v in adj[u]])
-            out.append((g.n, encode_graph6(g)))
-    return tuple(out)
-
-
-def _connected_graphs(n_max):
-    """All connected graphs on 1..n_max vertices (n_max <= 7), atlas order."""
+def _atlas_connected(n_max):
+    """graph6 strings of every connected graph on 1..n_max vertices
+    (n_max <= 7), in the order of Read and Wilson's graph atlas, read from
+    the table in `_atlas` on first use."""
     if n_max > 7:
         raise ValueError("connected-graph enumeration capped at n = 7")
-    return [decode_graph6(s) for n, s in _atlas_connected() if n <= n_max]
+    from ._atlas import CONNECTED
+
+    # graph6 gives n <= 62 vertices in its first character, chr(n + 63)
+    top = chr(n_max + 63)
+    return [s for s in CONNECTED if s[0] <= top]
+
+
+def _connected_graphs(n_max, ctx):
+    """This shard's connected graphs on 1..n_max vertices (n_max <= 7), in
+    atlas order; only they are decoded."""
+    return [decode_graph6(s) for s in ctx.share(_atlas_connected(n_max))]
 
 
 def _inst(g, **extra):
@@ -283,7 +274,7 @@ def _claim_monotonicity(n_max, ctx):
         ("hyperopic-3", hyperopic(3)),
         ("zero", zero_visibility()),
     ]
-    for g in ctx.share(_connected_graphs(_clamp(n_max, 6, 6))):
+    for g in _connected_graphs(_clamp(n_max, 6, 6), ctx):
         observed = {}
         for name, rule in rules:
             v = ctx.exact_copnum(g, rule)
@@ -305,7 +296,7 @@ def _claim_monotonicity(n_max, ctx):
 
 def _claim_zerovis_eq(n_max, ctx):
     """Once k reaches the diameter, hyperopic play equals zero visibility."""
-    for g in ctx.share(_connected_graphs(_clamp(n_max, 6, 6))):
+    for g in _connected_graphs(_clamp(n_max, 6, 6), ctx):
         k = max(diameter(g), 1)
         hv = ctx.exact_copnum(g, hyperopic(k))
         zv = ctx.exact_copnum(g, zero_visibility())
@@ -325,7 +316,7 @@ def _claim_zerovis_eq(n_max, ctx):
 def _claim_diam_bound(n_max, ctx):
     """On graphs of diameter >= 2k+1, hyperopic costs at most 2 extra cops."""
     expected = "cop_number(hyperopic(k)) <= cop_number(full) + 2"
-    for g in ctx.share(_connected_graphs(_clamp(n_max, 7, 7))):
+    for g in _connected_graphs(_clamp(n_max, 7, 7), ctx):
         d = diameter(g)
         for k in (1, 2):
             if d < 2 * k + 1:
@@ -413,7 +404,7 @@ def _claim_retract(n_max, ctx):
     that fails makes its rows violations."""
     from itertools import combinations
 
-    for g in ctx.share(_connected_graphs(_clamp(n_max, 5, 5))):
+    for g in _connected_graphs(_clamp(n_max, 5, 5), ctx):
         if g.n < 3:
             continue
         for size in range(2, g.n):
@@ -491,7 +482,7 @@ def _claim_caterpillar(n_max, ctx):
 
 def _claim_matching_bound(n_max, ctx):
     """The alternating-pairs policy wins blind with matching-number many cops."""
-    for g in ctx.share(_connected_graphs(_clamp(n_max, 7, 7))):
+    for g in _connected_graphs(_clamp(n_max, 7, 7), ctx):
         matching = maximum_matching(g)
         expect = matching.size + (0 if matching.is_perfect else 1)
         policy = matching_policy(g)
@@ -754,7 +745,7 @@ def _shard_count():
 
 
 # The worker pool of sharded claims: made by the first one, then kept for
-# the rest of the process, so its workers keep their imports and atlas.
+# the rest of the process, so its workers keep their imports.
 _pool = None
 
 

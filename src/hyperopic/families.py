@@ -166,19 +166,109 @@ def generate(spec):
 
 
 def all_trees(n):
-    """All non-isomorphic trees on n vertices (n <= 12), deterministic order."""
+    """All non-isomorphic trees on n vertices (n <= 12), deterministic order.
+
+    The trees, their labels and their order are those of networkx's
+    `nonisomorphic_trees(n)`, which the audit rows pin; see
+    `_free_tree_layouts`.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > 12:
         raise ValueError("tree enumeration capped at n = 12")
     if n == 1:
         return [build_graph(1, [])]
-    import networkx as nx
+    return [build_graph(n, _layout_edges(lay)) for lay in _free_tree_layouts(n)]
 
-    out = []
-    for t in nx.nonisomorphic_trees(n):
-        out.append(build_graph(n, [tuple(sorted(e)) for e in t.edges()]))
-    return out
+
+def _free_tree_layouts(n):
+    """Level sequences of the free trees on n >= 2 vertices, in the order of
+    networkx's `nonisomorphic_trees(n)`.
+
+    A level sequence lists each vertex's depth in a preorder walk of the
+    tree rooted at vertex 0.  This is the generator of Wright, Richmond,
+    Odlyzko and McKay ("Constant time generation of free trees", SIAM J.
+    Comput. 15, 1986) as networkx 3.x writes it in
+    networkx/generators/nonisomorphic_trees.py (BSD-3-Clause, copyright
+    NetworkX Developers).  It and its helpers below follow that code step
+    by step, because the audit rows pin the labelled trees it yields and
+    their order; tests/test_families.py checks them against networkx for
+    n <= 12.
+    """
+    # start at the path rooted at its centre
+    layout = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while layout is not None:
+        layout = _next_tree(layout)
+        if layout is not None:
+            yield layout
+            layout = _next_rooted_tree(layout)
+
+
+def _next_rooted_tree(predecessor, p=None):
+    """One step of Beyer and Hedetniemi's rooted-tree successor, or None
+    after the last one (p, when given, is the position to advance)."""
+    if p is None:
+        p = len(predecessor) - 1
+        while predecessor[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while predecessor[q] != predecessor[p] - 1:
+        q -= 1
+    result = list(predecessor)
+    for i in range(p, len(result)):
+        result[i] = result[i - p + q]
+    return result
+
+
+def _next_tree(candidate):
+    """candidate when it is the canonical layout of a free tree, else the
+    next layout to try after skipping the invalid ones it heads."""
+    # valid when the root's left subtree is no higher than the rest of the
+    # tree, and, at equal heights, no larger, and at equal sizes not later
+    # lexicographically
+    left, rest = _split_tree(candidate)
+    left_height = max(left)
+    rest_height = max(rest)
+    valid = rest_height >= left_height
+    if valid and rest_height == left_height:
+        if len(left) > len(rest):
+            valid = False
+        elif len(left) == len(rest) and left > rest:
+            valid = False
+    if valid:
+        return candidate
+    p = len(left)
+    new_candidate = _next_rooted_tree(candidate, p)
+    if candidate[p] > 2:
+        new_left, _ = _split_tree(new_candidate)
+        suffix = range(1, max(new_left) + 2)
+        new_candidate[-len(suffix):] = suffix
+    return new_candidate
+
+
+def _split_tree(layout):
+    """(the root's left subtree, the tree without it), as layouts."""
+    ones = [i for i, level in enumerate(layout) if level == 1]
+    m = ones[1] if len(ones) > 1 else len(layout)
+    left = [layout[i] - 1 for i in range(1, m)]
+    rest = [0] + layout[m:]
+    return left, rest
+
+
+def _layout_edges(layout):
+    """The tree's edges: each vertex joins the nearest earlier vertex one
+    level up."""
+    edges = []
+    stack = []
+    for i, level in enumerate(layout):
+        while stack and layout[stack[-1]] >= level:
+            stack.pop()
+        if stack:
+            edges.append((stack[-1], i))
+        stack.append(i)
+    return edges
 
 
 def tree_canonical_form(g):

@@ -5,9 +5,13 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
+from pathlib import Path
 
 import pytest
 
@@ -207,11 +211,12 @@ def test_retraction_search_leaves_no_reference_cycles():
 
 
 def test_connected_graphs_are_converted_once_without_reference_cycles():
-    audits._connected_graphs(7)  # the first call converts the atlas
+    whole = audits._Ctx()
+    audits._connected_graphs(7, whole)  # the first call imports the table
     gc.collect()
     gc.disable()
     try:
-        found = [audits._connected_graphs(n) for n in (5, 6, 7)]
+        found = [audits._connected_graphs(n, whole) for n in (5, 6, 7)]
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -220,6 +225,56 @@ def test_connected_graphs_are_converted_once_without_reference_cycles():
     shapes = [[(g.n, g.edges) for g in graphs] for graphs in found]
     assert shapes[2][:143] == shapes[1] and shapes[1][:31] == shapes[0]
     assert [n for n, _ in shapes[2]] == sorted(n for n, _ in shapes[2])
+    # a shard decodes its own deal of the same list
+    for shard in (0, 1):
+        mine = audits._connected_graphs(7, audits._Ctx(shard=shard, shards=2))
+        assert [(g.n, g.edges) for g in mine] == shapes[2][shard::2]
+
+
+def test_the_atlas_table_is_the_networkx_atlas():
+    import networkx as nx
+
+    from hyperopic._atlas import CONNECTED
+
+    expected = []
+    for G in nx.graph_atlas_g()[1:]:
+        if nx.is_connected(G):
+            g = build_graph(G.number_of_nodes(), G.edges())
+            expected.append(encode_graph6(g))
+    assert len(expected) == 996
+    assert list(CONNECTED) == expected
+    assert audits._atlas_connected(7) == expected
+    assert audits._atlas_connected(5) == expected[:31]
+
+
+def test_solver_claims_run_without_networkx():
+    # the atlas and the trees come from the repo; networkx is left for the
+    # blossom matching and the block decomposition
+    import hyperopic
+
+    claims = ("prop-classes", "bipartite", "monotonicity", "zerovis-eq",
+              "diam-bound", "retract", "caterpillar", "diam4-bound",
+              "outerplanar-sqrt")
+    script = (
+        "import sys\n"
+        "import hyperopic\n"
+        "from hyperopic import audits\n"
+        "audits._shard_count = lambda: 1\n"
+        f"for name, n_max in {[(c, SMALL_SCOPE[c]) for c in claims]!r}:\n"
+        "    assert audits.run_claim(name, n_max=n_max), name\n"
+        "print(sorted(m for m in sys.modules if m.startswith('networkx')))\n"
+    )
+    src = str(Path(hyperopic.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.usefixtures("serial")

@@ -204,6 +204,19 @@ def test_all_trees_complete_vs_prufer_oracle(n):
     assert ours == oracles.prufer_tree_canon_set(n)
 
 
+def test_all_trees_are_networkx_nonisomorphic_trees_in_order():
+    # the audit rows pin the labelled trees and their order, which
+    # all_trees takes from networkx's WROM generator
+    ours = [t.edges for n in range(1, 13) for t in all_trees(n)]
+    theirs = [
+        tuple(sorted(tuple(sorted(e)) for e in t.edges()))
+        for n in range(1, 13)
+        for t in nx.nonisomorphic_trees(n)
+    ]
+    assert len(ours) == 987
+    assert ours == theirs
+
+
 def test_all_trees_range():
     with pytest.raises(ValueError):
         all_trees(0)
