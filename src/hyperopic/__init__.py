@@ -10,7 +10,6 @@ into machine-checked reports over exhaustive small-instance families.
 
 from .cache import ResultCache, cached_solve, open_cache
 from .families import (
-    FamilySpec,
     all_trees,
     all_two_connected_outerplanar,
     caterpillar,
@@ -18,12 +17,10 @@ from .families import (
     complete_bipartite,
     cycle,
     g_k,
-    generate,
     path,
     subdivide,
     t_family,
     t_hat,
-    tree_canonical_form,
     tree_diam10,
 )
 from .formats import decode_graph6, emit_edge_list, encode_graph6, parse_edge_list
@@ -39,15 +36,12 @@ from .graph import (
     Graph,
     Matching,
     OuterEmbedding,
-    blocks,
     build_graph,
-    center,
     diameter,
     eccentricities,
     find_outer_embedding,
     is_caterpillar,
     is_tree,
-    is_two_connected,
     maximum_matching,
     radius,
     verify_retraction,
@@ -83,7 +77,6 @@ __all__ = [
     "Certificate",
     "CopPolicy",
     "Evaded",
-    "FamilySpec",
     "GameSpec",
     "Graph",
     "Matching",
@@ -96,11 +89,9 @@ __all__ = [
     "Win",
     "all_trees",
     "all_two_connected_outerplanar",
-    "blocks",
     "build_graph",
     "cached_solve",
     "caterpillar",
-    "center",
     "certificate_policy",
     "complete",
     "complete_bipartite",
@@ -115,11 +106,9 @@ __all__ = [
     "find_outer_embedding",
     "full_visibility",
     "g_k",
-    "generate",
     "hyperopic",
     "is_caterpillar",
     "is_tree",
-    "is_two_connected",
     "mask_to_set",
     "matching_policy",
     "maximum_matching",
@@ -136,7 +125,6 @@ __all__ = [
     "subdivide",
     "t_family",
     "t_hat",
-    "tree_canonical_form",
     "tree_diam10",
     "tree_k2_policy",
     "tree_near_diam_policy",

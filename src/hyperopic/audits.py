@@ -125,12 +125,7 @@ class _Ctx:
 
     def exact_copnum(self, g, rule):
         """The cop number, or None when a state cap blocked the decision."""
-        value, decided = self.bounded_copnum(g, rule, None)
-        if not decided:
-            return None
-        if value is None:
-            raise AssertionError("no winning cop count below the matching cap")
-        return value
+        return self.bounded_copnum(g, rule, None)[0]
 
 
 def _atlas_connected(n_max):

@@ -14,9 +14,20 @@ import sys
 import time
 
 from .cache import open_cache
-from .families import FamilySpec, generate
+from .families import (
+    caterpillar,
+    complete,
+    complete_bipartite,
+    cycle,
+    g_k,
+    path,
+    subdivide,
+    t_family,
+    t_hat,
+    tree_diam10,
+)
 from .formats import decode_graph6, emit_edge_list, encode_graph6, parse_edge_list
-from .game import cop_cap, full_visibility, hyperopic, zero_visibility
+from .game import full_visibility, hyperopic, zero_visibility
 from .graph import diameter, is_caterpillar, maximum_matching, radius
 from .solver import search_cop_number
 from .strategies import (
@@ -100,12 +111,8 @@ def _cmd_copnum(args):
         )
         return EXIT_UNDECIDED
     if record["status"] == "robber_win":
-        if value < cop_cap(g.n):
-            print(
-                f"undecided: no win with up to max-cops={value}", file=sys.stderr
-            )
-            return EXIT_UNDECIDED
-        raise AssertionError("no winning cop count below the matching cap")
+        print(f"undecided: no win with up to max-cops={value}", file=sys.stderr)
+        return EXIT_UNDECIDED
     print(value)
     print(
         json.dumps(
@@ -185,59 +192,47 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 # gen
 
-# CLI family name -> (library family id, required flags)
+# CLI family name -> (constructor, the flags it takes, in argument order);
+# every flag but --attach is required
 _FAMILIES = {
-    "path": ("path", ("n",)),
-    "cycle": ("cycle", ("n",)),
-    "complete": ("complete", ("n",)),
-    "bipartite": ("complete_bipartite", ("m", "n")),
-    "caterpillar": ("caterpillar", ("leaves",)),
-    "that": ("t_hat", ()),
-    "gk": ("g_k", ("m", "k")),
-    "tfamily": ("t_family", ("m",)),
-    "tree-diam10": ("tree_diam10", ()),
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "complete": (complete, ("n",)),
+    "bipartite": (complete_bipartite, ("m", "n")),
+    "caterpillar": (caterpillar, ("leaves",)),
+    "that": (t_hat, ()),
+    "gk": (g_k, ("m", "k")),
+    "tfamily": (t_family, ("m", "attach")),
+    "tree-diam10": (tree_diam10, ()),
 }
 
 
-def _family_spec(args):
-    try:
-        family, needed = _FAMILIES[args.family]
-    except KeyError:
-        raise _UsageError(f"unknown family {args.family!r}") from None
-    for flag in needed:
-        if getattr(args, flag) is None:
-            raise _UsageError(f"family {args.family!r} requires --{flag}")
-    for flag in ("n", "m", "k", "leaves"):
-        if getattr(args, flag) is not None and flag not in needed:
+def _family_graph(args):
+    """The family's constructor applied to its flags, subdivided when
+    --subdivide is given."""
+    build, takes = _FAMILIES[args.family]
+    for flag in ("n", "m", "k", "leaves", "attach"):
+        given = getattr(args, flag) is not None
+        if given and flag not in takes:
             raise _UsageError(f"family {args.family!r} takes no --{flag}")
-    if args.family == "bipartite":
-        params = (args.m, args.n)
-    elif args.family == "caterpillar":
+        if not given and flag in takes and flag != "attach":
+            raise _UsageError(f"family {args.family!r} requires --{flag}")
+    values = [getattr(args, f) for f in takes if getattr(args, f) is not None]
+    if args.leaves is not None:
         try:
-            params = tuple(int(x) for x in args.leaves.split(","))
+            values = [[int(x) for x in args.leaves.split(",")]]
         except ValueError:
             raise _UsageError(
                 "--leaves must be comma-separated integers"
             ) from None
-    elif args.family == "gk":
-        params = (args.m, args.k)
-    elif args.family == "tfamily":
-        params = (args.m,)
-    elif args.family in ("that", "tree-diam10"):
-        params = ()
-    else:
-        params = (args.n,)
-    spec = FamilySpec(family=family, params=params, mode=args.attach)
-    if args.subdivide:
-        spec = FamilySpec(family="subdivision", params=(args.subdivide,), base=spec)
-    return spec
+    g = build(*values)
+    return subdivide(g, args.subdivide) if args.subdivide else g
 
 
 def _cmd_gen(args):
     try:
-        spec = _family_spec(args)
-        g = generate(spec)
-    except (ValueError, TypeError, _UsageError) as exc:
+        g = _family_graph(args)
+    except (ValueError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "edges":
@@ -272,6 +267,9 @@ def _cmd_audit(args):
         if name not in CLAIMS:
             print(f"error: unknown claim {name!r}", file=sys.stderr)
             return EXIT_USAGE
+    if args.n_max is not None and args.n_max < 1:
+        print("error: --n-max must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     if args.state_cap < 1:
         print("error: --state-cap must be at least 1", file=sys.stderr)
         return EXIT_USAGE
@@ -381,8 +379,7 @@ def build_parser():
     p.add_argument(
         "--attach",
         choices=("hub", "eccentric"),
-        default="hub",
-        help="attachment point for the recursive spider family",
+        help="attachment point for the recursive spider family (default hub)",
     )
     p.add_argument(
         "--subdivide", type=int, help="subdivide every edge this many times"

@@ -2,24 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
-from .graph import Graph, _chords_cross, build_graph
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Recipe for a generated graph: family id, integer parameters, options.
-
-    base nests another spec for the subdivision family; mode selects the
-    t_family attachment vertex ("hub" or "eccentric").
-    """
-
-    family: str
-    params: tuple = ()
-    base: "FamilySpec | None" = None
-    mode: str = "hub"
+from .graph import _chords_cross, build_graph
 
 
 def path(n):
@@ -138,33 +123,6 @@ def subdivide(g, t):
     return build_graph(nxt, edges)
 
 
-_GENERATORS = {
-    "path": lambda p: path(*p),
-    "cycle": lambda p: cycle(*p),
-    "complete": lambda p: complete(*p),
-    "complete_bipartite": lambda p: complete_bipartite(*p),
-    "caterpillar": lambda p: caterpillar(list(p)),
-    "t_hat": lambda p: t_hat(),
-    "g_k": lambda p: g_k(*p),
-    "tree_diam10": lambda p: tree_diam10(),
-}
-
-
-def generate(spec):
-    """Build the graph described by a FamilySpec."""
-    if spec.family == "t_family":
-        return t_family(*spec.params, attach=spec.mode)
-    if spec.family == "subdivision":
-        if spec.base is None:
-            raise ValueError("subdivision spec needs a base family")
-        return subdivide(generate(spec.base), *spec.params)
-    try:
-        gen = _GENERATORS[spec.family]
-    except KeyError:
-        raise ValueError(f"unknown family {spec.family!r}") from None
-    return gen(spec.params)
-
-
 def all_trees(n):
     """All non-isomorphic trees on n vertices (n <= 12), deterministic order.
 
@@ -269,52 +227,6 @@ def _layout_edges(layout):
             edges.append((stack[-1], i))
         stack.append(i)
     return edges
-
-
-def tree_canonical_form(g):
-    """AHU canonical string of a free tree, rooting at the centroid set."""
-    if g.n == 1:
-        return "()"
-    # centroid(s): vertices minimizing the largest component of T - v
-    best, cents = None, []
-    for v in range(g.n):
-        seen = {v}
-        worst = 0
-        for w in g.adj[v]:
-            if w in seen:
-                continue
-            stack, comp = [w], 0
-            seen.add(w)
-            while stack:
-                x = stack.pop()
-                comp += 1
-                for y in g.adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            worst = max(worst, comp)
-        if best is None or worst < best:
-            best, cents = worst, [v]
-        elif worst == best:
-            cents.append(v)
-    return min(_ahu_code(g, c) for c in cents)
-
-
-def _ahu_code(tree, root):
-    """AHU string of a tree rooted at root: each vertex's code wraps its
-    children's codes, sorted, in one pair of brackets."""
-    parent = {root: None}
-    order = [root]
-    for v in order:  # breadth-first; order grows while it is walked
-        for w in tree.adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    code = {}
-    for v in reversed(order):
-        subs = sorted(code[w] for w in tree.adj[v] if w != parent[v])
-        code[v] = "(" + "".join(subs) + ")"
-    return code[root]
 
 
 def all_two_connected_outerplanar(n):

@@ -17,7 +17,7 @@ def _encode_n(n):
     raise ValueError(f"n={n} too large for graph6")
 
 
-def encode_graph6(g, header=False):
+def encode_graph6(g):
     """Standard graph6 encoding: size header then column-major upper triangle."""
     n = g.n
     eset = set(g.edges)
@@ -33,8 +33,7 @@ def encode_graph6(g, header=False):
         for b in bits[off : off + 6]:
             val = (val << 1) | b
         chars.append(chr(val + 63))
-    body = _encode_n(n) + "".join(chars)
-    return (GRAPH6_HEADER + body) if header else body
+    return _encode_n(n) + "".join(chars)
 
 
 def decode_graph6(s):
@@ -62,9 +61,11 @@ def decode_graph6(s):
         for d in data[2:8]:
             n = (n << 6) | d
         rest = data[8:]
-    need = n * (n - 1) // 2
-    if len(rest) * 6 < need:
-        raise ValueError("graph6 body too short")
+    need = (n * (n - 1) // 2 + 5) // 6  # six edge bits per character
+    if len(rest) != need:
+        raise ValueError(
+            f"graph6 body for n={n} needs {need} characters, got {len(rest)}"
+        )
     bits = []
     for d in rest:
         for s6 in (5, 4, 3, 2, 1, 0):

@@ -78,9 +78,6 @@ class Graph:
         """All-pairs hop-count matrix (tuple of tuples)."""
         return self.dist_matrix
 
-    def dist(self, u, v):
-        return self.dist_matrix[u][v]
-
     def neighbor_masks(self):
         """Closed-neighborhood bitmasks, used by the belief engine."""
         if self._nbr_mask is None:
@@ -116,12 +113,6 @@ def diameter(g):
 
 def radius(g):
     return min(eccentricities(g))
-
-
-def center(g):
-    ecc = eccentricities(g)
-    r = min(ecc)
-    return tuple(v for v in range(g.n) if ecc[v] == r)
 
 
 def is_tree(g):
@@ -317,24 +308,6 @@ def maximum_matching(g):
     return g._matching
 
 
-def blocks(g):
-    """Biconnected components as sorted vertex tuples (bridges give pairs)."""
-    import networkx as nx
-
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
-    comps = [tuple(sorted(c)) for c in nx.biconnected_components(h)]
-    return sorted(comps)
-
-
-def is_two_connected(g):
-    if g.n < 3:
-        return False
-    b = blocks(g)
-    return len(b) == 1 and len(b[0]) == g.n
-
-
 def verify_retraction(g, h_vertices, mapping):
     """Check that mapping is a retraction of g onto the induced subgraph on h_vertices.
 
@@ -410,14 +383,12 @@ def _closed_embedding(g, eset, path):
     return None
 
 
-def find_outer_embedding(g, order_hint=None):
+def find_outer_embedding(g):
     """Search for an outerplanar embedding: a Hamiltonian cycle such that all
     remaining edges are pairwise non-crossing chords.
 
     Exponential backtracking over Hamiltonian paths from vertex 0, intended
-    for n <= 16.  Returns None when no embedding exists. order_hint permutes
-    the neighbor exploration order (used by the randomized-agreement
-    property check).
+    for n <= 16.  Returns None when no embedding exists.
     """
     n = g.n
     if n == 1:
@@ -426,8 +397,6 @@ def find_outer_embedding(g, order_hint=None):
         return OuterEmbedding(cycle=(0, 1), chords=()) if g.edges else None
     eset = set(g.edges)
     adj = g.adj
-    if order_hint is not None:
-        adj = [sorted(a, key=lambda w: order_hint[w]) for a in adj]
 
     path = [0]
     used = [False] * n

@@ -599,7 +599,9 @@ def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_00
     last level tried and its `result_record`, whose status says why the
     walk stopped.  "cop_win" means cops is the least winning count,
     "undecided" that the state cap was hit at cops, and "robber_win" that
-    every level up to cops loses.
+    every level up to cops, which is below `cop_cap(n)`, loses.  Raises
+    AssertionError when every level up to `cop_cap(n)` loses, since that
+    many cops always win.
     """
     upper = cop_cap(graph.n) if bound is None else min(bound, cop_cap(graph.n))
     if upper < 1:
@@ -609,8 +611,10 @@ def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_00
     for cops in range(1, upper + 1):
         record, _ = cached_solve(graph, rule, cops, cache, state_cap=state_cap)
         if record["status"] != "robber_win":
-            break
-    return cops, record
+            return cops, record
+    if upper == cop_cap(graph.n):
+        raise AssertionError("no winning cop count below the matching cap")
+    return upper, record
 
 
 def cop_number(graph, rule, *, max_cops=None, state_cap=1_000_000):
@@ -630,11 +634,7 @@ def cop_number(graph, rule, *, max_cops=None, state_cap=1_000_000):
             raise UndecidedError(
                 f"undecided: limit (state cap {state_cap} hit at {c} cops)"
             )
-        case _ if c < cop_cap(graph.n):
-            raise UndecidedError(
-                f"undecided: no win with up to max_cops={max_cops} cops"
-            )
-    raise AssertionError("matching bound violated: no winning cop count found")
+    raise UndecidedError(f"undecided: no win with up to max_cops={max_cops} cops")
 
 
 def extract_certificate(spec, placement, *, state_cap=1_000_000):

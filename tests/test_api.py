@@ -17,5 +17,8 @@ def test_the_set_based_game_stays_out_of_the_package():
                  "initial_states", "is_visible"):
         assert not hasattr(hyperopic.game, name), name
     for name in ("BeliefState", "Observation", "INVISIBLE", "advance_belief",
-                 "initial_belief"):
+                 "initial_belief",
+                 # helpers only the tests needed; oracles.py holds references
+                 "blocks", "is_two_connected", "tree_canonical_form",
+                 "FamilySpec", "generate", "center"):
         assert name not in hyperopic.__all__, name

@@ -111,6 +111,10 @@ def test_copnum_usage_errors(capsys):
     code, _, err = run(capsys, ["copnum", "##garbage##", "--rule", "zero"])
     assert code == 2 and "error" in err
 
+    # trailing characters after the edge bits are not graph6
+    code, out, err = run(capsys, ["copnum", "BwAAAA", "--k", "1"])
+    assert (code, out) == (2, "") and "needs 1 characters" in err
+
     code, _, err = run(
         capsys,
         ["copnum", encode_graph6(path(5)), "--rule", "zero", "--max-cops", "0"],
@@ -307,6 +311,14 @@ def test_gen_usage_errors(capsys):
     code, _, err = run(capsys, ["gen", "--family", "gk", "--m", "2", "--k", "1"])
     assert code == 2  # family constructor rejects m < 3
 
+    # only the recursive spider family has an attachment point
+    for family in (["path", "--n", "3"], ["that"], ["gk", "--m", "3", "--k", "1"]):
+        code, out, err = run(
+            capsys, ["gen", "--family", *family, "--attach", "eccentric"]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: family {family[0]!r} takes no --attach\n"
+
 
 def test_argparse_failures_exit_two(capsys):
     for argv in [[], ["frobnicate"], ["gen", "--family", "moebius"]]:
@@ -356,6 +368,16 @@ def test_audit_all_claims_small(capsys):
 def test_audit_unknown_claim_exits_two(capsys):
     code, _, err = run(capsys, ["audit", "--claim", "flat-earth"])
     assert code == 2 and "unknown claim" in err
+
+
+def test_audit_rejects_an_n_max_below_one(capsys):
+    # a bound of 0 would run no instance and report a pass
+    for n_max in ("0", "-3"):
+        code, out, err = run(
+            capsys, ["audit", "--claim", "caterpillar", "--n-max", n_max]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --n-max must be at least 1\n"
 
 
 def test_audit_rejects_a_state_cap_below_one(capsys):

@@ -1,14 +1,13 @@
 """Graph family generators and exhaustive enumerators."""
 
-import gc
 import hashlib
 
 import networkx as nx
 import pytest
 
 import oracles
+from hyperopic.cli import main
 from hyperopic.families import (
-    FamilySpec,
     all_trees,
     all_two_connected_outerplanar,
     caterpillar,
@@ -16,12 +15,10 @@ from hyperopic.families import (
     complete_bipartite,
     cycle,
     g_k,
-    generate,
     path,
     subdivide,
     t_family,
     t_hat,
-    tree_canonical_form,
     tree_diam10,
 )
 from hyperopic.formats import encode_graph6
@@ -30,7 +27,6 @@ from hyperopic.graph import (
     diameter,
     is_caterpillar,
     is_tree,
-    is_two_connected,
     radius,
 )
 
@@ -86,7 +82,7 @@ def test_gk_structure():
     for u in clique:
         for v in clique:
             if u != v:
-                assert g.dist(u, v) == 1
+                assert g.distances()[u][v] == 1
     with pytest.raises(ValueError):
         g_k(2, 1)
     with pytest.raises(ValueError):
@@ -145,24 +141,34 @@ def _nx(g):
     return h
 
 
-# --- FamilySpec dispatch ------------------------------------------------------
+# --- the CLI's family table -------------------------------------------------
 
 
-def test_generate_dispatch():
-    assert sorted(generate(FamilySpec("path", (4,))).edges) == sorted(path(4).edges)
-    assert generate(FamilySpec("t_hat")).n == 7
-    assert generate(FamilySpec("g_k", (3, 2))).n == 15
-    assert generate(FamilySpec("t_family", (2,))).n == 7
-    sub = FamilySpec("subdivision", (1,), base=FamilySpec("cycle", (3,)))
-    assert generate(sub).n == 6
-    with pytest.raises(ValueError):
-        generate(FamilySpec("unknown", (1,)))
+def test_generate_dispatch(capsys):
+    # `gen` applies each family's constructor to its flags
+    cases = [
+        (["path", "--n", "4"], path(4)),
+        (["cycle", "--n", "5"], cycle(5)),
+        (["complete", "--n", "4"], complete(4)),
+        (["bipartite", "--m", "2", "--n", "3"], complete_bipartite(2, 3)),
+        (["caterpillar", "--leaves", "2,0,1"], caterpillar([2, 0, 1])),
+        (["that"], t_hat()),
+        (["gk", "--m", "3", "--k", "2"], g_k(3, 2)),
+        (["tfamily", "--m", "2"], t_family(2)),
+        (["tfamily", "--m", "3", "--attach", "eccentric"],
+         t_family(3, attach="eccentric")),
+        (["tree-diam10"], tree_diam10()),
+        (["cycle", "--n", "3", "--subdivide", "1"], subdivide(cycle(3), 1)),
+    ]
+    for argv, graph in cases:
+        assert main(["gen", "--family", *argv]) == 0, argv
+        assert capsys.readouterr().out == encode_graph6(graph) + "\n", argv
 
 
 def test_generate_deterministic():
-    a = generate(FamilySpec("g_k", (4, 2)))
-    b = generate(FamilySpec("g_k", (4, 2)))
-    assert a.n == b.n and sorted(a.edges) == sorted(b.edges)
+    a, b = g_k(4, 2), g_k(4, 2)
+    assert a.n == b.n and a.edges == b.edges
+    assert subdivide(t_hat(), 2).edges == subdivide(t_hat(), 2).edges
 
 
 # --- tree enumeration ---------------------------------------------------------
@@ -176,20 +182,8 @@ def test_all_trees_counts_and_validity(n):
     forms = set()
     for t in ts:
         assert t.n == n and is_tree(t)
-        forms.add(tree_canonical_form(t))
+        forms.add(oracles._tree_canon(t.n, t.edges))
     assert len(forms) == len(ts)  # pairwise non-isomorphic
-
-
-def test_tree_canonical_form_leaves_no_reference_cycles():
-    trees = all_trees(9)
-    gc.collect()
-    gc.disable()
-    try:
-        for t in trees:
-            tree_canonical_form(t)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -234,7 +228,7 @@ def test_outerplanar_corpus_counts(n):
     assert len(gs) == oracles.dihedral_chord_orbit_count(n)
     for g in gs:
         assert g.n == n
-        assert is_two_connected(g)
+        assert oracles.is_two_connected_oracle(g.n, g.edges)
         assert oracles.is_outerplanar_oracle(g.n, g.edges)
 
 

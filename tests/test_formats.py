@@ -30,8 +30,8 @@ def test_known_strings():
 
 
 def test_header_variants():
-    s = encode_graph6(t_hat(), header=True)
-    assert s.startswith(">>graph6<<")
+    # decoding accepts the optional header that other tools write
+    s = ">>graph6<<" + encode_graph6(t_hat())
     g = decode_graph6(s)
     assert sorted(g.edges) == sorted(t_hat().edges)
     assert sorted(decode_graph6(s.removeprefix(">>graph6<<")).edges) == sorted(
@@ -85,6 +85,13 @@ def test_decode_rejects_garbage():
         decode_graph6("D\x19C")  # byte below the printable graph6 range
     with pytest.raises(ValueError):
         decode_graph6("D")  # truncated edge bits
+    # trailing characters: the body must have exactly ceil(n(n-1)/2 / 6)
+    # characters, and networkx rejects these strings too
+    for s in ("BwAAAA", "Bw?", "A_?", "@?", "F~~~w?"):
+        with pytest.raises(nx.NetworkXError):
+            nx.from_graph6_bytes(s.encode())
+        with pytest.raises(ValueError, match="needs"):
+            decode_graph6(s)
 
 
 def test_decode_rejects_disconnected():

@@ -27,7 +27,7 @@ from hyperopic.game import (
     hyperopic,
     zero_visibility,
 )
-from hyperopic.graph import Graph
+from hyperopic.graph import Graph, diameter
 from hyperopic import solver, strategies
 from hyperopic.cache import ResultCache
 from hyperopic.solver import (
@@ -204,6 +204,27 @@ def test_search_cop_number_reports_why_it_stopped():
     assert (cops, record["status"]) == (1, "undecided")
     with pytest.raises(ValueError):
         search_cop_number(path(3), hyperopic(1), bound=0)
+
+
+def test_losing_every_level_up_to_the_cap_is_an_assertion(monkeypatch):
+    # cop_cap(n) cops always win, so a search that loses every level up to
+    # it reports a solver fault, whichever caller asked
+    from hyperopic.audits import _Ctx
+
+    def lost(spec, **kw):
+        return solver.SolveResult("robber_win", spec.num_cops, states_explored=1)
+
+    monkeypatch.setattr(solver, "solve", lost)
+    with pytest.raises(AssertionError, match="matching cap"):
+        search_cop_number(path(3), hyperopic(1))
+    with pytest.raises(AssertionError, match="matching cap"):
+        cop_number(path(4), hyperopic(1))
+    with pytest.raises(AssertionError, match="matching cap"):
+        _Ctx().exact_copnum(path(5), hyperopic(1))
+    # below the cap a lost search only bounds the cop number from below
+    assert search_cop_number(path(6), hyperopic(1), bound=2) == (
+        2, {"status": "robber_win", "states": 1},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +590,7 @@ def test_visibility_chain_on_small_graphs():
     for n in range(2, 6):
         for nn, edges in atlas_connected(n):
             g = Graph(nn, edges)
-            diam = max(
-                g.dist(u, v) for u in range(nn) for v in range(nn)
-            )
+            diam = diameter(g)
             c_full = cop_number(g, full_visibility())
             c_h1 = cop_number(g, hyperopic(1))
             c_h2 = cop_number(g, hyperopic(2))
