@@ -769,8 +769,9 @@ def _run_shard(claim, n_max, state_cap, shard, shards, entries):
 
 def _run_sharded(claim, n_max, ctx):
     """A claim's rows, unsorted: this process runs shard 0 while pool
-    workers run the others.  The workers' cache records are put in shard
-    order, so this process is the cache file's only writer."""
+    workers run the others.  Each worker's new cache records are appended
+    in shard order, one write per worker, so this process is the cache
+    file's only writer."""
     global _pool
     from concurrent.futures.process import BrokenProcessPool
 
@@ -804,8 +805,10 @@ def _run_sharded(claim, n_max, ctx):
     for future in futures:
         shard_rows, records, hits = future.result()
         rows += shard_rows
-        for (graph6, kind, k, cops), result in records:
-            ctx.cache.put(graph6, VisibilityRule(kind, k), cops, result)
+        ctx.cache.put_many(
+            (graph6, VisibilityRule(kind, k), cops, result)
+            for (graph6, kind, k, cops), result in records
+        )
         ctx.cache.hits += hits
     return rows
 

@@ -121,30 +121,43 @@ class ResultCache:
 
     def put(self, graph6, rule, cops, result):
         """Record a result; appends one checksummed line when persistent."""
-        key = (graph6, rule.kind, rule.k, cops)
-        if key in self.entries:
+        self.put_many([(graph6, rule, cops, result)])
+
+    def put_many(self, records):
+        """Record (graph6, rule, cops, result) tuples in order, skipping
+        keys already present; the new lines go to the file in one append."""
+        lines = []
+        for graph6, rule, cops, result in records:
+            key = (graph6, rule.kind, rule.k, cops)
+            if key in self.entries:
+                continue
+            self.entries[key] = result
+            if self.writable:
+                lines.append(_line(graph6, rule, cops, result))
+        if not lines:
             return
-        self.entries[key] = result
-        if not self.writable:
-            return
-        key_obj = _key_obj(graph6, rule, cops)
-        line = json.dumps(
-            {
-                "key": key_obj,
-                "result": result,
-                "check": _checksum(_canonical(key_obj, result)),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
         try:
             with open(self.path, "a", encoding="utf8") as fh:
-                fh.write(line + "\n")
+                fh.write("".join(lines))
         except OSError as exc:
             warnings.warn(
                 f"cache {self.path}: write failed ({exc}); further saves skipped"
             )
             self.writable = False
+
+
+def _line(graph6, rule, cops, result):
+    """One checksummed cache line, newline included."""
+    key_obj = _key_obj(graph6, rule, cops)
+    return json.dumps(
+        {
+            "key": key_obj,
+            "result": result,
+            "check": _checksum(_canonical(key_obj, result)),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ) + "\n"
 
 
 def _parse_line(line):

@@ -32,6 +32,8 @@ def caterpillar(leaf_counts):
     p = len(leaf_counts)
     if p < 1:
         raise ValueError("caterpillar needs a nonempty spine")
+    if min(leaf_counts) < 0:
+        raise ValueError(f"leaf counts must be >= 0, got {list(leaf_counts)}")
     edges = [(i, i + 1) for i in range(p - 1)]
     nxt = p
     for i, c in enumerate(leaf_counts):

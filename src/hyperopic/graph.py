@@ -291,21 +291,256 @@ class Matching:
 
 
 def maximum_matching(g):
-    """Maximum-cardinality matching (blossom algorithm via networkx).
+    """Maximum-cardinality matching, from `_blossom_matching` and checked
+    by `_check_tutte_berge`.
 
     Computed once per graph: the matching-bound audit reads it and then
     builds `matching_policy` from it.
     """
     if g._matching is None:
-        import networkx as nx
-
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
-        raw = nx.max_weight_matching(h, maxcardinality=True)
-        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in raw))
+        edges, barrier = _blossom_matching(g)
+        _check_tutte_berge(g, edges, barrier)
         g._matching = Matching(edges=edges, n=g.n)
     return g._matching
+
+
+def _blossom_matching(g):
+    """A maximum matching of g, as sorted (u, v) pairs with u < v, and the
+    T-labelled vertices of the last stage, a Tutte-Berge barrier.
+
+    Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965) as
+    networkx 3.x writes it in `max_weight_matching(G, maxcardinality=True)`
+    (networkx/algorithms/matching.py, BSD-3-Clause, copyright NetworkX
+    Developers), for unit weights.  It follows that code step by step,
+    because the audit rows pin the matching it returns.  With unit weights
+    every edge is tight from the start and the duals move only in the stage
+    that finds no augmenting path, the last one; so every stage starts with
+    no blossoms, and networkx's slack bookkeeping, its delta steps of types
+    2-4 and its T-blossoms never come into play.  What is left: each stage
+    labels the exposed vertices S in vertex order, pops its queue from the
+    end, scans neighbours in ascending order (networkx's insertion order for
+    sorted edges), and after augmenting expands every blossom, here by
+    starting the next stage afresh.  tests/test_graph.py checks the edge
+    sets against networkx.
+    """
+    mate = [None] * g.n
+    while True:
+        stage = _BlossomStage(g.adj, mate)
+        if not stage.augment_once():
+            edges = tuple(
+                (v, w) for v, w in enumerate(mate) if w is not None and v < w
+            )
+            return edges, stage.barrier()
+
+
+class _BlossomStage:
+    """One stage of `_blossom_matching`: grow alternating trees from the
+    exposed vertices until an augmenting path turns up.
+
+    Blossoms are ids n, n+1, ... in the order the stage makes them; a
+    vertex is its own trivial blossom.  `label[b]` of a top-level blossom
+    is 1 for S, 2 for T and 5 for S with a breadcrumb of `scan`;
+    `labeledge[b] = (v, w)`, w in b, is the edge through which b got its
+    label, None for an exposed base.
+    """
+
+    def __init__(self, adj, mate):
+        n = len(adj)
+        self.n, self.adj, self.mate = n, adj, mate
+        self.label, self.labeledge, self.queue = {}, {}, []
+        self.inblossom = list(range(n))
+        self.parent = [None] * n
+        self.base = list(range(n))
+        # a blossom's sub-blossoms from its base round the cycle, and the
+        # edges joining each to the next
+        self.childs, self.cedges = [None] * n, [None] * n
+
+    def augment_once(self):
+        """Augment the matching along one path, or return False when there
+        is none."""
+        adj, mate, label, inblossom = self.adj, self.mate, self.label, self.inblossom
+        queue = self.queue
+        for v in range(self.n):
+            if mate[v] is None:
+                self.assign_s(v, None)
+        while queue:
+            v = queue.pop()
+            for w in adj[v]:
+                bw = inblossom[w]
+                if inblossom[v] == bw:
+                    continue
+                lw = label.get(bw)
+                if lw is None:
+                    # w is free: label it T and its mate S
+                    label[w] = 2
+                    self.labeledge[w] = (v, w)
+                    self.assign_s(mate[w], w)
+                elif lw == 1:
+                    at = self.scan(v, w)
+                    if at is None:
+                        self.augment(v, w)
+                        return True
+                    self.add_blossom(at, v, w)
+        return False
+
+    def barrier(self):
+        """The T-labelled vertices, once `augment_once` has failed."""
+        return tuple(
+            v for v in range(self.n) if self.label.get(self.inblossom[v]) == 2
+        )
+
+    def assign_s(self, w, v):
+        self.label[w] = 1
+        self.labeledge[w] = None if v is None else (v, w)
+        self.queue.append(w)
+
+    def scan(self, v, w):
+        """The base of the blossom closed by edge vw, or None when the edge
+        joins two alternating trees (an augmenting path)."""
+        label, labeledge, inblossom = self.label, self.labeledge, self.inblossom
+        path, found = [], None
+        while v is not None:
+            b = inblossom[v]
+            if label[b] & 4:
+                found = self.base[b]
+                break
+            path.append(b)
+            label[b] = 5
+            if labeledge[b] is None:
+                v = None
+            else:
+                # through b's T-labelled mate, to the edge that labelled it
+                v = labeledge[inblossom[labeledge[b][0]]][0]
+            if w is not None:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return found
+
+    def leaves(self, b):
+        stack = [*self.childs[b]]
+        while stack:
+            t = stack.pop()
+            if t >= self.n:
+                stack.extend(self.childs[t])
+            else:
+                yield t
+
+    def add_blossom(self, at, v, w):
+        """Make the S-blossom closed by edge vw, based at vertex `at`, and
+        queue its vertices that were T."""
+        label, labeledge, inblossom = self.label, self.labeledge, self.inblossom
+        parent = self.parent
+        bb, bv, bw = inblossom[at], inblossom[v], inblossom[w]
+        b = len(self.base)
+        self.base.append(at)
+        parent.append(None)
+        parent[bb] = b
+        path, edges = [], [(v, w)]
+        while bv != bb:
+            parent[bv] = b
+            path.append(bv)
+            edges.append(labeledge[bv])
+            bv = inblossom[labeledge[bv][0]]
+        path.append(bb)
+        path.reverse()
+        edges.reverse()
+        while bw != bb:
+            parent[bw] = b
+            path.append(bw)
+            edges.append((labeledge[bw][1], labeledge[bw][0]))
+            bw = inblossom[labeledge[bw][0]]
+        self.childs.append(path)
+        self.cedges.append(edges)
+        label[b] = 1
+        labeledge[b] = labeledge[bb]
+        for x in self.leaves(b):
+            if label[inblossom[x]] == 2:
+                self.queue.append(x)
+            inblossom[x] = b
+
+    def augment_blossom(self, b, v):
+        """Swap the matching along the even path in b from v to its base.
+
+        networkx then rotates b's sub-blossoms to make v's the base; here
+        every blossom is dropped once the stage augments, so nothing would
+        read the rotation.  Recursion depth is at most the nesting depth of
+        blossoms, below n/2."""
+        n, mate = self.n, self.mate
+        t = v
+        while self.parent[t] != b:
+            t = self.parent[t]
+        if t >= n:
+            self.augment_blossom(t, v)
+        ch, ed = self.childs[b], self.cedges[b]
+        i = j = ch.index(t)
+        if i & 1:
+            j -= len(ch)
+            step = 1
+        else:
+            step = -1
+        while j != 0:
+            j += step
+            t = ch[j]
+            if step == 1:
+                w, x = ed[j]
+            else:
+                x, w = ed[j - 1]
+            if t >= n:
+                self.augment_blossom(t, w)
+            j += step
+            t = ch[j]
+            if t >= n:
+                self.augment_blossom(t, x)
+            mate[w] = x
+            mate[x] = w
+
+    def augment(self, v, w):
+        """Swap the matching along the path through edge vw between the
+        exposed roots of v's and w's trees."""
+        labeledge, inblossom = self.labeledge, self.inblossom
+        for s, j in ((v, w), (w, v)):
+            while True:
+                bs = inblossom[s]
+                if bs >= self.n:
+                    self.augment_blossom(bs, s)
+                self.mate[s] = j
+                if labeledge[bs] is None:
+                    break
+                # a T label sits on a single vertex, the mate of bs's base
+                s, j = labeledge[labeledge[bs][0]]
+                self.mate[j] = s
+
+
+def _check_tutte_berge(g, edges, barrier):
+    """Raise unless `edges` is a matching of g whose size meets the
+    Tutte-Berge bound of `barrier`: 2|M| = n + |U| - odd(G - U), where
+    odd(G - U) counts the components of odd size once U is deleted.  Every
+    matching has 2|M| <= n + |U| - odd(G - U), so equality proves M
+    maximum."""
+    eset = set(g.edges)
+    covered = [v for e in edges for v in e]
+    if not eset.issuperset(edges) or len(set(covered)) != len(covered):
+        raise AssertionError(f"not a matching of the graph: {edges}")
+    removed = set(barrier)
+    odd = 0
+    for s in range(g.n):
+        if s in removed:
+            continue
+        removed.add(s)
+        stack, size = [s], 0
+        while stack:
+            size += 1
+            for w in g.adj[stack.pop()]:
+                if w not in removed:
+                    removed.add(w)
+                    stack.append(w)
+        odd += size & 1
+    if 2 * len(edges) != g.n + len(barrier) - odd:
+        raise AssertionError(
+            f"matching of size {len(edges)} fails the Tutte-Berge bound of"
+            f" barrier {barrier} ({odd} odd components)"
+        )
 
 
 def verify_retraction(g, h_vertices, mapping):

@@ -248,20 +248,22 @@ def test_the_atlas_table_is_the_networkx_atlas():
 
 
 def test_solver_claims_run_without_networkx():
-    # the atlas and the trees come from the repo; networkx is left for the
-    # blossom matching and the block decomposition
+    # the atlas, the trees and the blossom matching all come from the repo;
+    # gen --stats prints the matching number and verify plays the matching
+    # policy
     import hyperopic
 
-    claims = ("prop-classes", "bipartite", "monotonicity", "zerovis-eq",
-              "diam-bound", "retract", "caterpillar", "diam4-bound",
-              "outerplanar-sqrt")
     script = (
         "import sys\n"
         "import hyperopic\n"
-        "from hyperopic import audits\n"
+        "from hyperopic import audits, cli\n"
         "audits._shard_count = lambda: 1\n"
-        f"for name, n_max in {[(c, SMALL_SCOPE[c]) for c in claims]!r}:\n"
+        f"for name, n_max in {sorted(SMALL_SCOPE.items())!r}:\n"
         "    assert audits.run_claim(name, n_max=n_max), name\n"
+        "for argv in (['copnum', 'Dhc', '--rule', 'zero'],\n"
+        "             ['gen', '--family', 'cycle', '--n', '5', '--stats'],\n"
+        "             ['verify', 'Dhc', '--policy', 'matching']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.startswith('networkx')))\n"
     )
     src = str(Path(hyperopic.__file__).parents[1])
@@ -274,7 +276,8 @@ def test_solver_claims_run_without_networkx():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert '"matching_number": 2' in done.stdout
+    assert done.stdout.endswith("\n[]\n")
 
 
 @pytest.mark.usefixtures("serial")
@@ -394,16 +397,16 @@ def test_a_winning_policy_with_the_wrong_cop_count_is_a_violation(
 @pytest.mark.usefixtures("serial")
 def test_the_matching_claim_matches_each_graph_once(monkeypatch):
     # the claim and the policy it verifies share one blossom run per graph
-    import networkx as nx
+    from hyperopic import graph
 
     calls = []
-    real = nx.max_weight_matching
+    real = graph._blossom_matching
 
-    def counted(h, **kwargs):
-        calls.append(h.number_of_nodes())
-        return real(h, **kwargs)
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
 
-    monkeypatch.setattr(nx, "max_weight_matching", counted)
+    monkeypatch.setattr(graph, "_blossom_matching", counted)
     reports = run_claim("matching-bound", n_max=4)
     assert len(calls) == len(reports) == 10
     assert {r.verdict for r in reports} == {PASS}

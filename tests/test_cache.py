@@ -61,6 +61,35 @@ def test_put_is_idempotent_on_disk(tmp_path):
     assert len(p.read_text().strip().splitlines()) == 1
 
 
+def test_put_many_writes_the_lines_of_put_in_one_append(tmp_path, monkeypatch):
+    recs = [
+        ("Cx", hyperopic(1), 1, {"status": "robber_win", "states": 5}),
+        ("Cx", hyperopic(1), 2, {"status": "cop_win", "states": 3,
+                                 "placement": [0, 1], "rounds": 1}),
+        ("Bw", zero_visibility(), 1, {"status": "robber_win", "states": 2}),
+    ]
+    one = ResultCache(str(tmp_path / "one.jsonl"))
+    for rec in recs:
+        one.put(*rec)
+    many = ResultCache(str(tmp_path / "many.jsonl"))
+    many.put(*recs[1])
+    opened = []
+    real_open = open
+    monkeypatch.setattr(
+        "builtins.open", lambda *a, **kw: opened.append(a) or real_open(*a, **kw)
+    )
+    # a key already present is skipped, also when it repeats in the batch
+    many.put_many([recs[0], recs[1], recs[2], recs[0]])
+    many.put_many([recs[2]])
+    monkeypatch.undo()
+    assert len(opened) == 1
+    lines = {k: (tmp_path / f"{k}.jsonl").read_text().splitlines()
+             for k in ("one", "many")}
+    assert sorted(lines["many"]) == sorted(lines["one"]) and len(lines["one"]) == 3
+    assert lines["many"] == [lines["one"][i] for i in (1, 0, 2)]
+    assert many.entries == one.entries
+
+
 def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     p = tmp_path / "cache.jsonl"
     good = ResultCache(str(p))

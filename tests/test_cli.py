@@ -308,6 +308,11 @@ def test_gen_usage_errors(capsys):
     )
     assert code == 2 and "comma-separated" in err
 
+    code, out, err = run(
+        capsys, ["gen", "--family", "caterpillar", "--leaves=-2,1"]
+    )
+    assert (code, out) == (2, "") and "leaf counts must be >= 0" in err
+
     code, _, err = run(capsys, ["gen", "--family", "gk", "--m", "2", "--k", "1"])
     assert code == 2  # family constructor rejects m < 3
 

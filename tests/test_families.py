@@ -63,6 +63,8 @@ def test_caterpillar_generator():
     assert g.n == 6 and is_caterpillar(g)
     assert is_caterpillar(caterpillar([0]))
     assert not is_caterpillar(t_hat())
+    with pytest.raises(ValueError, match="leaf counts"):
+        caterpillar([-2, 1])
 
 
 def test_spider():

@@ -3,6 +3,7 @@ embeddings, retractions."""
 
 import gc
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -23,6 +24,8 @@ from hyperopic.families import (
     tree_diam10,
 )
 from hyperopic.graph import (
+    _blossom_matching,
+    _check_tutte_berge,
     build_graph,
     diameter,
     eccentricities,
@@ -186,6 +189,96 @@ def test_matching_exact_on_small_connected_graphs(n):
         m = maximum_matching(g)
         _assert_valid_matching(g, m)
         assert m.size == oracles.brute_force_matching_size(nn, edges)
+
+
+def _nx_matching(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    raw = nx.max_weight_matching(h, maxcardinality=True)
+    return tuple(sorted((min(u, v), max(u, v)) for u, v in raw))
+
+
+def _random_connected(rng, n, p):
+    """A random spanning tree plus each other pair with probability p."""
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [(u, v) for u, v in itertools.combinations(range(n), 2)
+              if rng.random() < p]
+    return build_graph(n, edges)
+
+
+def _odd_cycles_joined_by_paths(lengths, joint):
+    """Cycles of the given odd lengths in a row, each joined to the next by
+    a path of `joint` edges."""
+    edges, at, prev = [], 0, None
+    for length in lengths:
+        ring = list(range(at, at + length))
+        edges += zip(ring, ring[1:] + ring[:1])
+        at += length
+        if prev is not None:
+            chain = [prev] + list(range(at, at + joint - 1)) + [ring[0]]
+            edges += zip(chain, chain[1:])
+            at += joint - 1
+        prev = ring[length // 2]
+    return build_graph(at, edges)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_matching_is_the_networkx_matching_on_the_atlas():
+    # the matching-bound rows pin these edge sets, not just their size
+    from hyperopic._atlas import CONNECTED
+    from hyperopic.formats import decode_graph6
+
+    graphs = [decode_graph6(s) for s in CONNECTED]
+    assert len(graphs) == 996
+    for g in graphs:
+        assert maximum_matching(g).edges == _nx_matching(g), g.edges
+
+
+@pytest.mark.parametrize("p", [0.05, 0.15, 0.4])
+def test_matching_is_the_networkx_matching_on_random_graphs(p):
+    rng = random.Random(f"matching-{p}")
+    for _ in range(150):
+        g = _random_connected(rng, rng.randint(2, 40), p)
+        assert maximum_matching(g).edges == _nx_matching(g), g.edges
+
+
+def test_matching_is_the_networkx_matching_on_blossom_heavy_graphs():
+    h = nx.petersen_graph()
+    graphs = [build_graph(10, h.edges())]
+    for lengths in ((5, 5), (3, 5, 7), (7, 3, 3, 5), (9, 5, 3, 3, 7)):
+        for joint in (1, 2, 3):
+            graphs.append(_odd_cycles_joined_by_paths(lengths, joint))
+    rng = random.Random(7)
+    graphs += [_relabelled(g, rng) for g in graphs for _ in range(5)]
+    for g in graphs:
+        m = maximum_matching(g)
+        assert m.edges == _nx_matching(g), g.edges
+    assert maximum_matching(graphs[0]).is_perfect
+
+
+def test_the_tutte_berge_check_rejects_a_matching_short_of_maximum():
+    g = _odd_cycles_joined_by_paths((5, 3, 7), 2)
+    edges, barrier = _blossom_matching(g)
+    _check_tutte_berge(g, edges, barrier)
+    assert len(edges) == g.n // 2
+    for i in range(len(edges)):
+        with pytest.raises(AssertionError, match="Tutte-Berge"):
+            _check_tutte_berge(g, edges[:i] + edges[i + 1:], barrier)
+    # a barrier that certifies nothing, and edge sets that are no matching
+    with pytest.raises(AssertionError, match="Tutte-Berge"):
+        _check_tutte_berge(g, edges, (0, 1))
+    with pytest.raises(AssertionError, match="not a matching"):
+        _check_tutte_berge(g, edges[1:] + ((0, 2),), barrier)
+    u, v = edges[0]
+    w = next(x for x in g.adj[u] if x != v)
+    with pytest.raises(AssertionError, match="not a matching"):
+        _check_tutte_berge(g, edges + ((min(u, w), max(u, w)),), barrier)
 
 
 # --- automorphisms ----------------------------------------------------------
