@@ -14,7 +14,6 @@ claim is expected to hold on everything it enumerates.
 
 from __future__ import annotations
 
-import atexit
 import json
 import math
 import os
@@ -732,84 +731,65 @@ CLAIMS = {
 
 def _shard_count():
     """How many shards a claim's instances are split into: one per CPU this
-    process may run on."""
+    process may run on, or 1 where a worker cannot be forked."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    if cpus > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return cpus
 
 
-# The worker pool of sharded claims: made by the first one, then kept for
-# the rest of the process, so its workers keep their imports.
-_pool = None
+# In a worker: the (claim, n_max, ctx) it was forked for, read from the
+# memory it shares with the calling process, so nothing is pickled for it.
+_job = None
 
 
-def _close_pool():
-    """Shut the worker pool down; the next sharded claim starts a new one."""
-    global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
-        pool.shutdown()
+def _adopt(*job):
+    global _job
+    _job = job
 
 
-# Drop the pool before the interpreter tears its modules down, which the
-# pool's own clean-up still needs.
-atexit.register(_close_pool)
-
-
-def _run_shard(claim, n_max, state_cap, shard, shards, entries):
-    """One worker's shard of a claim, solved against a copy of the parent's
-    cache entries: (rows, new cache records in solve order, cache hits)."""
+def _run_shard(shard):
+    """One shard of the claim this worker was forked for, solved against its
+    copy of the calling process's cache entries: (rows, new cache records in
+    solve order, cache hits)."""
+    claim, n_max, ctx = _job
     cache = ResultCache(None)
-    cache.entries = entries
-    known = len(entries)
-    rows = list(CLAIMS[claim](n_max, _Ctx(cache, state_cap, shard, shards)))
-    return rows, list(entries.items())[known:], cache.hits
+    cache.entries = ctx.cache.entries
+    known = len(cache.entries)
+    shard_ctx = _Ctx(cache, ctx.state_cap, shard, ctx.shards)
+    rows = list(CLAIMS[claim](n_max, shard_ctx))
+    return rows, list(cache.entries.items())[known:], cache.hits
 
 
 def _run_sharded(claim, n_max, ctx):
-    """A claim's rows, unsorted: this process runs shard 0 while pool
-    workers run the others.  Each worker's new cache records are appended
-    in shard order, one write per worker, so this process is the cache
-    file's only writer."""
-    global _pool
-    from concurrent.futures.process import BrokenProcessPool
+    """A claim's rows, unsorted, each shard run in a worker forked for this
+    claim.  Each shard's new cache records are appended in shard order, one
+    write per shard, so this process is the cache file's only writer."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    if _pool is None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        _pool = ProcessPoolExecutor(
-            ctx.shards - 1, mp_context=multiprocessing.get_context("spawn")
-        )
-    # The pool pickles its arguments later, on a thread of its own, while
-    # shard 0 below is already adding entries: hand it a copy of them now.
-    entries = dict(ctx.cache.entries)
-    try:
-        futures = [
-            _pool.submit(
-                _run_shard, claim, n_max, ctx.state_cap, w, ctx.shards, entries
+    rows = []
+    with ProcessPoolExecutor(
+        ctx.shards,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(claim, n_max, ctx),
+    ) as pool:
+        futures = [pool.submit(_run_shard, s) for s in range(ctx.shards)]
+        for future in futures:
+            shard_rows, records, hits = future.result()
+            rows += shard_rows
+            ctx.cache.put_many(
+                (graph6, VisibilityRule(kind, k), cops, result)
+                for (graph6, kind, k, cops), result in records
             )
-            for w in range(1, ctx.shards)
-        ]
-    except BrokenProcessPool:
-        _close_pool()
-        raise
-    try:
-        rows = list(CLAIMS[claim](n_max, ctx))
-    finally:
-        # every future is waited for and read, even when shard 0 raised
-        failures = [f.exception() for f in futures]
-        if any(isinstance(e, BrokenProcessPool) for e in failures):
-            _close_pool()
-    for future in futures:
-        shard_rows, records, hits = future.result()
-        rows += shard_rows
-        ctx.cache.put_many(
-            (graph6, VisibilityRule(kind, k), cops, result)
-            for (graph6, kind, k, cops), result in records
-        )
-        ctx.cache.hits += hits
+            ctx.cache.hits += hits
     return rows
 
 
@@ -817,8 +797,8 @@ def run_claim(claim, *, n_max=None, cache=None, state_cap=1_000_000):
     """All reports for one claim, sorted by instance key.
 
     The instances are split into `_shard_count()` shards, run at once in
-    this process and in spawned worker processes; the rows, sorted, are
-    those of one serial run, and the cache receives the same records."""
+    worker processes forked for the claim; the rows, sorted, are those of
+    one serial run, and the cache receives the same records."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     ctx = _Ctx(cache=cache, state_cap=state_cap, shards=_shard_count())

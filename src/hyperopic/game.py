@@ -146,8 +146,8 @@ class TransitionTable:
     list (`frame_rows`), where a move leaves the belief masked by the new
     cops' `free`, then `reply`, the cops' observation, the robber's reply
     and the second observation in one pass.  `cop_step` and `robber_step` are the round's
-    two halves as separate steps, and the policy verifier replays policies
-    with `masks`, `split` and `robber_step`.
+    two halves as separate steps.  The policy verifier replays policies
+    with `masks`, `split` for the placement and `reply` for every round.
 
     `blind` is true when no cop position sees any vertex (zero visibility,
     or k at least the diameter): every observation is "invisible", so each

@@ -105,14 +105,11 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
         for c, m in zip(cops, moves):
             if not 0 <= m < n or not (nbr[c] >> m) & 1:
                 raise ValueError(f"{policy.name}: illegal move {c} -> {m}")
-        children = []
         free, vis1 = table.masks(moves)
-        b1 = bmask & free
-        if b1:
-            for blk1 in table.split(b1, vis1):
-                for blk2 in table.robber_step(moves, blk1):
-                    children.append((state1, moves, blk2))
-        return children
+        return [
+            (state1, moves, blk)
+            for blk in table.reply(bmask & free, free, vis1)
+        ]
 
     memo = {}
     onpath = {}

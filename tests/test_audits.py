@@ -8,9 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.connection import wait
 from pathlib import Path
 
 import pytest
@@ -56,8 +54,8 @@ SMALL_SCOPE = {
 
 @pytest.fixture
 def serial(monkeypatch):
-    """Run every shard in this process: spawned workers import the library
-    afresh and never see a test's patches."""
+    """Run every shard in this process: forked workers see a test's patches,
+    but count calls in their own memory, which the test never reads."""
     monkeypatch.setattr(audits, "_shard_count", lambda: 1)
 
 
@@ -247,12 +245,25 @@ def test_the_atlas_table_is_the_networkx_atlas():
     assert audits._atlas_connected(5) == expected[:31]
 
 
+def _run_script(script, *options):
+    """Run a `-c` script in a fresh interpreter that imports this library."""
+    import hyperopic
+
+    src = str(Path(hyperopic.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *options, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_solver_claims_run_without_networkx():
     # the atlas, the trees and the blossom matching all come from the repo;
     # gen --stats prints the matching number and verify plays the matching
     # policy
-    import hyperopic
-
     script = (
         "import sys\n"
         "import hyperopic\n"
@@ -266,15 +277,7 @@ def test_solver_claims_run_without_networkx():
         "    assert cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.startswith('networkx')))\n"
     )
-    src = str(Path(hyperopic.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    done = _run_script(script)
     assert done.returncode == 0, done.stderr
     assert '"matching_number": 2' in done.stdout
     assert done.stdout.endswith("\n[]\n")
@@ -451,7 +454,8 @@ def test_exact_bound_rows_need_the_exact_value(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Sharded claims: with two shards, shard 1 runs in a spawned pool worker.
+# Sharded claims: with two shards, each shard runs in a worker forked for
+# the claim.
 
 
 def _shards(monkeypatch, k):
@@ -514,37 +518,73 @@ def test_a_failure_in_a_worker_shard_raises_from_run_claim(monkeypatch):
     with pytest.raises(KeyError, match="status") as raised:
         run_claim("caterpillar", n_max=4, cache=cache)
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
-    # the pool is still usable
+    # the next claim runs
     assert len(run_claim("caterpillar", n_max=4)) == 5
 
 
 @pytest.mark.filterwarnings("error")
-def test_a_dead_worker_fails_its_claim_and_the_next_gets_a_new_pool(
-    monkeypatch,
-):
+def test_the_shards_run_outside_the_calling_process(monkeypatch):
+    _shards(monkeypatch, 2)
+
+    def pids(n_max, ctx):
+        pid = {"pid": os.getpid()}
+        return [AuditReport("pids", {"shard": ctx.shard}, "", pid, PASS)]
+
+    monkeypatch.setitem(CLAIMS, "bipartite", pids)
+    reports = run_claim("bipartite")
+    assert [r.instance["shard"] for r in reports] == [0, 1]
+    assert os.getpid() not in {r.observed["pid"] for r in reports}
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_dead_worker_fails_its_claim_and_the_next_claim_runs(monkeypatch):
     _shards(monkeypatch, 2)
     expect = run_claim("bipartite", n_max=3)
-    workers = multiprocessing.active_children()
-    assert workers
-    for p in workers:
-        p.kill()
-    assert len(wait([p.sentinel for p in workers], timeout=30)) == len(workers)
+    claim = CLAIMS["bipartite"]
+
+    def dies_in_shard_1(n_max, ctx):
+        if ctx.shard == 1:
+            os._exit(1)
+        return claim(n_max, ctx)
+
+    monkeypatch.setitem(CLAIMS, "bipartite", dies_in_shard_1)
     with pytest.raises(BrokenProcessPool):
         run_claim("bipartite", n_max=3)
+    monkeypatch.setitem(CLAIMS, "bipartite", claim)
     assert run_claim("bipartite", n_max=3) == expect
 
 
 @pytest.mark.filterwarnings("error")
-def test_no_worker_outlives_the_pool(monkeypatch):
+def test_no_worker_outlives_its_claim(monkeypatch):
     _shards(monkeypatch, 2)
-    run_claim("bipartite", n_max=3)
-    workers = multiprocessing.active_children()
-    assert workers
-    closer = threading.Thread(target=audits._close_pool)
-    closer.start()
-    closer.join(timeout=60)
-    assert not closer.is_alive()
-    for p in workers:
-        p.join(timeout=10)
-        assert not p.is_alive()
+    assert run_claim("bipartite", n_max=3)
     assert multiprocessing.active_children() == []
+
+    def fails_in_shard_1(n_max, ctx):
+        if ctx.shard == 1:
+            raise RuntimeError("shard 1 failed")
+        return []
+
+    monkeypatch.setitem(CLAIMS, "bipartite", fails_in_shard_1)
+    with pytest.raises(RuntimeError, match="shard 1 failed"):
+        run_claim("bipartite", n_max=3)
+    assert multiprocessing.active_children() == []
+
+
+# Runs a two-shard claim twice at top level, the second time in a process
+# that has forked before, and prints the row counts and the children left.
+UNGUARDED_SCRIPT = (
+    "import multiprocessing\n"
+    "from hyperopic import audits\n"
+    "audits._shard_count = lambda: 2\n"
+    "for _ in range(2):\n"
+    "    rows = audits.run_claim('bipartite', n_max=4)\n"
+    "    print(len(rows), multiprocessing.active_children())\n"
+)
+
+
+def test_a_script_without_a_main_guard_runs_sharded_claims():
+    # forked workers do not import the script's main module again
+    done = _run_script(UNGUARDED_SCRIPT, "-W", "error")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "18 []\n" * 2
