@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import hashlib
 
 import networkx as nx
 import pytest
@@ -18,6 +19,7 @@ from hyperopic.families import (
     t_hat,
     tree_diam10,
 )
+from hyperopic.formats import encode_graph6
 from hyperopic.game import GameSpec, hyperopic, zero_visibility
 from hyperopic.graph import Graph, build_graph, diameter, maximum_matching
 from hyperopic.solver import solve
@@ -431,3 +433,50 @@ def test_verifier_matches_the_set_based_reference():
         "tree2": 48, "outerplanar": 35, "matching": 31, "pendant": 50,
         "neardiam": 39, "stationary": 16, "certificate": 2,
     }
+
+
+# ---------------------------------------------------------------------------
+# per-node behaviour of the scripted policies, pinned
+
+
+def _canon(x):
+    """A text form of a policy value that does not depend on the iteration
+    order of its sets (a frozenset iterates in insertion order)."""
+    if isinstance(x, (set, frozenset)):
+        return "{" + ", ".join(sorted(_canon(v) for v in x)) + "}"
+    if isinstance(x, (tuple, list)):
+        return "(" + ", ".join(_canon(v) for v in x) + ")"
+    return repr(x)
+
+
+def _step_digest(make, graphs):
+    """sha256 over every (state, cops, bmask) -> (moves, next state) the
+    verifier hands make(g), per graph, records sorted."""
+    lines = []
+    for g in graphs:
+        policy = make(g)
+        g6 = encode_graph6(g)
+
+        def step(state, cops, bmask, inner=policy.step):
+            out = inner(state, cops, bmask)
+            lines.append(f"{g6} {_canon((state, cops, bmask))} -> {_canon(out)}")
+            return out
+
+        out = verify_policy(g, hyperopic(2), dataclasses.replace(policy, step=step))
+        assert isinstance(out, Win), g.edges
+    text = "\n".join(sorted(lines))
+    return len(lines), hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_outerplanar_steps_are_pinned():
+    graphs = [g for n in range(3, 10) for g in all_two_connected_outerplanar(n)]
+    assert _step_digest(outerplanar_k2_policy, graphs) == (
+        8929, "0deb9d34d21e7b2e3882878b4384380bdcdafed030daefadb2d3f04a9e9fa722"
+    )
+
+
+def test_tree2_steps_are_pinned():
+    trees = [t for n in range(1, 11) for t in all_trees(n)]
+    assert _step_digest(tree_k2_policy, trees) == (
+        6345, "223d82e76b91975d558cee067b7c653de7fa15fa9a574b88867f496a2f00b9a9"
+    )
