@@ -159,6 +159,8 @@ def _cmd_verify(args):
             raise _UsageError(f"policy {args.policy!r} requires --k")
         if args.policy not in _POLICY_NEEDS_K and args.k is not None:
             raise _UsageError(f"policy {args.policy!r} takes no --k")
+        if args.k is not None and args.k < 1:
+            raise _UsageError("--k must be at least 1")
     except (ValueError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,7 @@
 """Deterministic cop policies and an adversarial policy verifier.
 
-A policy is a deterministic machine: a starting placement plus a step
-function mapping (internal state, current positions, belief mask) to a
+A policy is a deterministic machine: a starting placement and state plus a
+step function mapping (internal state, current positions, belief mask) to a
 joint move.  The verifier plays a policy against an omniscient robber by
 exhaustive DFS over every observation branch; a policy is only ever trusted
 after the verifier returns Win.
@@ -30,18 +30,23 @@ from .game import (
 class CopPolicy:
     """A named deterministic cop strategy.
 
-    initial() -> (placement, state0).  step(state, cops, bmask) -> (moves,
-    state1), where cops are the positions this policy chose last time (in
-    the same per-cop order), moves[i] must lie in the closed neighborhood
-    of cops[i], and bmask is the current belief as a mask: bit v is set
-    when the robber may be on vertex v given every sighting so far.  It is
-    never 0 and never covers a cop.  `mask_to_set` turns it into a set.
+    The cops start on placement (a tuple, one vertex per cop) in policy
+    state `state`.  step(state, cops, bmask) -> (moves, state1), where cops
+    are the positions this policy chose last time (in the same per-cop
+    order), moves[i] must lie in the closed neighborhood of cops[i], and
+    bmask is the current belief as a mask: bit v is set when the robber may
+    be on vertex v given every sighting so far.  It is never 0 and never
+    covers a cop.  `mask_to_set` turns it into a set.
     """
 
     name: str
-    num_cops: int
-    initial: Callable[[], tuple]
-    step: Callable[[Any, tuple, tuple], tuple]
+    placement: tuple
+    state: Any
+    step: Callable[[Any, tuple, int], tuple]
+
+    @property
+    def num_cops(self):
+        return len(self.placement)
 
 
 @dataclass(frozen=True)
@@ -82,17 +87,14 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     if not 1 <= policy.num_cops <= cap:
         raise ValueError(f"policy cop count must be in [1, {cap}]")
     table = TransitionTable(GameSpec(graph, rule, policy.num_cops))
-    placement, state0 = policy.initial()
-    placement = tuple(placement)
-    if len(placement) != policy.num_cops:
-        raise ValueError("placement size differs from policy cop count")
+    placement = policy.placement
     if any(not 0 <= v < n for v in placement):
         raise ValueError("placement vertex out of range")
 
     cand, vis0 = table.masks(placement)
     if not cand:
         return Win(0)
-    roots = [(state0, placement, blk) for blk in table.split(cand, vis0)]
+    roots = [(policy.state, placement, blk) for blk in table.split(cand, vis0)]
 
     nbr = table.nbr
 
@@ -216,17 +218,13 @@ def certificate_policy(graph, rule, certificate):
     supposed to cover every reachable state).  graph and rule are not
     consulted: the certificate was solved for them.
     """
-    placement = tuple(sorted(certificate.placement))
-    ncops = len(placement)
-
-    def initial():
-        return placement, None
 
     def step(state, cops, bmask):
         target = _certificate_move(certificate, cops, bmask)
         return _align_to_roles(cops, target), None
 
-    return CopPolicy("certificate", ncops, initial, step)
+    placement = tuple(sorted(certificate.placement))
+    return CopPolicy("certificate", placement, None, step)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +245,7 @@ def matching_policy(graph):
     covered = {v for e in medges for v in e}
     rest = sorted(set(range(graph.n)) - covered)
     walk = _closed_walk(graph, rest)
-    ncops = len(medges) + (1 if rest else 0)
     placement = tuple(x for x, _ in medges) + ((walk[0],) if rest else ())
-
-    def initial():
-        return placement, 0
 
     def step(state, cops, bmask):
         moves = [y if cops[i] == x else x for i, (x, y) in enumerate(medges)]
@@ -261,7 +255,7 @@ def matching_policy(graph):
             moves.append(walk[wi])
         return tuple(moves), wi
 
-    return CopPolicy("matching", ncops, initial, step)
+    return CopPolicy("matching", placement, 0, step)
 
 
 def _closed_walk(graph, targets):
@@ -318,8 +312,7 @@ def tree_k2_policy(tree):
         m[1 - post_role] = walker_pos
         return tuple(m)
 
-    def pursuit_move(belief, cops):
-        (target,) = belief
+    def pursuit_move(target, cops):
         dist = g.distances()
         front = min(range(2), key=lambda i: (dist[cops[i]][target], cops[i], i))
         rear = 1 - front
@@ -338,51 +331,43 @@ def tree_k2_policy(tree):
         if a == j:
             # stacked after a sight loss: split toward the belief
             x = _step_toward(g, a, min(belief))
-            return [_joint(pr, x, a)], frozenset()
+            return (_joint(pr, x, a),), frozenset()
         fj = sorted((belief & set(g.adj[j])) - {a} - stomped)
         fa = sorted((belief & set(g.adj[a])) - {j} - stomped)
         if fj:
             t = fj[0]
-            return [_joint(pr, a, t), _joint(pr, a, j)], stomped | {t}
+            return (_joint(pr, a, t), _joint(pr, a, j)), stomped | {t}
         if fa:
             t = fa[0]
-            steps = [
+            steps = (
                 _joint(pr, a, a),
                 _joint(pr, a, t),
                 _joint(pr, a, a),
                 _joint(pr, a, j),
-            ]
+            )
             return steps, stomped | {t}
         # advance one edge toward the remaining belief
         x = _step_toward(g, a, min(belief))
         if x == j:
             x = _step_toward(g, j, min(belief))
-            return [_joint(pr, j, j), _joint(pr, x, j)], frozenset()
-        return [_joint(pr, a, a), _joint(pr, x, a)], frozenset()
-
-    def initial():
-        # post = the leaf's neighbor (role 1), walker = the leaf (role 0)
-        return placement, (1, (REST, frozenset()))
+            return (_joint(pr, j, j), _joint(pr, x, j)), frozenset()
+        return (_joint(pr, a, a), _joint(pr, x, a)), frozenset()
 
     def step(state, cops, bmask):
         post_role, mode = state
-        belief = mask_to_set(bmask)
-        if len(belief) == 1:
-            moves, front = pursuit_move(belief, cops)
+        target = _sole(bmask)
+        if target is not None:
+            moves, front = pursuit_move(target, cops)
             return moves, (front, (REST, frozenset()))
         if mode[0] == SCRIPT:
-            steps, stomped = mode[1], mode[2]
-            nxt = (SCRIPT, steps[1:], stomped) if steps[1:] else (REST, stomped)
-            return steps[0], (post_role, nxt)
-        steps, stomped = commit(belief, cops, post_role, mode[1])
-        nxt = (
-            (SCRIPT, tuple(steps[1:]), stomped)
-            if steps[1:]
-            else (REST, stomped)
-        )
+            _, steps, stomped = mode
+        else:
+            steps, stomped = commit(mask_to_set(bmask), cops, post_role, mode[1])
+        nxt = (SCRIPT, steps[1:], stomped) if steps[1:] else (REST, stomped)
         return steps[0], (post_role, nxt)
 
-    return CopPolicy("tree2", 2, initial, step)
+    # post = the leaf's neighbor (role 1), walker = the leaf (role 0)
+    return CopPolicy("tree2", placement, (1, (REST, frozenset())), step)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +426,6 @@ def _parked_hunter(name, g, parked, home, sweep):
     """
     parked, sweep = tuple(parked), tuple(sweep)
 
-    def initial():
-        return parked + (home,), ()
-
     def step(rest, cops, bmask):
         hunter = cops[-1]
         target = _sole(bmask)
@@ -455,7 +437,7 @@ def _parked_hunter(name, g, parked, home, sweep):
             rest = sweep
         return parked + (rest[0],), rest[1:]
 
-    return CopPolicy(name, len(parked) + 1, initial, step)
+    return CopPolicy(name, parked + (home,), (), step)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +461,8 @@ def stationary_pair_policy(graph, k):
     """
     from .graph import diameter, is_tree
 
+    if k < 1:
+        raise ValueError("stationary_pair_policy requires k >= 1")
     g = graph
     diam = diameter(g)
     if is_tree(g) and diam >= 2 * k - 1:
@@ -513,9 +497,6 @@ def _stationary_tree(g, k):
 
     CHASE_FAR, RELOC, ENDGAME = "far", "reloc", "end"
 
-    def initial():
-        return (spine[0], yk), None
-
     def step(mode, cops, bmask):
         if mode is None:
             far = all(in_far[v] for v in mask_to_set(bmask))
@@ -534,7 +515,7 @@ def _stationary_tree(g, k):
             raise AssertionError("post-relocation belief must be a point")
         return (u, _step_toward(g, cops[1], t)), mode
 
-    return CopPolicy("stationary", 2, initial, step)
+    return CopPolicy("stationary", (spine[0], yk), None, step)
 
 
 def _stationary_general(g, k):
@@ -545,10 +526,6 @@ def _stationary_general(g, k):
     if record["status"] != "cop_win":
         raise AssertionError("full-visibility pursuit search failed")
     cert = solve(GameSpec(g, full_visibility(), cops)).certificate
-    pursuit0 = tuple(cert.placement)
-
-    def initial():
-        return (x, y) + pursuit0, None
 
     def step(state, cops, bmask):
         if _sole(bmask) is None:
@@ -557,7 +534,7 @@ def _stationary_general(g, k):
         target = _certificate_move(cert, pcops, bmask)
         return (x, y) + _align_to_roles(pcops, target), None
 
-    return CopPolicy("stationary", 2 + len(pursuit0), initial, step)
+    return CopPolicy("stationary", (x, y) + tuple(cert.placement), None, step)
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +593,9 @@ def outerplanar_k2_policy(graph):
     the robber into a smaller arc, and rests only in positions where the
     same two guarantees hold again:
 
-    * with no chord leaving the right endpoint, that cop simply walks
-      clockwise through the degree-2 stretch to the next branch vertex,
-      sweeping it (mirrored on the left);
+    * with no chord leaving an endpoint, that cop simply walks away from
+      the territory through the degree-2 stretch to the next branch
+      vertex, sweeping it;
     * a chord from an endpoint to the far side cuts off a pocket; when
       the strip behind the chord is short the far cop crosses over in one
       or two moves, and otherwise a two-round probe (each cop bouncing
@@ -630,6 +607,15 @@ def outerplanar_k2_policy(graph):
       -- alternation between adjacent vertices seals both of them, since
       whichever of the two a robber steps onto is the next cop move's
       target -- while its partner walks around to the chord's far end.
+
+    Each maneuver is written once, for the right endpoint.  Reading the
+    outer cycle the other way round (position p becomes -p mod n) makes
+    the left endpoint the right one: the front (i, j) becomes (-j, -i),
+    with the same territory, and chords, distances and the no-crossing
+    argument do not depend on the direction of reading.  So the left
+    maneuver is the right one run on the reflected cycle, with each joint
+    move's pair swapped (the left cop plays the reflected right cop) and
+    its positions reflected back.
 
     Each branch is taken on the exact belief the cops are handed, so on
     what they actually know.
@@ -644,7 +630,6 @@ def outerplanar_k2_policy(graph):
         )
     n = g.n
     cycle = tuple(emb.cycle)
-    pos = {v: i for i, v in enumerate(cycle)}
     dist = g.distances()
     adj = g.adj
 
@@ -663,171 +648,163 @@ def outerplanar_k2_policy(graph):
             p = npos(p)
         return out
 
-    def verts(ps):
-        return {cycle[p] for p in ps}
-
-    # Farthest neighbour of the right front endpoint inside the open side,
-    # measured clockwise from it (and the mirror for the left endpoint).
-    def far_cw(i, j):
-        span = (i - j) % n
-        best, bestoff = None, 0
-        for w in adj[cycle[j]]:
-            off = (pos[w] - j) % n
-            if 0 < off < span and off > bestoff:
-                best, bestoff = pos[w], off
-        return best
-
-    def far_ccw(i, j):
-        span = (i - j) % n
-        best, bestoff = None, 0
-        for w in adj[cycle[i]]:
-            off = (i - pos[w]) % n
-            if 0 < off < span and off > bestoff:
-                best, bestoff = pos[w], off
-        return best
+    def verts(cyc, a, b):
+        """Vertices of cyc strictly inside its clockwise arc from a to b."""
+        return {cyc[p] for p in arc(a, b)}
 
     # --- maneuver builders ---------------------------------------------
     # A script is a tuple of joint moves (left cop target, right cop
     # target); ``after`` says what the state becomes when it runs out.
 
-    def case1_right(i, j):
-        walk = []
-        p = npos(j)
-        while True:
-            walk.append(p)
-            if len(adj[cycle[p]]) >= 3 or p == ppos(i):
-                break
-            p = npos(p)
-        steps = tuple((cycle[i], cycle[q]) for q in walk)
-        return steps, ("rest", (i, walk[-1]))
+    def right_hand(cyc):
+        """The right endpoint's maneuvers, read on the outer cycle cyc."""
+        pos = {v: p for p, v in enumerate(cyc)}
 
-    def case1_left(i, j):
-        walk = []
-        p = ppos(i)
-        while True:
-            walk.append(p)
-            if len(adj[cycle[p]]) >= 3 or p == npos(j):
-                break
-            p = ppos(p)
-        steps = tuple((cycle[q], cycle[j]) for q in walk)
-        return steps, ("rest", (walk[-1], j))
+        def far(i, j):
+            # Farthest neighbour of the right endpoint inside the open
+            # side, measured clockwise from it.
+            span = (i - j) % n
+            best, bestoff = None, 0
+            for w in adj[cyc[j]]:
+                off = (pos[w] - j) % n
+                if 0 < off < span and off > bestoff:
+                    best, bestoff = pos[w], off
+            return best
 
-    def probe(side, i, j, mpos):
-        # Two-round bounce probe.  One cop bounces to a territory vertex
-        # beside the far endpoint, from where every strip vertex is at
-        # distance three or more and hence visible; its partner bounces
-        # across the (structurally forced) endpoint-to-chord-end chord,
-        # keeping the chord end occupied for the probing round.  A robber
-        # stepping onto either vacated seat is captured by the returning
-        # cop before it can move on.
-        f0, f1 = cycle[i], cycle[j]
-        tverts = verts(arc(i, j))
-        mv = cycle[mpos]
-        if side == "R":
+        def walk(i, j):
+            # No chord leaves the right endpoint: its cop walks clockwise
+            # through the degree-2 stretch to the next branch vertex.
+            out = []
+            p = npos(j)
+            while True:
+                out.append(p)
+                if len(adj[cyc[p]]) >= 3 or p == ppos(i):
+                    break
+                p = npos(p)
+            steps = tuple((cyc[i], cyc[q]) for q in out)
+            return steps, ("rest", (i, out[-1]))
+
+        def rest(i, j):
+            """The maneuvers tried at rest on front (i, j), in order; None
+            stands for one that does not apply."""
+            f0, f1 = cyc[i], cyc[j]
+            m = far(i, j)
+            yield walk(i, j) if m == npos(j) else None
+            t = ((i - m) % n) - 1
+            yield (((cyc[m], f1),), ("rest", (m, j))) if t == 0 else None
+            u = ppos(i)
+            if t == 1:
+                yield ((cyc[u], cyc[m]), (cyc[m], f1)), ("rest", (m, j))
+            else:
+                yield None
+            # Both endpoints own a chord into the open side and both
+            # strips behind those chords are long.  The pocket behind the
+            # right fencing chord is fully visible from the strip vertex
+            # beside the left endpoint when the chord end is not adjacent
+            # to it (every path out of the pocket needs at least two more
+            # edges to reach it), so bounce there while the partner
+            # sweeps the chord end.
+            if cyc[m] not in adj[cyc[u]]:
+                yield ((cyc[u], cyc[m]), (f0, f1)), ("postprobe", "R", m, (i, j))
+            else:
+                yield None
+
+        def probe(i, j, m):
+            # Two-round bounce probe.  One cop bounces to a territory vertex
+            # beside the far endpoint, from where every strip vertex is at
+            # distance three or more and hence visible; its partner bounces
+            # across the (structurally forced) endpoint-to-chord-end chord,
+            # keeping the chord end occupied for the probing round.  A robber
+            # stepping onto either vacated seat is captured by the returning
+            # cop before it can move on.
+            f0, f1, mv = cyc[i], cyc[j], cyc[m]
+            tverts = verts(cyc, i, j)
             assert mv in adj[f0]
             v = max(
                 (w for w in adj[f1] if w in tverts),
                 key=lambda w: (dist[w][f0], -w),
             )
-            steps = ((mv, v), (f0, f1))
-        else:
-            assert mv in adj[f1]
-            v = max(
-                (w for w in adj[f0] if w in tverts),
-                key=lambda w: (dist[w][f1], -w),
+            return ((mv, v), (f0, f1)), ("postprobe", "R", m, (i, j))
+
+        def claim_pocket(i, j, m):
+            # Right cop alternates across the fencing chord while the left cop
+            # rounds the far side to the chord's end, arriving as the
+            # alternator swings home.
+            f0, f1, mv = cyc[i], cyc[j], cyc[m]
+            if mv in adj[f0]:
+                route = [m]
+            else:
+                route = []
+                p = ppos(i)
+                while p != m:
+                    route.append(p)
+                    p = ppos(p)
+                route.append(m)
+            stall = len(route) % 2
+            steps = []
+            for r in range(1, len(route) + stall + 1):
+                cr = mv if r % 2 == 1 else f1
+                cl = f0 if r <= stall else cyc[route[r - stall - 1]]
+                steps.append((cl, cr))
+            return tuple(steps), ("rest", (m, j))
+
+        def postprobe(belief, m, front):
+            i, j = front
+            pocket = verts(cyc, j, m)
+            strip = verts(cyc, m, i)
+            assert belief <= pocket | strip | {cyc[m]}
+            if not belief & strip:
+                return claim_pocket(i, j, m)
+            if not belief & pocket:
+                return ((cyc[i], cyc[m]),), ("rest", (i, m))
+            raise AssertionError(
+                "probe left belief straddling the fencing chord: %r"
+                % sorted(belief)
             )
-            steps = ((v, mv), (f0, f1))
-        return steps, ("postprobe", side, mpos, (i, j))
 
-    def claim_pocket_right(i, j, mpos):
-        # Right cop alternates across the fencing chord while the left cop
-        # rounds the far side to the chord's end, arriving as the
-        # alternator swings home.
-        f0, f1, mv = cycle[i], cycle[j], cycle[mpos]
-        if mv in adj[f0]:
-            route = [mpos]
-        else:
-            route = []
-            p = ppos(i)
-            while p != mpos:
-                route.append(p)
-                p = ppos(p)
-            route.append(mpos)
-        stall = len(route) % 2
-        steps = []
-        for r in range(1, len(route) + stall + 1):
-            cr = mv if r % 2 == 1 else f1
-            cl = f0 if r <= stall else cycle[route[r - stall - 1]]
-            steps.append((cl, cr))
-        return tuple(steps), ("rest", (mpos, j))
+        return far, rest, probe, postprobe
 
-    def claim_pocket_left(i, j, mpos):
-        f0, f1, mv = cycle[i], cycle[j], cycle[mpos]
-        if mv in adj[f1]:
-            route = [mpos]
-        else:
-            route = []
-            p = npos(j)
-            while p != mpos:
-                route.append(p)
-                p = npos(p)
-            route.append(mpos)
-        stall = len(route) % 2
-        steps = []
-        for r in range(1, len(route) + stall + 1):
-            cl = mv if r % 2 == 1 else f0
-            cr = f1 if r <= stall else cycle[route[r - stall - 1]]
-            steps.append((cl, cr))
-        return tuple(steps), ("rest", (i, mpos))
+    far_r, rest_r, probe_r, post_r = right_hand(cycle)
+    far_l, rest_l, probe_l, post_l = right_hand(
+        tuple(cycle[-p % n] for p in range(n))
+    )
+
+    def mirror(front):
+        """A front's positions on the reflected cycle, and back."""
+        i, j = front
+        return (-j % n, -i % n)
+
+    def unflip(result):
+        """A maneuver on the reflected cycle, in this cycle's terms."""
+        steps, after = result
+        steps = tuple((r, l) for l, r in steps)
+        if after[0] == "rest":
+            return steps, ("rest", mirror(after[1]))
+        _, _, m, front = after
+        return steps, ("postprobe", "L", -m % n, mirror(front))
 
     def rest_decide(belief, front):
         i, j = front
         f0, f1 = cycle[i], cycle[j]
-        side = verts(arc(j, i))
+        side = verts(cycle, j, i)
         assert belief <= side, (
             "outerplanar front invariant broken: %r outside %r"
             % (sorted(belief - side), front)
         )
-        m = far_cw(i, j)
-        mp = far_ccw(i, j)
-        if m == npos(j):
-            return case1_right(i, j)
-        if mp == ppos(i):
-            return case1_left(i, j)
-        t = ((i - m) % n) - 1
-        tp = ((mp - j) % n) - 1
-        if t == 0:
-            return ((cycle[m], f1),), ("rest", (m, j))
-        if tp == 0:
-            return ((f0, cycle[mp]),), ("rest", (i, mp))
-        if t == 1:
-            u = ppos(i)
-            steps = ((cycle[u], cycle[m]), (cycle[m], f1))
-            return steps, ("rest", (m, j))
-        if tp == 1:
-            u = npos(j)
-            steps = ((cycle[mp], cycle[u]), (f0, cycle[mp]))
-            return steps, ("rest", (i, mp))
-        # Both endpoints own a chord into the open side and both strips
-        # behind those chords are long.  Pick a probe whose viewing seat
-        # really does see the whole region it must clear.
-        w = ppos(i)
-        wq = npos(j)
-        if cycle[m] not in adj[cycle[w]]:
-            # The pocket behind the right fencing chord is fully visible
-            # from the strip vertex beside the left endpoint (every path
-            # out of the pocket needs at least two more edges to reach
-            # it), so bounce there while the partner sweeps the chord end.
-            steps = ((cycle[w], cycle[m]), (f0, f1))
-            return steps, ("postprobe", "R", m, (i, j))
-        if cycle[mp] not in adj[cycle[wq]]:
-            steps = ((cycle[mp], cycle[wq]), (f0, f1))
-            return steps, ("postprobe", "L", mp, (i, j))
+        # Each maneuver is tried on the right endpoint, then on the left,
+        # before the next one is tried.
+        il, jl = mirror(front)
+        for right, left in zip(rest_r(i, j), rest_l(il, jl)):
+            if right is not None:
+                return right
+            if left is not None:
+                return unflip(left)
         # Strip-end-to-chord-end edges exist on both sides, which forces
         # the endpoint-to-chord-end chords: any other chord out of an
         # endpoint would cross one of them.
-        assert cycle[m] in adj[f0] and cycle[mp] in adj[f1]
-        tverts = verts(arc(i, j))
+        m, ml = far_r(i, j), far_l(il, jl)
+        assert cycle[m] in adj[f0] and cycle[-ml % n] in adj[f1]
+        tverts = verts(cycle, i, j)
         if len(tverts) == 1:
             # Single territory vertex: run the two-phase alternation
             # gadget (see the ``b2`` branch of ``step``).
@@ -837,35 +814,13 @@ def outerplanar_k2_policy(graph):
             (dist[w2][f0] for w2 in adj[f1] if w2 in tverts), default=0
         )
         if vr >= 2:
-            return probe("R", i, j, m)
-        return probe("L", i, j, mp)
+            return probe_r(i, j, m)
+        return unflip(probe_l(il, jl, ml))
 
-    def postprobe_decide(belief, side, mpos, front):
-        i, j = front
-        f0, f1 = cycle[i], cycle[j]
+    def postprobe_decide(belief, side, m, front):
         if side == "R":
-            pocket = verts(arc(j, mpos))
-            strip = verts(arc(mpos, i))
-            assert belief <= pocket | strip | {cycle[mpos]}
-            if not belief & strip:
-                return claim_pocket_right(i, j, mpos)
-            if not belief & pocket:
-                return ((f0, cycle[mpos]),), ("rest", (i, mpos))
-            raise AssertionError(
-                "probe left belief straddling the fencing chord: %r"
-                % sorted(belief)
-            )
-        pocket = verts(arc(mpos, i))
-        strip = verts(arc(j, mpos))
-        assert belief <= pocket | strip | {cycle[mpos]}
-        if not belief & strip:
-            return claim_pocket_left(i, j, mpos)
-        if not belief & pocket:
-            return ((cycle[mpos], f1),), ("rest", (mpos, j))
-        raise AssertionError(
-            "probe left belief straddling the fencing chord: %r"
-            % sorted(belief)
-        )
+            return post_r(belief, m, front)
+        return unflip(post_l(belief, -m % n, mirror(front)))
 
     # --- establishment --------------------------------------------------
     deg3 = [p for p in range(n) if len(adj[cycle[p]]) >= 3]
@@ -886,9 +841,6 @@ def outerplanar_k2_policy(graph):
         mode0 = ("rest",)
         front0 = (0, 1)
 
-    def initial():
-        return placement, (front0, mode0)
-
     def unpack(after, front):
         if after[0] == "rest":
             return after[1], ("rest",)
@@ -899,7 +851,6 @@ def outerplanar_k2_policy(graph):
 
     def step(state, cops, bmask):
         front, mode = state
-        belief = mask_to_set(bmask)
         if mode[0] == "b2":
             # Single-territory-vertex gadget.  Stage A: the left cop
             # alternates endpoint/territory (sealing both and, from the
@@ -911,14 +862,15 @@ def outerplanar_k2_policy(graph):
             # candidates pinned behind the fencing chord, the left cop
             # crosses its forced chord onto the chord end and the front
             # advances.
+            belief = mask_to_set(bmask)
             mpos, stage, par = mode[1], mode[2], mode[3]
             i, j = front
             f0, f1 = cycle[i], cycle[j]
             y = cycle[npos(i)]
             wv = cycle[ppos(i)]
             mv = cycle[mpos]
-            qverts = verts(arc(mpos, i))
-            pverts = verts(arc(j, mpos))
+            qverts = verts(cycle, mpos, i)
+            pverts = verts(cycle, j, mpos)
             if stage == "A" and not belief & qverts:
                 stage = "B0"
             r = par + 1
@@ -933,24 +885,15 @@ def outerplanar_k2_policy(graph):
                 stage = "B"
             return move, (front, ("b2", mpos, stage, r))
         if mode[0] == "script":
-            steps, after = mode[1], mode[2]
-            move = steps[0]
-            rest = steps[1:]
-            if rest:
-                nxt = (front, ("script", rest, after))
-            else:
-                nxt = unpack(after, front)
-            return move, nxt
-        if mode[0] == "postprobe":
-            steps, after = postprobe_decide(belief, mode[1], mode[2], front)
+            _, steps, after = mode
+        elif mode[0] == "postprobe":
+            steps, after = postprobe_decide(
+                mask_to_set(bmask), mode[1], mode[2], front
+            )
         else:
-            steps, after = rest_decide(belief, front)
-        move = steps[0]
-        rest = steps[1:]
-        if rest:
-            nxt = (front, ("script", rest, after))
-        else:
-            nxt = unpack(after, front)
-        return move, nxt
+            steps, after = rest_decide(mask_to_set(bmask), front)
+        if steps[1:]:
+            return steps[0], (front, ("script", steps[1:], after))
+        return steps[0], unpack(after, front)
 
-    return CopPolicy("outerplanar", 2, initial, step)
+    return CopPolicy("outerplanar", placement, (front0, mode0), step)

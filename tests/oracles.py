@@ -655,8 +655,7 @@ def walk_policy(graph, rule, policy, visit=None, *, max_nodes=2_000_000):
     nodes are reached.
     """
     spec = GameSpec(graph, rule, policy.num_cops)
-    placement, state0 = policy.initial()
-    placement = tuple(placement)
+    placement = policy.placement
     rounds = {}
     line = set()
 
@@ -685,7 +684,7 @@ def walk_policy(graph, rule, policy, visit=None, *, max_nodes=2_000_000):
     free = set(range(graph.n)) - set(placement)
     return max(
         (
-            arrive((state0, placement, b), (obs,))
+            arrive((policy.state, placement, b), (obs,))
             for obs, b in observation_split(spec, placement, free)
         ),
         default=0,

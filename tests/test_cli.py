@@ -230,6 +230,13 @@ def test_verify_k_flag_handling(capsys):
     )
     assert code == 2 and "takes no --k" in err
 
+    for k in ("0", "-3"):
+        code, out, err = run(
+            capsys, ["verify", "FkE?G", "--policy", "stationary", "--k", k]
+        )
+        assert code == 2 and out == ""
+        assert err == "error: --k must be at least 1\n"
+
 
 # ---------------------------------------------------------------------------
 # gen

@@ -54,25 +54,19 @@ def spider(*legs):
 def sweep_policy(n):
     """One cop walking a path graph left to right."""
 
-    def initial():
-        return (0,), None
-
     def step(state, cops, bmask):
         return (min(cops[0] + 1, n - 1),), None
 
-    return CopPolicy("sweep", 1, initial, step)
+    return CopPolicy("sweep", (0,), None, step)
 
 
 def camper_policy(v):
     """One cop that never moves."""
 
-    def initial():
-        return (v,), None
-
     def step(state, cops, bmask):
         return cops, None
 
-    return CopPolicy("camper", 1, initial, step)
+    return CopPolicy("camper", (v,), None, step)
 
 
 # ---------------------------------------------------------------------------
@@ -102,51 +96,34 @@ def test_tiny_node_cap_times_out():
 
 
 def test_teleporting_policy_is_rejected():
-    def initial():
-        return (0,), None
-
     def step(state, cops, bmask):
         return (5,), None  # not adjacent to 0
 
-    pol = CopPolicy("teleport", 1, initial, step)
+    pol = CopPolicy("teleport", (0,), None, step)
     with pytest.raises(ValueError, match="illegal move"):
         verify_policy(path(6), hyperopic(2), pol)
 
 
 def test_wrong_move_arity_is_rejected():
-    def initial():
-        return (0, 2), None
-
     def step(state, cops, bmask):
         return (1,), None
 
-    pol = CopPolicy("stubby", 2, initial, step)
+    pol = CopPolicy("stubby", (0, 2), None, step)
     with pytest.raises(ValueError, match="wrong arity"):
         verify_policy(path(6), hyperopic(2), pol)
 
 
-def test_wrong_placement_size_is_rejected():
-    def initial():
-        return (0, 1), None
-
-    pol = CopPolicy("crowded", 1, initial, lambda s, c, b: (c, s))
-    with pytest.raises(ValueError, match="placement size"):
-        verify_policy(path(6), hyperopic(2), pol)
-
-
 def test_out_of_range_placement_is_rejected():
-    def initial():
-        return (9,), None
-
-    pol = CopPolicy("lost", 1, initial, lambda s, c, b: (c, s))
+    pol = CopPolicy("lost", (9,), None, lambda s, c, b: (c, s))
     with pytest.raises(ValueError, match="out of range"):
         verify_policy(path(6), hyperopic(2), pol)
 
 
 def test_absurd_cop_count_is_rejected():
-    pol = CopPolicy("horde", 7, lambda: ((0,) * 7, None), lambda s, c, b: (c, s))
-    with pytest.raises(ValueError, match="cop count must be in"):
-        verify_policy(path(6), hyperopic(2), pol)
+    for placement in [(0,) * 7, ()]:
+        pol = CopPolicy("horde", placement, None, lambda s, c, b: (c, s))
+        with pytest.raises(ValueError, match="cop count must be in"):
+            verify_policy(path(6), hyperopic(2), pol)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +249,9 @@ def test_stationary_pair_diameter_precondition():
         ValueError, match=r"diameter 4 too small: need >= 5 \(or >= 3 on a tree\)"
     ):
         stationary_pair_policy(cycle(9), 2)
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="requires k >= 1"):
+            stationary_pair_policy(t_hat(), k)
 
 
 def test_stationary_general_keeps_robber_visible():
