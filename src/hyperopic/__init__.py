@@ -54,7 +54,6 @@ from .solver import (
     extract_certificate,
     search_cop_number,
     solve,
-    solve_placement,
 )
 from .strategies import (
     CopPolicy,
@@ -120,7 +119,6 @@ __all__ = [
     "radius",
     "search_cop_number",
     "solve",
-    "solve_placement",
     "stationary_pair_policy",
     "subdivide",
     "t_family",

@@ -3,7 +3,8 @@
 Each line records one winnability decision, keyed by (graph6, rule kind,
 distance parameter, cop count) plus a schema version, together with a
 checksum over the canonical JSON of the key and result.  Lines that fail to
-parse or whose checksum does not match are skipped with a warning, so a torn
+parse, whose checksum does not match or whose result is not a record of
+`result_record`'s shape are skipped with a warning, so a torn or hand-edited
 write never poisons later runs; lines of another schema version are skipped
 too, with one warning per file, so rows from older game semantics are never
 trusted.
@@ -170,11 +171,28 @@ def _parse_line(line):
     key_obj, result, check = obj["key"], obj["result"], obj["check"]
     if _checksum(_canonical(key_obj, result)) != check:
         return None
+    if not _is_record(result):
+        return None
     try:
         key = (key_obj["graph6"], key_obj["rule"], key_obj["k"], key_obj["cops"])
     except (KeyError, TypeError):
         return None
     return key_obj.get("version"), key, result
+
+
+def _is_record(result):
+    """Whether a stored result has a shape `result_record` gives."""
+    status = result.get("status") if isinstance(result, dict) else None
+    fields = {"status": str, "states": int}
+    if status == "cop_win":
+        fields.update(rounds=int, placement=list)
+    elif status != "robber_win":
+        return False
+    return (
+        set(result) == set(fields)
+        and all(type(result[f]) is t for f, t in fields.items())
+        and all(type(v) is int for v in result.get("placement", ()))
+    )
 
 
 def open_cache(path=None):
@@ -194,9 +212,8 @@ def result_record(res):
 
 
 def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000):
-    """Winnability via the cache: returns (record, was_hit).
-
-    The record is the JSON-safe dict shape of `result_record`.  Undecided
+    """Winnability via the cache, as the JSON-safe record of
+    `result_record`; `cache.hits` counts the lookups it answered.  Undecided
     outcomes are never stored, so a later run with a larger cap can settle
     them.  A blind hyperopic rule is keyed as zero visibility (see the
     module docstring).
@@ -212,9 +229,9 @@ def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000):
     if cache is not None:
         hit = cache.get(g6, rule, cops)
         if hit is not None:
-            return hit, True
+            return hit
     res = solve(GameSpec(graph, rule, cops), state_cap=state_cap)
     record = result_record(res)
     if cache is not None and res.status != "undecided":
         cache.put(g6, rule, cops, record)
-    return record, False
+    return record

@@ -44,8 +44,10 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from types import MappingProxyType
 
 from .cache import ResultCache, cached_solve
 from .game import TransitionTable, chunk_union, cop_cap
@@ -61,13 +63,14 @@ class Certificate:
     every cop-to-move state reachable while following it, and a bound on
     rounds to capture.
 
-    moves is keyed by (sorted cop tuple, belief mask) in the graph's own
-    labels, and each move tuple is aligned with that sorted cop tuple.
+    moves is a read-only map keyed by (sorted cop tuple, belief mask) in
+    the graph's own labels, and each move tuple is aligned with that sorted
+    cop tuple.
     """
 
     placement: tuple
-    moves: dict = field(default_factory=dict)
-    bound: int = 0
+    moves: MappingProxyType
+    bound: int
 
 
 @dataclass(frozen=True)
@@ -417,7 +420,7 @@ def _extract(arena, table, placement, init_idxs):
             stack.append((state, True))
             stack.extend((t, False) for t in succs if t not in moves)
     bound = max(rounds[s] for s in starts)
-    return Certificate(placement, moves, bound)
+    return Certificate(placement, MappingProxyType(moves), bound)
 
 
 def _blind_search(table, placement, state_cap):
@@ -502,20 +505,25 @@ def _replay_path(table, placement, path):
         free, vis = table.masks(cops)
         after = table.reply(bmask & free, free, vis)
         bmask = after[0] if after else 0
-    return Certificate(placement, moves, len(path))
+    return Certificate(placement, MappingProxyType(moves), len(path))
 
 
+@lru_cache(maxsize=1)
 def _solve(spec, placement, state_cap):
-    """Settle one placement on a fresh arena until its initial states are
-    decided; a cop win comes with its certificate.  Blind specs go to
-    `_blind_search` instead."""
+    """Settle one sorted placement on a fresh arena until its initial
+    states are decided; a cop win comes with its certificate.  Blind specs
+    go to `_blind_search` instead.
+
+    The latest call is remembered, so certifying the placement `solve` has
+    just settled does not solve it again.  Callers pass all three arguments
+    positionally: a keyword call would be another cache key.
+    """
     table = TransitionTable(spec)
     blocks = table.initial(placement)
     if not blocks:
         # the cops cover the whole graph: immediate win
-        return SolveResult(
-            "cop_win", spec.num_cops, placement, Certificate(placement), 0
-        )
+        cert = Certificate(placement, MappingProxyType({}), 0)
+        return SolveResult("cop_win", spec.num_cops, placement, cert, 0)
     if table.blind:
         return _blind_search(table, placement, state_cap)
     arena = _Arena(table, state_cap)
@@ -538,57 +546,21 @@ def _solve(spec, placement, state_cap):
     )
 
 
-# ((spec, placement, state_cap), result) of the latest `solve` that was a
-# cop win, or None.
-_first_win = None
-
-
-def _with_own_moves(res):
-    """The cop win with a fresh copy of its certificate's move map, so no
-    two callers share one mutable dict."""
-    cert = res.certificate
-    return replace(res, certificate=replace(cert, moves=dict(cert.moves)))
-
-
-def solve_placement(spec, placement, *, state_cap=1_000_000):
-    """Decide winnability for one fixed starting placement.
-
-    When the latest `solve` to be a cop win asked exactly this (same spec,
-    placement and cap), its result is returned without solving again: that
-    solve settled this placement alone, as this one would.  The result
-    carries its own copy of the move map.
-    """
-    placement = tuple(sorted(placement))
-    if len(placement) != spec.num_cops:
-        raise ValueError(f"placement must list {spec.num_cops} cop positions")
-    for v in placement:
-        if not 0 <= v < spec.graph.n:
-            raise ValueError(
-                f"placement vertex {v} is not in range(0, {spec.graph.n})"
-            )
-    if _first_win is not None and _first_win[0] == (spec, placement, state_cap):
-        return _with_own_moves(_first_win[1])
-    return _solve(spec, placement, state_cap)
-
-
 def solve(spec, *, state_cap=1_000_000):
     """Decide whether the spec's cops can guarantee capture from some start.
 
     One placement decides this (see the module docstring), so only
-    `first_placement` is settled; a cop win is returned with its
-    certificate.  A cop win is remembered (the latest one only) for
-    `solve_placement`, so certifying it does not solve it again.
+    `first_placement` is settled, by `_solve`; a cop win is returned with
+    its certificate.  `_solve` remembers its latest result, so
+    `extract_certificate` on the placement just won, with the same cap,
+    returns that same result's certificate without solving again.
 
     state_cap bounds the cop-to-move states interned, whose cops are
     always their orbit's representative (the kept states in a blind spec),
     not the robber-to-move positions the arena also holds, which can far
     outnumber them; it is a bound on work, not on memory.
     """
-    global _first_win
-    res = _solve(spec, first_placement(spec.graph, spec.num_cops), state_cap)
-    if res.is_cop_win:
-        _first_win = (spec, res.placement, state_cap), _with_own_moves(res)
-    return res
+    return _solve(spec, first_placement(spec.graph, spec.num_cops), state_cap)
 
 
 def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_000):
@@ -609,7 +581,7 @@ def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_00
     if cache is None:
         cache = ResultCache(None)
     for cops in range(1, upper + 1):
-        record, _ = cached_solve(graph, rule, cops, cache, state_cap=state_cap)
+        record = cached_solve(graph, rule, cops, cache, state_cap=state_cap)
         if record["status"] != "robber_win":
             return cops, record
     if upper == cop_cap(graph.n):
@@ -617,38 +589,41 @@ def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_00
     return upper, record
 
 
-def cop_number(graph, rule, *, max_cops=None, state_cap=1_000_000):
+def cop_number(graph, rule, *, state_cap=1_000_000):
     """Least number of cops that win, from `search_cop_number`.
 
     Raises UndecidedError when a level hits the state cap ("undecided:
-    limit") or when max_cops is exhausted without a win, since higher levels
-    were not ruled out.
+    limit"), since higher levels were not ruled out.
     """
-    c, record = search_cop_number(
-        graph, rule, bound=max_cops, state_cap=state_cap
-    )
+    c, record = search_cop_number(graph, rule, state_cap=state_cap)
+    # perfbench/test_perfbench.py finds the `return c` below by its text
     match record["status"]:
         case "cop_win":
             return c
-        case "undecided":
-            raise UndecidedError(
-                f"undecided: limit (state cap {state_cap} hit at {c} cops)"
-            )
-    raise UndecidedError(f"undecided: no win with up to max_cops={max_cops} cops")
+    raise UndecidedError(
+        f"undecided: limit (state cap {state_cap} hit at {c} cops)"
+    )
 
 
 def extract_certificate(spec, placement, *, state_cap=1_000_000):
     """Winning strategy for a cop-winning placement, checked by replay.
 
-    Takes the strategy from `solve_placement`, which reuses the result of
-    the `solve` just made when that solve won on this very placement with
-    the same cap, and solves the placement afresh otherwise.  Either
-    way the strategy is then played against every robber line through the
-    policy verifier; any replay failure raises instead of returning a bad
-    certificate.
+    The placement is settled by `_solve`, which returns its remembered
+    result when its latest call asked the same spec, placement and cap (as
+    `solve` does when it won on this very placement), and solves afresh
+    otherwise.  Either way the strategy is then played against every
+    robber line through the policy verifier; any replay failure raises
+    instead of returning a bad certificate.
     """
     placement = tuple(sorted(placement))
-    res = solve_placement(spec, placement, state_cap=state_cap)
+    if len(placement) != spec.num_cops:
+        raise ValueError(f"placement must list {spec.num_cops} cop positions")
+    for v in placement:
+        if not 0 <= v < spec.graph.n:
+            raise ValueError(
+                f"placement vertex {v} is not in range(0, {spec.graph.n})"
+            )
+    res = _solve(spec, placement, state_cap)
     if res.status == "undecided":
         raise UndecidedError(f"undecided: limit (state cap {state_cap} hit)")
     if not res.is_cop_win:

@@ -555,6 +555,8 @@ def tree_near_diam_policy(tree, k):
 
     if not is_tree(tree):
         raise ValueError("tree_near_diam_policy requires a tree")
+    if tree.n < 3:
+        raise ValueError("tree_near_diam_policy requires at least 3 vertices")
     g = tree
     diam = diameter(g)
     if not 2 * k - 3 <= diam <= 2 * k - 2:

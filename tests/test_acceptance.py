@@ -27,9 +27,9 @@ from hyperopic.families import (
 from hyperopic.game import GameSpec, full_visibility, hyperopic, zero_visibility
 from hyperopic.graph import Graph, diameter, is_caterpillar, maximum_matching
 from hyperopic.solver import (
-    UndecidedError,
     cop_number,
     extract_certificate,
+    search_cop_number,
     solve,
 )
 from hyperopic.strategies import (
@@ -199,7 +199,7 @@ def test_criterion_08_pendant_clique_value(capsys):
     g = g_k(3, 1)
     rule = hyperopic(1)
     one = solve(GameSpec(g, rule, 1))
-    measured = cop_number(g, rule, max_cops=3)
+    measured = cop_number(g, rule)
     replayed = False
     if measured == 2:
         res = solve(GameSpec(g, rule, 2))
@@ -228,10 +228,8 @@ def test_criterion_09_diameter_bound(capsys):
             if d < 2 * k + 1:
                 continue
             classic = cop_number(g, full_visibility())
-            try:
-                ok &= cop_number(g, hyperopic(k), max_cops=classic + 2) <= classic + 2
-            except UndecidedError:
-                ok = False
+            _, record = search_cop_number(g, hyperopic(k), bound=classic + 2)
+            ok &= record["status"] == "cop_win"
             checked += 1
     ok &= checked == 549
     assert report(
@@ -265,10 +263,8 @@ def test_criterion_11_outerplanar_sqrt_bound(capsys):
         bound = math.sqrt(2 * n)
         for g in all_two_connected_outerplanar(n):
             count += 1
-            try:
-                ok &= cop_number(g, hyperopic(3), max_cops=int(bound)) <= bound
-            except UndecidedError:
-                ok = False
+            _, record = search_cop_number(g, hyperopic(3), bound=int(bound))
+            ok &= record["status"] == "cop_win"
     ok &= count == 369
     assert report(
         capsys, 11, ok,

@@ -18,7 +18,7 @@ from hyperopic.families import cycle, path
 from hyperopic.formats import encode_graph6
 from hyperopic.game import GameSpec, cop_cap, hyperopic, zero_visibility
 from hyperopic.graph import build_graph, diameter
-from hyperopic.solver import solve
+from hyperopic.solver import search_cop_number, solve
 
 
 def test_put_then_reload_roundtrips(tmp_path):
@@ -99,18 +99,50 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     lines = p.read_text().strip().splitlines()
     tampered = json.loads(lines[0])
     tampered["result"]["rounds"] = 999  # checksum now wrong
+    # checksummed, but not a shape `result_record` gives
+    misshapen = [
+        ["x"],
+        None,
+        {"status": "undecided", "states": 3},
+        {"status": "cop_win"},
+        {"status": "cop_win", "states": 3, "placement": ["1"], "rounds": 2},
+        {"status": "cop_win", "states": 3, "placement": [1], "rounds": None},
+        {"status": "robber_win", "states": "3"},
+        {"status": "robber_win", "states": 3, "rounds": 2},
+    ]
+    other = ResultCache(str(tmp_path / "other.jsonl"))
+    for cops, bad in enumerate(misshapen, start=2):
+        other.put("Bw", hyperopic(1), cops, bad)
     p.write_text(
         "not json at all\n"
         + json.dumps({"key": {}, "wrong": 1, "check": "00"}) + "\n"
         + json.dumps(tampered) + "\n"
+        + (tmp_path / "other.jsonl").read_text()
         + lines[0] + "\n"
     )
 
-    with pytest.warns(UserWarning, match="corrupt line skipped"):
+    with pytest.warns(UserWarning, match="corrupt line skipped") as caught:
         c = ResultCache(str(p))
+    assert len(caught) == 3 + len(misshapen)
     # only the untampered line survives
     assert len(c) == 1
     assert c.get("Bw", hyperopic(1), 1) == rec
+
+
+@pytest.mark.parametrize("bad", [["x"], {"status": "cop_win"}, None])
+def test_a_misshapen_line_is_solved_afresh_and_stored(tmp_path, bad):
+    p = tmp_path / "cache.jsonl"
+    g, rule = path(3), hyperopic(1)
+    ResultCache(str(p)).put(encode_graph6(g), rule, 1, bad)
+    with pytest.warns(UserWarning, match="corrupt line skipped"):
+        cache = ResultCache(str(p))
+    want = result_record(solve(GameSpec(g, rule, 1)))
+    assert search_cop_number(g, rule, cache=cache) == (1, want)
+    assert cache.hits == 0
+    # the fresh record is appended after the misshapen line
+    with pytest.warns(UserWarning, match="corrupt line skipped"):
+        again = ResultCache(str(p))
+    assert again.get(encode_graph6(g), rule, 1) == want
 
 
 @pytest.mark.parametrize(
@@ -135,8 +167,8 @@ def test_lines_of_another_schema_version_are_not_trusted(tmp_path, version):
     with pytest.warns(UserWarning, match="3 line.*stale line skipped") as caught:
         cache = ResultCache(str(p))
     assert (len(cache), len(caught)) == (0, 1)
-    rec, hit = cached_solve(g, rule, 1, cache)
-    assert not hit
+    rec = cached_solve(g, rule, 1, cache)
+    assert cache.hits == 0
     assert rec["status"] == "robber_win"
 
 
@@ -182,28 +214,29 @@ def test_cached_solve_miss_then_hit(tmp_path):
     cache = ResultCache(str(p))
     g, rule = cycle(5), hyperopic(3)
 
-    rec1, hit1 = cached_solve(g, rule, 2, cache)
-    assert not hit1
+    rec1 = cached_solve(g, rule, 2, cache)
+    assert cache.hits == 0
     assert rec1["status"] == "cop_win"
 
-    rec2, hit2 = cached_solve(g, rule, 2, cache)
-    assert hit2
-    assert rec2 == rec1
+    rec2 = cached_solve(g, rule, 2, cache)
     assert cache.hits == 1
+    assert rec2 == rec1
 
     # a fresh process sees the persisted line
-    rec3, hit3 = cached_solve(g, rule, 2, ResultCache(str(p)))
-    assert hit3 and rec3 == rec1
+    fresh = ResultCache(str(p))
+    rec3 = cached_solve(g, rule, 2, fresh)
+    assert fresh.hits == 1 and rec3 == rec1
 
 
 def test_cached_solve_distinguishes_keys(tmp_path):
     cache = ResultCache(str(tmp_path / "cache.jsonl"))
-    rec_a, _ = cached_solve(cycle(5), hyperopic(3), 1, cache)
-    rec_b, _ = cached_solve(cycle(5), hyperopic(3), 2, cache)
+    rec_a = cached_solve(cycle(5), hyperopic(3), 1, cache)
+    rec_b = cached_solve(cycle(5), hyperopic(3), 2, cache)
     assert rec_a["status"] == "robber_win"
     assert rec_b["status"] == "cop_win"
-    _, hit = cached_solve(cycle(5), hyperopic(3), 1, cache)
-    assert hit
+    assert cache.hits == 0
+    assert cached_solve(cycle(5), hyperopic(3), 1, cache) == rec_a
+    assert cache.hits == 1
 
 
 def test_cached_solve_never_stores_undecided(tmp_path):
@@ -211,20 +244,19 @@ def test_cached_solve_never_stores_undecided(tmp_path):
     cache = ResultCache(str(p))
     g, rule = cycle(7), hyperopic(2)
 
-    rec, hit = cached_solve(g, rule, 2, cache, state_cap=3)
-    assert rec["status"] == "undecided" and not hit
+    rec = cached_solve(g, rule, 2, cache, state_cap=3)
+    assert rec["status"] == "undecided" and cache.hits == 0
     assert p.read_text() == ""
 
     # a later run with a real cap settles and stores it
-    rec2, hit2 = cached_solve(g, rule, 2, cache)
-    assert rec2["status"] == "cop_win" and not hit2
+    rec2 = cached_solve(g, rule, 2, cache)
+    assert rec2["status"] == "cop_win" and cache.hits == 0
     assert cache.get(encode_graph6(g), rule, 2) == rec2
 
 
 def test_cached_solve_without_cache():
-    rec, hit = cached_solve(path(3), hyperopic(1), 1, None)
-    assert rec["status"] == "cop_win"
-    assert not hit
+    rec = cached_solve(path(3), hyperopic(1), 1, None)
+    assert rec == result_record(solve(GameSpec(path(3), hyperopic(1), 1)))
 
 
 def test_blind_hyperopic_games_share_the_zero_visibility_key():
@@ -238,17 +270,16 @@ def test_blind_hyperopic_games_share_the_zero_visibility_key():
         blind = max(diam, 1)
         for cops in range(1, min(2, cop_cap(g.n)) + 1):
             cache = ResultCache(None)
-            rec, hit = cached_solve(g, hyperopic(blind), cops, cache)
-            assert not hit
+            rec = cached_solve(g, hyperopic(blind), cops, cache)
+            assert cache.hits == 0
             fresh = solve(GameSpec(g, hyperopic(blind), cops))
             assert rec == result_record(fresh)
             assert list(cache.entries) == [(g6, "zero", None, cops)]
             for rule in (zero_visibility(), hyperopic(blind + 1)):
-                again, hit = cached_solve(g, rule, cops, cache)
-                assert hit and again == rec
+                assert cached_solve(g, rule, cops, cache) == rec
             assert cache.hits == 2
             if diam >= 2:
                 # a k below the diameter sees something: its own key
-                _, hit = cached_solve(g, hyperopic(diam - 1), cops, cache)
-                assert not hit
+                cached_solve(g, hyperopic(diam - 1), cops, cache)
+                assert cache.hits == 2
                 assert (g6, "hyperopic", diam - 1, cops) in cache.entries

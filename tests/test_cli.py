@@ -218,6 +218,15 @@ def test_verify_precondition_violations_exit_four(capsys):
     )
     assert code == 4 and "outside" in err
 
+    # three cops exceed cop_cap(2) on the edge, and the lone vertex has no
+    # diametral pair
+    for graph6, k in (("A_", "2"), ("@", "1")):
+        code, out, err = run(
+            capsys, ["verify", graph6, "--policy", "neardiam", "--k", k]
+        )
+        assert (code, out) == (4, "")
+        assert "requires at least 3 vertices" in err
+
 
 def test_verify_k_flag_handling(capsys):
     code, _, err = run(

@@ -38,7 +38,6 @@ from hyperopic.solver import (
     first_placement,
     search_cop_number,
     solve,
-    solve_placement,
 )
 from hyperopic.strategies import Win, certificate_policy, verify_policy
 
@@ -60,44 +59,45 @@ def atlas_connected(n):
 # single-placement decisions
 
 
+def placement_result(spec, placement):
+    """The solver's result for one sorted placement, at the default cap."""
+    return solver._solve(spec, placement, 1_000_000)
+
+
 def test_placement_path_end_wins():
-    res = solve_placement(GameSpec(path(4), hyperopic(2), 1), (0,))
-    assert res.status == "cop_win"
-    assert res.placement == (0,)
-    assert res.rounds == 3
-    assert res.certificate is not None
-    assert res.certificate.bound == 3
+    cert = extract_certificate(GameSpec(path(4), hyperopic(2), 1), (0,))
+    assert cert.placement == (0,)
+    assert cert.bound == 3
 
 
 def test_placement_rejects_wrong_arity():
     spec = GameSpec(path(4), hyperopic(2), 2)
-    with pytest.raises(ValueError):
-        solve_placement(spec, (0,))
-    with pytest.raises(ValueError):
-        solve_placement(spec, (0, 1, 2))
+    with pytest.raises(ValueError, match="must list 2 cop positions"):
+        extract_certificate(spec, (0,))
+    with pytest.raises(ValueError, match="must list 2 cop positions"):
+        extract_certificate(spec, (0, 1, 2))
 
 
 @pytest.mark.parametrize("vertex", [4, 7, -1])
 def test_placement_vertex_out_of_range_is_rejected(vertex):
     spec = GameSpec(path(4), hyperopic(2), 1)
     with pytest.raises(ValueError, match=f"placement vertex {vertex} "):
-        solve_placement(spec, (vertex,))
-    with pytest.raises(ValueError, match=f"placement vertex {vertex} "):
         extract_certificate(spec, (vertex,))
 
 
 def test_placement_order_is_irrelevant():
     spec = GameSpec(cycle(6), hyperopic(2), 2)
-    a = solve_placement(spec, (0, 3))
-    b = solve_placement(spec, (3, 0))
-    assert a.status == b.status == "cop_win"
-    assert a.placement == b.placement == (0, 3)
+    a = extract_certificate(spec, (0, 3))
+    b = extract_certificate(spec, (3, 0))
+    assert a == b
+    assert a.placement == (0, 3)
 
 
 def test_single_cop_loses_everywhere_on_spider():
     g = t_hat()
+    spec = GameSpec(g, hyperopic(3), 1)
     for v in range(g.n):
-        res = solve_placement(GameSpec(g, hyperopic(3), 1), (v,))
+        res = placement_result(spec, (v,))
         assert res.status == "robber_win"
         assert res.placement is None
         assert res.certificate is None
@@ -136,9 +136,9 @@ def test_solve_reports_winning_placement_consistently():
     assert res.status == "cop_win"
     assert res.placement == (0, 3)
     assert res.rounds == 3
-    again = solve_placement(GameSpec(cycle(6), hyperopic(2), 2), res.placement)
-    assert again.status == "cop_win"
-    assert again.rounds == res.rounds
+    again = extract_certificate(GameSpec(cycle(6), hyperopic(2), 2), res.placement)
+    assert again == res.certificate
+    assert again.bound == res.rounds
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +167,9 @@ def test_cop_number_frozen_values():
     assert cop_number(complete(4), zero_visibility()) == 2
 
 
-def test_cop_number_rejects_bad_max_cops():
-    with pytest.raises(ValueError):
-        cop_number(path(4), hyperopic(1), max_cops=0)
-
-
-def test_cop_number_exhausted_budget_is_undecided():
-    with pytest.raises(UndecidedError, match="max_cops"):
-        cop_number(complete(4), zero_visibility(), max_cops=1)
+def test_search_cop_number_rejects_a_bound_below_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        search_cop_number(path(4), hyperopic(1), bound=0)
 
 
 def test_search_cop_number_same_without_cache_and_with_cold_or_warm_cache(
@@ -294,9 +289,9 @@ def test_pinned_solver_outputs(graph, k, cops, status, placement, rounds, states
     assert (res.status, res.placement, res.rounds, res.states_explored) == (
         status, placement, rounds, states,
     )
-    # solved afresh: a cap other than solve's bypasses its remembered win
+    # solved afresh: a cap other than solve's is another memo key
     first = first_placement(graph, cops)
-    assert solve_placement(spec, first, state_cap=10**9) == res
+    assert solver._solve(spec, first, 10**9) == res
     # a cap of exactly the states the answer took still decides it
     assert solve(spec, state_cap=res.states_explored) == res
 
@@ -538,18 +533,19 @@ def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
         assert calls == {"reply": 0, "verify_policy": 1}
         assert cert == res.certificate
 
-        # the two results share no move map
+        # the one remembered result is handed out twice: moves are read-only
         key, move = next(iter(cert.moves.items()))
-        cert.moves[key] = None
-        assert res.certificate.moves[key] == move
-        res.certificate.moves[key] = None
+        with pytest.raises(TypeError):
+            cert.moves[key] = None
+        with pytest.raises(TypeError):
+            del res.certificate.moves[key]
         assert extract_certificate(spec, res.placement).moves[key] == move
 
     # another cap, or another placement (which wins too), is solved afresh
     spec = GameSpec(g_k(3, 1), hyperopic(1), 2)
     res = solve(spec)
     calls["reply"] = 0
-    assert solve_placement(spec, res.placement, state_cap=10**9) == res
+    assert solver._solve(spec, res.placement, 10**9) == res
     assert calls["reply"] > 0
     other = (0, 1)
     assert other != res.placement
@@ -587,8 +583,8 @@ def test_extra_cop_never_hurts():
         assert res.status == "cop_win"
         # park the extra cop on top of an existing one: still a win
         bigger = tuple(sorted(res.placement + (res.placement[0],)))
-        more = solve_placement(GameSpec(graph, rule, cops + 1), bigger)
-        assert more.status == "cop_win"
+        more = extract_certificate(GameSpec(graph, rule, cops + 1), bigger)
+        assert more.placement == bigger
 
 
 def test_visibility_chain_on_small_graphs():
@@ -638,7 +634,7 @@ def test_placements_match_belief_oracle_and_certificates_replay():
                     assert wins == {solve(spec).is_cop_win}, (nn, edges, rule)
                     for placement, best in expected.items():
                         case = (nn, edges, rule, placement)
-                        res = solve_placement(spec, placement)
+                        res = placement_result(spec, placement)
                         if best is None:
                             assert res.status == "robber_win", case
                             continue
@@ -667,7 +663,7 @@ def test_blind_rounds_equal_the_belief_oracle():
                         continue
                     expected = oracles.belief_placement_rounds(spec)
                     for placement, best in expected.items():
-                        res = solve_placement(spec, placement)
+                        res = placement_result(spec, placement)
                         assert res.rounds == best, (nn, edges, rule, placement)
                         checked += 1
     assert checked == 3139

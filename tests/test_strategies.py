@@ -20,7 +20,8 @@ from hyperopic.families import (
     tree_diam10,
 )
 from hyperopic.formats import encode_graph6
-from hyperopic.game import GameSpec, hyperopic, zero_visibility
+from hyperopic import solver
+from hyperopic.game import GameSpec, TransitionTable, hyperopic, zero_visibility
 from hyperopic.graph import Graph, build_graph, diameter, maximum_matching
 from hyperopic.solver import solve
 from hyperopic.strategies import (
@@ -244,6 +245,23 @@ def test_stationary_pair_on_general_graph():
     assert verify_policy(cycle(12), hyperopic(2), pol) == Win(rounds=3)
 
 
+def test_stationary_pair_solves_each_full_visibility_level_once(monkeypatch):
+    # on cycle(8) the level search settles 1 cop (a robber win) and 2 cops;
+    # the policy's certificate is then the remembered 2-cop solve
+    built = collections.Counter()
+    init = TransitionTable.__init__
+
+    def counted(self, spec):
+        built[spec.num_cops] += 1
+        init(self, spec)
+
+    solver._solve.cache_clear()
+    monkeypatch.setattr(TransitionTable, "__init__", counted)
+    pol = stationary_pair_policy(cycle(8), 1)
+    assert pol.num_cops == 4
+    assert built == {1: 1, 2: 1}
+
+
 def test_stationary_pair_diameter_precondition():
     with pytest.raises(
         ValueError, match=r"diameter 4 too small: need >= 5 \(or >= 3 on a tree\)"
@@ -293,6 +311,11 @@ def test_near_diam_preconditions():
         tree_near_diam_policy(cycle(5), 3)
     with pytest.raises(ValueError, match=r"diameter 4 outside \[5, 6\]"):
         tree_near_diam_policy(path(5), 4)
+    # three cops need three vertices; the diameter window alone admits
+    # path(1) at k = 1 and path(2) at k = 2
+    for n, k in ((1, 1), (2, 1), (2, 2)):
+        with pytest.raises(ValueError, match="requires at least 3 vertices"):
+            tree_near_diam_policy(path(n), k)
 
 
 def test_near_diam_wins_on_qualifying_trees():
