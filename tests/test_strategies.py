@@ -452,29 +452,60 @@ def _canon(x):
     return repr(x)
 
 
-def _step_digest(make, graphs):
-    """sha256 over every (state, cops, bmask) -> (moves, next state) the
-    verifier hands make(g), per graph, records sorted."""
-    lines = []
+def _verified_steps(make, graphs, text):
+    """Each step the verifier hands make(g), per graph, as
+    f"{g6} {text(state, cops, bmask, out)}", and each graph's f"{g6} {rounds}"."""
+    lines, rounds = [], []
     for g in graphs:
         policy = make(g)
         g6 = encode_graph6(g)
 
         def step(state, cops, bmask, inner=policy.step):
             out = inner(state, cops, bmask)
-            lines.append(f"{g6} {_canon((state, cops, bmask))} -> {_canon(out)}")
+            lines.append(f"{g6} {text(state, cops, bmask, out)}")
             return out
 
         out = verify_policy(g, hyperopic(2), dataclasses.replace(policy, step=step))
         assert isinstance(out, Win), g.edges
+        rounds.append(f"{g6} {out.rounds}")
+    return lines, rounds
+
+
+def _digest(lines):
+    """The line count and the sha256 of the sorted lines."""
     text = "\n".join(sorted(lines))
     return len(lines), hashlib.sha256(text.encode()).hexdigest()
 
 
+def _step_digest(make, graphs):
+    """The digest of every (state, cops, bmask) -> (moves, next state) the
+    verifier hands make(g)."""
+    lines, _ = _verified_steps(
+        make, graphs,
+        lambda state, cops, bmask, out: f"{_canon((state, cops, bmask))} -> {_canon(out)}",
+    )
+    return _digest(lines)
+
+
+def _outerplanar_graphs():
+    return [g for n in range(3, 10) for g in all_two_connected_outerplanar(n)]
+
+
 def test_outerplanar_steps_are_pinned():
-    graphs = [g for n in range(3, 10) for g in all_two_connected_outerplanar(n)]
-    assert _step_digest(outerplanar_k2_policy, graphs) == (
+    assert _step_digest(outerplanar_k2_policy, _outerplanar_graphs()) == (
         8929, "0deb9d34d21e7b2e3882878b4384380bdcdafed030daefadb2d3f04a9e9fa722"
+    )
+
+
+def test_outerplanar_moves_and_rounds_are_pinned():
+    # what the policy does, whatever its states hold: each graph's rounds
+    # and every cops, belief -> moves the verifier asks of it
+    lines, rounds = _verified_steps(
+        outerplanar_k2_policy, _outerplanar_graphs(),
+        lambda state, cops, bmask, out: f"{_canon(cops)} {bmask} -> {_canon(out[0])}",
+    )
+    assert _digest(lines + rounds) == (
+        9301, "c429bbaa21b45278be1b3bc293706c88d1ee15b4469f449d542ffd91d13f3974"
     )
 
 
