@@ -620,7 +620,9 @@ def outerplanar_k2_policy(graph):
     its positions reflected back.
 
     Each branch is taken on the exact belief the cops are handed, so on
-    what they actually know.
+    what they actually know.  A state, (front, mode), holds only what the
+    moves read, so states come from a finite set and `verify_policy`
+    always reaches a verdict.
     """
     from .graph import find_outer_embedding
 
@@ -656,7 +658,7 @@ def outerplanar_k2_policy(graph):
 
     # --- maneuver builders ---------------------------------------------
     # A script is a tuple of joint moves (left cop target, right cop
-    # target); ``after`` says what the state becomes when it runs out.
+    # target); ``after`` is the policy state, (front, mode), it leaves.
 
     def right_hand(cyc):
         """The right endpoint's maneuvers, read on the outer cycle cyc."""
@@ -684,7 +686,7 @@ def outerplanar_k2_policy(graph):
                     break
                 p = npos(p)
             steps = tuple((cyc[i], cyc[q]) for q in out)
-            return steps, ("rest", (i, out[-1]))
+            return steps, ((i, out[-1]), ("rest",))
 
         def rest(i, j):
             """The maneuvers tried at rest on front (i, j), in order; None
@@ -693,10 +695,10 @@ def outerplanar_k2_policy(graph):
             m = far(i, j)
             yield walk(i, j) if m == npos(j) else None
             t = ((i - m) % n) - 1
-            yield (((cyc[m], f1),), ("rest", (m, j))) if t == 0 else None
+            yield (((cyc[m], f1),), ((m, j), ("rest",))) if t == 0 else None
             u = ppos(i)
             if t == 1:
-                yield ((cyc[u], cyc[m]), (cyc[m], f1)), ("rest", (m, j))
+                yield ((cyc[u], cyc[m]), (cyc[m], f1)), ((m, j), ("rest",))
             else:
                 yield None
             # Both endpoints own a chord into the open side and both
@@ -707,7 +709,7 @@ def outerplanar_k2_policy(graph):
             # edges to reach it), so bounce there while the partner
             # sweeps the chord end.
             if cyc[m] not in adj[cyc[u]]:
-                yield ((cyc[u], cyc[m]), (f0, f1)), ("postprobe", "R", m, (i, j))
+                yield ((cyc[u], cyc[m]), (f0, f1)), ((i, j), ("postprobe", "R", m))
             else:
                 yield None
 
@@ -726,7 +728,7 @@ def outerplanar_k2_policy(graph):
                 (w for w in adj[f1] if w in tverts),
                 key=lambda w: (dist[w][f0], -w),
             )
-            return ((mv, v), (f0, f1)), ("postprobe", "R", m, (i, j))
+            return ((mv, v), (f0, f1)), ((i, j), ("postprobe", "R", m))
 
         def claim_pocket(i, j, m):
             # Right cop alternates across the fencing chord while the left cop
@@ -748,7 +750,7 @@ def outerplanar_k2_policy(graph):
                 cr = mv if r % 2 == 1 else f1
                 cl = f0 if r <= stall else cyc[route[r - stall - 1]]
                 steps.append((cl, cr))
-            return tuple(steps), ("rest", (m, j))
+            return tuple(steps), ((m, j), ("rest",))
 
         def postprobe(belief, m, front):
             i, j = front
@@ -758,7 +760,7 @@ def outerplanar_k2_policy(graph):
             if not belief & strip:
                 return claim_pocket(i, j, m)
             if not belief & pocket:
-                return ((cyc[i], cyc[m]),), ("rest", (i, m))
+                return ((cyc[i], cyc[m]),), ((i, m), ("rest",))
             raise AssertionError(
                 "probe left belief straddling the fencing chord: %r"
                 % sorted(belief)
@@ -778,12 +780,10 @@ def outerplanar_k2_policy(graph):
 
     def unflip(result):
         """A maneuver on the reflected cycle, in this cycle's terms."""
-        steps, after = result
-        steps = tuple((r, l) for l, r in steps)
-        if after[0] == "rest":
-            return steps, ("rest", mirror(after[1]))
-        _, _, m, front = after
-        return steps, ("postprobe", "L", -m % n, mirror(front))
+        steps, (front, mode) = result
+        if mode[0] == "postprobe":
+            mode = ("postprobe", "L", -mode[2] % n)
+        return tuple((r, l) for l, r in steps), (mirror(front), mode)
 
     def rest_decide(belief, front):
         i, j = front
@@ -811,7 +811,7 @@ def outerplanar_k2_policy(graph):
             # Single territory vertex: run the two-phase alternation
             # gadget (see the ``b2`` branch of ``step``).
             y = cycle[npos(i)]
-            return ((y, cycle[m]),), ("b2", m, "A", 1)
+            return ((y, cycle[m]),), (front, ("b2", m, "A", 1))
         vr = max(
             (dist[w2][f0] for w2 in adj[f1] if w2 in tverts), default=0
         )
@@ -836,20 +836,12 @@ def outerplanar_k2_policy(graph):
         _, a, b = best
         placement = (cycle[a], cycle[a])
         steps = tuple((cycle[a], cycle[q]) for q in arc(a, b) + [b])
-        mode0 = ("script", steps, ("rest", (a, b)))
+        mode0 = ("script", steps, ((a, b), ("rest",)))
         front0 = (a, a)
     else:
         placement = (cycle[0], cycle[1])
         mode0 = ("rest",)
         front0 = (0, 1)
-
-    def unpack(after, front):
-        if after[0] == "rest":
-            return after[1], ("rest",)
-        if after[0] == "b2":
-            return front, after
-        _, pside, pm, pfront = after
-        return pfront, ("postprobe", pside, pm)
 
     def step(state, cops, bmask):
         front, mode = state
@@ -863,9 +855,9 @@ def outerplanar_k2_policy(graph):
             # last hideout next to it; then, on an odd round with the
             # candidates pinned behind the fencing chord, the left cop
             # crosses its forced chord onto the chord end and the front
-            # advances.
+            # advances.  The mode keeps the parity of the round just played.
             belief = mask_to_set(bmask)
-            mpos, stage, par = mode[1], mode[2], mode[3]
+            mpos, stage, par = mode[1], mode[2], 1 - mode[3]
             i, j = front
             f0, f1 = cycle[i], cycle[j]
             y = cycle[npos(i)]
@@ -875,8 +867,7 @@ def outerplanar_k2_policy(graph):
             pverts = verts(cycle, j, mpos)
             if stage == "A" and not belief & qverts:
                 stage = "B0"
-            r = par + 1
-            if r % 2 == 1:
+            if par == 1:
                 if stage == "B" and belief <= pverts | {mv}:
                     return (mv, f1), ((mpos, j), ("rest",))
                 move = (y, mv)
@@ -885,7 +876,7 @@ def outerplanar_k2_policy(graph):
             else:
                 move = (f0, f1)
                 stage = "B"
-            return move, (front, ("b2", mpos, stage, r))
+            return move, (front, ("b2", mpos, stage, par))
         if mode[0] == "script":
             _, steps, after = mode
         elif mode[0] == "postprobe":
@@ -896,6 +887,6 @@ def outerplanar_k2_policy(graph):
             steps, after = rest_decide(mask_to_set(bmask), front)
         if steps[1:]:
             return steps[0], (front, ("script", steps[1:], after))
-        return steps[0], unpack(after, front)
+        return steps[0], after
 
     return CopPolicy("outerplanar", placement, (front0, mode0), step)

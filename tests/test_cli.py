@@ -205,6 +205,11 @@ def test_verify_parametrized_policies(capsys):
     assert code == 0
     assert json.loads(out)["outcome"] == "win"
 
+    # a relabelled graph the policy loses on: a verdict, not a hang
+    code, out, _ = run(capsys, ["verify", "G?{{eO", "--policy", "outerplanar"])
+    assert code == 0
+    assert json.loads(out)["outcome"] == "evaded"
+
 
 def test_verify_precondition_violations_exit_four(capsys):
     code, out, err = run(

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import hashlib
+import random
 
 import networkx as nx
 import pytest
@@ -19,7 +20,7 @@ from hyperopic.families import (
     t_hat,
     tree_diam10,
 )
-from hyperopic.formats import encode_graph6
+from hyperopic.formats import decode_graph6, encode_graph6
 from hyperopic import solver
 from hyperopic.game import GameSpec, TransitionTable, hyperopic, zero_visibility
 from hyperopic.graph import Graph, build_graph, diameter, maximum_matching
@@ -205,6 +206,28 @@ def test_tree_k2_wins_on_every_small_tree():
             assert out.rounds <= 4 * tree.n
 
 
+def test_tree_k2_runs_every_maneuver_on_relabelled_trees():
+    # on the enumerator's labels commit only ever loops onto the post's
+    # side; relabelled, the walker also bounces and the pair advances
+    rng = random.Random(1)
+    committed = set()
+    for n in range(1, 9):
+        for tree in all_trees(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = Graph(n, [(perm[u], perm[v]) for u, v in tree.edges])
+            policy = tree_k2_policy(g)
+            stepped, calls = _recording(policy)
+            assert isinstance(verify_policy(g, hyperopic(2), stepped), Win), g.edges
+            for state, cops, bmask in calls:
+                _, (_, mode) = policy.step(state, cops, bmask)
+                if state[1][0] == "rest" and mode[0] == "script":
+                    # the steps committed, and whether a suspect was stomped
+                    committed.add((1 + len(mode[1]), bool(mode[2])))
+    # a walker bounce, an advance and a post-side loop
+    assert committed == {(2, True), (2, False), (4, True)}
+
+
 # ---------------------------------------------------------------------------
 # parked cop on a pendant path
 
@@ -361,6 +384,17 @@ def test_outerplanar_wins_on_whole_small_corpus():
             assert out.rounds <= 6 * g.n
 
 
+@pytest.mark.parametrize("g6", ["G?{{eO", "Hgc?M{d"])
+def test_outerplanar_loses_on_some_relabellings(g6):
+    # relabelled copies of audited graphs, which 2 cops win: the policy's
+    # single-territory-vertex gadget loops, and the verifier says so
+    g = decode_graph6(g6)
+    out = verify_policy(g, hyperopic(2), outerplanar_k2_policy(g), node_cap=100_000)
+    assert isinstance(out, Evaded)
+    assert out.witness[0] == out.witness[-1]
+    assert solve(GameSpec(g, hyperopic(2), 2)).status == "cop_win"
+
+
 # ---------------------------------------------------------------------------
 # agreement with the exact solver
 
@@ -493,7 +527,7 @@ def _outerplanar_graphs():
 
 def test_outerplanar_steps_are_pinned():
     assert _step_digest(outerplanar_k2_policy, _outerplanar_graphs()) == (
-        8929, "0deb9d34d21e7b2e3882878b4384380bdcdafed030daefadb2d3f04a9e9fa722"
+        8929, "7cc1b8e9b1d27c255e28209c83d4904b09ae543e7bdf5ba0ed3e12c6e5c64141"
     )
 
 
