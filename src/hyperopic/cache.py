@@ -3,11 +3,11 @@
 Each line records one winnability decision, keyed by (graph6, rule kind,
 distance parameter, cop count) plus a schema version, together with a
 checksum over the canonical JSON of the key and result.  Lines that fail to
-parse, whose checksum does not match or whose result is not a record of
-`result_record`'s shape are skipped with a warning, so a torn or hand-edited
-write never poisons later runs; lines of another schema version are skipped
-too, with one warning per file, so rows from older game semantics are never
-trusted.
+parse, whose checksum does not match, or whose key or result does not have
+the field types `_key_obj` and `result_record` write are skipped with a
+warning, so a torn or hand-edited write never poisons later runs; lines of
+another schema version are skipped too, with one warning per file, so rows
+from older game semantics are never trusted.
 Certificates are not persisted (they are cheap to re-derive from the stored
 winning placement); a cached entry carries status, placement, round bound,
 and the explored-state count of the original run.
@@ -171,13 +171,26 @@ def _parse_line(line):
     key_obj, result, check = obj["key"], obj["result"], obj["check"]
     if _checksum(_canonical(key_obj, result)) != check:
         return None
-    if not _is_record(result):
+    if not _is_record(result) or not _is_key(key_obj):
         return None
-    try:
-        key = (key_obj["graph6"], key_obj["rule"], key_obj["k"], key_obj["cops"])
-    except (KeyError, TypeError):
-        return None
+    key = (key_obj["graph6"], key_obj["rule"], key_obj["k"], key_obj["cops"])
     return key_obj.get("version"), key, result
+
+
+def _is_key(key_obj):
+    """Whether a stored key has the fields `_key_obj` gives, of its types
+    (a key's version is checked against `SCHEMA_VERSION` on load)."""
+    if not isinstance(key_obj, dict):
+        return False
+    if not {"graph6", "rule", "k", "cops"} <= key_obj.keys():
+        return False
+    k = key_obj["k"]
+    return (
+        type(key_obj["graph6"]) is str
+        and key_obj["rule"] in ("hyperopic", "zero", "full")
+        and (k is None or type(k) is int)
+        and type(key_obj["cops"]) is int
+    )
 
 
 def _is_record(result):

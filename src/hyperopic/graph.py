@@ -120,33 +120,13 @@ def is_tree(g):
 
 
 def is_caterpillar(g):
-    """Tree whose non-leaf vertices induce a path (K_1 and K_2 count)."""
-    if not is_tree(g):
-        return False
-    spine = [v for v in range(g.n) if g.degree(v) >= 2]
-    if len(spine) <= 1:
-        return True
-    sset = set(spine)
-    degs = []
-    for v in spine:
-        d = sum(1 for w in g.adj[v] if w in sset)
-        if d > 2:
-            return False
-        degs.append(d)
-    # connected + max degree 2 + exactly two endpoints = path
-    if sum(1 for d in degs if d == 1) != 2:
-        return False
-    # spine connectivity: walk from one endpoint
-    start = next(v for v, d in zip(spine, degs) if d == 1)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for w in g.adj[v]:
-            if w in sset and w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(spine)
+    """Tree whose non-leaf vertices induce a path (K_1 and K_2 count).
+
+    They always induce a subtree, which is a path exactly when none of
+    them has more than two non-leaf neighbours."""
+    return is_tree(g) and all(
+        sum(g.degree(w) >= 2 for w in g.adj[v]) <= 2 for v in range(g.n)
+    )
 
 
 def _refine(adj, colors):

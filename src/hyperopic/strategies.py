@@ -620,8 +620,8 @@ def outerplanar_k2_policy(graph):
     its positions reflected back.
 
     Each branch is taken on the exact belief the cops are handed, so on
-    what they actually know.  A state, (front, mode), holds only what the
-    moves read, so states come from a finite set and `verify_policy`
+    what they actually know.  A state, (front, mode), keeps no round count
+    or history, so states come from a finite set and `verify_policy`
     always reaches a verdict.
     """
     from .graph import find_outer_embedding
@@ -855,7 +855,8 @@ def outerplanar_k2_policy(graph):
             # last hideout next to it; then, on an odd round with the
             # candidates pinned behind the fencing chord, the left cop
             # crosses its forced chord onto the chord end and the front
-            # advances.  The mode keeps the parity of the round just played.
+            # advances.  The mode keeps the parity of the round just
+            # played; par is this round's.
             belief = mask_to_set(bmask)
             mpos, stage, par = mode[1], mode[2], 1 - mode[3]
             i, j = front

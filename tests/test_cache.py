@@ -90,6 +90,15 @@ def test_put_many_writes_the_lines_of_put_in_one_append(tmp_path, monkeypatch):
     assert many.entries == one.entries
 
 
+def _checksummed(key, result):
+    """A cache line for key and result whose checksum matches."""
+    canonical = json.dumps(
+        {"key": key, "result": result}, sort_keys=True, separators=(",", ":")
+    )
+    check = hashlib.sha256(canonical.encode("utf8")).hexdigest()[:16]
+    return json.dumps({"key": key, "result": result, "check": check}) + "\n"
+
+
 def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     p = tmp_path / "cache.jsonl"
     good = ResultCache(str(p))
@@ -113,17 +122,33 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     other = ResultCache(str(tmp_path / "other.jsonl"))
     for cops, bad in enumerate(misshapen, start=2):
         other.put("Bw", hyperopic(1), cops, bad)
+    # checksummed, but not a key `_key_obj` gives
+    key = json.loads(lines[0])["key"]
+    miskeyed = [
+        ["Bw", "hyperopic", 1, 1],
+        {f: v for f, v in key.items() if f != "cops"},
+        {**key, "graph6": ["B", "w"]},
+        {**key, "graph6": 7},
+        {**key, "rule": "partial"},
+        {**key, "rule": ["hyperopic"]},
+        {**key, "k": "1"},
+        {**key, "k": True},
+        {**key, "cops": "1"},
+        {**key, "cops": True},
+        {**key, "cops": 1.0},
+    ]
     p.write_text(
         "not json at all\n"
         + json.dumps({"key": {}, "wrong": 1, "check": "00"}) + "\n"
         + json.dumps(tampered) + "\n"
         + (tmp_path / "other.jsonl").read_text()
+        + "".join(_checksummed(bad, rec) for bad in miskeyed)
         + lines[0] + "\n"
     )
 
     with pytest.warns(UserWarning, match="corrupt line skipped") as caught:
         c = ResultCache(str(p))
-    assert len(caught) == 3 + len(misshapen)
+    assert len(caught) == 3 + len(misshapen) + len(miskeyed)
     # only the untampered line survives
     assert len(c) == 1
     assert c.get("Bw", hyperopic(1), 1) == rec
@@ -156,12 +181,7 @@ def test_lines_of_another_schema_version_are_not_trusted(tmp_path, version):
     if version is not None:
         key["version"] = version
     wrong = {"status": "cop_win", "states": 1, "placement": [0], "rounds": 1}
-    canonical = json.dumps(
-        {"key": key, "result": wrong}, sort_keys=True, separators=(",", ":")
-    )
-    check = hashlib.sha256(canonical.encode("utf8")).hexdigest()[:16]
-    line = json.dumps({"key": key, "result": wrong, "check": check}) + "\n"
-    p.write_text(line * 3)
+    p.write_text(_checksummed(key, wrong) * 3)
 
     # one warning per file, however many lines are stale
     with pytest.warns(UserWarning, match="3 line.*stale line skipped") as caught:
