@@ -8,7 +8,7 @@ omniscient robber, and the audits module turns bound and equality claims
 into machine-checked reports over exhaustive small-instance families.
 """
 
-from .cache import ResultCache, cached_solve, open_cache
+from .cache import ResultCache, open_cache
 from .families import (
     all_trees,
     all_two_connected_outerplanar,
@@ -50,6 +50,7 @@ from .solver import (
     Certificate,
     SolveResult,
     UndecidedError,
+    cached_solve,
     cop_number,
     extract_certificate,
     search_cop_number,

@@ -30,7 +30,7 @@ from .families import (
     t_family,
 )
 from .formats import decode_graph6, encode_graph6
-from .game import VisibilityRule, full_visibility, hyperopic, zero_visibility
+from .game import full_visibility, hyperopic, zero_visibility
 from .graph import (
     build_graph,
     diameter,
@@ -785,10 +785,7 @@ def _run_sharded(claim, n_max, ctx):
         for future in futures:
             shard_rows, records, hits = future.result()
             rows += shard_rows
-            ctx.cache.put_many(
-                (graph6, VisibilityRule(kind, k), cops, result)
-                for (graph6, kind, k, cops), result in records
-            )
+            ctx.cache.put_many(records)
             ctx.cache.hits += hits
     return rows
 

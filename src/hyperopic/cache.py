@@ -11,12 +11,6 @@ from older game semantics are never trusted.
 Certificates are not persisted (they are cheap to re-derive from the stored
 winning placement); a cached entry carries status, placement, round bound,
 and the explored-state count of the original run.
-
-A hyperopic(k) game with k at least the graph's diameter is the
-zero-visibility game: no cop ever sees the robber, so the transitions, the
-search and the record are identical.  `cached_solve` stores and looks up
-such a game under the zero-visibility key, so it is solved once for every
-rule that makes it blind.
 """
 
 from __future__ import annotations
@@ -49,14 +43,12 @@ def _canonical(key_obj, result):
     )
 
 
-def _key_obj(graph6, rule, cops):
-    return {
-        "graph6": graph6,
-        "rule": rule.kind,
-        "k": rule.k,
-        "cops": cops,
-        "version": SCHEMA_VERSION,
-    }
+# The fields of a key, in the order of the tuples `entries` is keyed by.
+_KEY_FIELDS = ("graph6", "rule", "k", "cops")
+
+
+def _key_obj(key):
+    return dict(zip(_KEY_FIELDS, key), version=SCHEMA_VERSION)
 
 
 class ResultCache:
@@ -122,19 +114,19 @@ class ResultCache:
 
     def put(self, graph6, rule, cops, result):
         """Record a result; appends one checksummed line when persistent."""
-        self.put_many([(graph6, rule, cops, result)])
+        self.put_many([((graph6, rule.kind, rule.k, cops), result)])
 
     def put_many(self, records):
-        """Record (graph6, rule, cops, result) tuples in order, skipping
-        keys already present; the new lines go to the file in one append."""
+        """Record (key, result) pairs in order, each key in the form
+        `entries` holds, (graph6, rule kind, k, cops), skipping keys
+        already present; the new lines go to the file in one append."""
         lines = []
-        for graph6, rule, cops, result in records:
-            key = (graph6, rule.kind, rule.k, cops)
+        for key, result in records:
             if key in self.entries:
                 continue
             self.entries[key] = result
             if self.writable:
-                lines.append(_line(graph6, rule, cops, result))
+                lines.append(_line(key, result))
         if not lines:
             return
         try:
@@ -147,9 +139,9 @@ class ResultCache:
             self.writable = False
 
 
-def _line(graph6, rule, cops, result):
+def _line(key, result):
     """One checksummed cache line, newline included."""
-    key_obj = _key_obj(graph6, rule, cops)
+    key_obj = _key_obj(key)
     return json.dumps(
         {
             "key": key_obj,
@@ -173,7 +165,7 @@ def _parse_line(line):
         return None
     if not _is_record(result) or not _is_key(key_obj):
         return None
-    key = (key_obj["graph6"], key_obj["rule"], key_obj["k"], key_obj["cops"])
+    key = tuple(key_obj[f] for f in _KEY_FIELDS)
     return key_obj.get("version"), key, result
 
 
@@ -182,7 +174,7 @@ def _is_key(key_obj):
     (a key's version is checked against `SCHEMA_VERSION` on load)."""
     if not isinstance(key_obj, dict):
         return False
-    if not {"graph6", "rule", "k", "cops"} <= key_obj.keys():
+    if not key_obj.keys() >= set(_KEY_FIELDS):
         return False
     k = key_obj["k"]
     return (
@@ -223,28 +215,3 @@ def result_record(res):
         out["rounds"] = res.rounds
     return out
 
-
-def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000):
-    """Winnability via the cache, as the JSON-safe record of
-    `result_record`; `cache.hits` counts the lookups it answered.  Undecided
-    outcomes are never stored, so a later run with a larger cap can settle
-    them.  A blind hyperopic rule is keyed as zero visibility (see the
-    module docstring).
-    """
-    from .formats import encode_graph6
-    from .game import GameSpec, zero_visibility
-    from .graph import diameter
-    from .solver import solve
-
-    if rule.kind == "hyperopic" and rule.k >= diameter(graph):
-        rule = zero_visibility()
-    g6 = encode_graph6(graph)
-    if cache is not None:
-        hit = cache.get(g6, rule, cops)
-        if hit is not None:
-            return hit
-    res = solve(GameSpec(graph, rule, cops), state_cap=state_cap)
-    record = result_record(res)
-    if cache is not None and res.status != "undecided":
-        cache.put(g6, rule, cops, record)
-    return record

@@ -133,31 +133,25 @@ def _cmd_copnum(args):
 # ---------------------------------------------------------------------------
 # verify
 
-_POLICY_NEEDS_K = {"pendant", "stationary", "neardiam"}
-
-
-def _build_policy(name, g, k):
-    if name == "matching":
-        return matching_policy(g), zero_visibility()
-    if name == "tree2":
-        return tree_k2_policy(g), hyperopic(2)
-    if name == "outerplanar":
-        return outerplanar_k2_policy(g), hyperopic(2)
-    if name == "pendant":
-        return pendant_path_policy(g, k), hyperopic(k)
-    if name == "stationary":
-        return stationary_pair_policy(g, k), hyperopic(k)
-    if name == "neardiam":
-        return tree_near_diam_policy(g, k), hyperopic(k)
-    raise _UsageError(f"unknown policy {name!r}")
+# CLI policy name -> (constructor, the rule it is verified under); None
+# for a policy that takes --k, built with it and verified under hyperopic(--k)
+_POLICIES = {
+    "matching": (matching_policy, zero_visibility()),
+    "tree2": (tree_k2_policy, hyperopic(2)),
+    "pendant": (pendant_path_policy, None),
+    "stationary": (stationary_pair_policy, None),
+    "neardiam": (tree_near_diam_policy, None),
+    "outerplanar": (outerplanar_k2_policy, hyperopic(2)),
+}
 
 
 def _cmd_verify(args):
+    build, rule = _POLICIES[args.policy]
     try:
         g = _parse_graph(args.graph, args.format)
-        if args.policy in _POLICY_NEEDS_K and args.k is None:
+        if rule is None and args.k is None:
             raise _UsageError(f"policy {args.policy!r} requires --k")
-        if args.policy not in _POLICY_NEEDS_K and args.k is not None:
+        if rule is not None and args.k is not None:
             raise _UsageError(f"policy {args.policy!r} takes no --k")
         if args.k is not None and args.k < 1:
             raise _UsageError("--k must be at least 1")
@@ -165,7 +159,10 @@ def _cmd_verify(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        policy, rule = _build_policy(args.policy, g, args.k)
+        if rule is None:
+            policy, rule = build(g, args.k), hyperopic(args.k)
+        else:
+            policy = build(g)
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -357,18 +354,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="play a named strategy to a verdict")
     _add_common_graph_flags(p)
-    p.add_argument(
-        "--policy",
-        required=True,
-        choices=(
-            "matching",
-            "tree2",
-            "pendant",
-            "stationary",
-            "neardiam",
-            "outerplanar",
-        ),
-    )
+    p.add_argument("--policy", required=True, choices=tuple(_POLICIES))
     p.add_argument("--k", type=int, help="hyperopic distance parameter")
     p.set_defaults(fn=_cmd_verify)
 

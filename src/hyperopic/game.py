@@ -166,24 +166,17 @@ class TransitionTable:
         self.full = (1 << g.n) - 1
         self.nbr = g.neighbor_masks()
         self._grow = growth_tables(self.nbr)
+        # per cop position: the vertices it makes the robber visible on
         rule = spec.rule
-        if rule.kind == "full":
-            self._far = None
-            self._vis_const = self.full
-        elif rule.kind == "zero":
-            self._far = None
-            self._vis_const = 0
-        else:
+        if rule.kind == "hyperopic":
             dist = g.distances()
-            self._far = [0] * g.n
-            for c in range(g.n):
-                m = 0
-                for v in range(g.n):
-                    if dist[c][v] > rule.k:
-                        m |= 1 << v
-                self._far[c] = m
-            self._vis_const = None
-        self.blind = not any(self._far) if self._far else self._vis_const == 0
+            self._far = [
+                sum(1 << v for v in range(g.n) if dist[c][v] > rule.k)
+                for c in range(g.n)
+            ]
+        else:
+            self._far = [self.full if rule.kind == "full" else 0] * g.n
+        self.blind = not any(self._far)
         self._masks = {}
         self._gens = None  # the graph's automorphism generators, when needed
         # cop tuple -> (representative, frame or None), and frame -> its
@@ -196,14 +189,10 @@ class TransitionTable:
         stands on, and those a robber would be visible on."""
         pair = self._masks.get(cops)
         if pair is None:
-            occ = 0
+            occ = vis = 0
             for c in cops:
                 occ |= 1 << c
-            vis = self._vis_const
-            if vis is None:
-                vis = 0
-                for c in cops:
-                    vis |= self._far[c]
+                vis |= self._far[c]
             pair = self._masks[cops] = (self.full & ~occ, vis)
         return pair
 

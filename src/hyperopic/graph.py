@@ -603,13 +603,16 @@ def find_outer_embedding(g):
     remaining edges are pairwise non-crossing chords.
 
     Exponential backtracking over Hamiltonian paths from vertex 0, intended
-    for n <= 16.  Returns None when no embedding exists.
+    for n <= 16.  Returns None when no embedding exists, at once when the
+    graph has more than the 2n - 3 edges an outerplanar graph can have.
     """
     n = g.n
     if n == 1:
         return OuterEmbedding(cycle=(0,), chords=())
     if n == 2:
         return OuterEmbedding(cycle=(0, 1), chords=()) if g.edges else None
+    if len(g.edges) > 2 * n - 3:
+        return None
     eset = set(g.edges)
     adj = g.adj
 

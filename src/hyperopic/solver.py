@@ -49,8 +49,10 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from types import MappingProxyType
 
-from .cache import ResultCache, cached_solve
-from .game import TransitionTable, chunk_union, cop_cap
+from . import formats
+from .cache import ResultCache, result_record
+from .game import GameSpec, TransitionTable, chunk_union, cop_cap, zero_visibility
+from .graph import diameter
 
 
 class UndecidedError(Exception):
@@ -77,9 +79,10 @@ class Certificate:
 class SolveResult:
     """Outcome of a winnability question for a fixed number of cops.
 
-    status is "cop_win" (with placement, certificate, and worst-case round
-    count), "robber_win" (the placement settled loses, and so, for `solve`,
-    does every other), or "undecided" (the state cap was hit first).
+    status is "cop_win" (with a certificate), "robber_win" (the placement
+    settled loses, and so, for `solve`, does every other), or "undecided"
+    (the state cap was hit first).  `placement` and `rounds` are read from
+    the certificate, and are None without one.
 
     rounds is the certificate's worst case, which is an upper bound on the
     optimum, not always the optimum: outside blind specs the arena ranks
@@ -89,14 +92,20 @@ class SolveResult:
 
     status: str
     num_cops: int
-    placement: tuple | None = None
     certificate: Certificate | None = None
-    rounds: int | None = None
     states_explored: int = 0
 
     @property
     def is_cop_win(self):
         return self.status == "cop_win"
+
+    @property
+    def placement(self):
+        return None if self.certificate is None else self.certificate.placement
+
+    @property
+    def rounds(self):
+        return None if self.certificate is None else self.certificate.bound
 
 
 class _CapExceeded(Exception):
@@ -456,10 +465,9 @@ def _blind_search(table, placement, state_cap):
     try:
         rep = table.frame(placement)[0]
         keep(rep, table.initial(rep)[0], -1, None)
-        lo, rounds = 0, 0  # rounds to a capture found while expanding [lo, hi)
+        lo = 0
         while lo < len(belief_of):
             hi = len(belief_of)
-            rounds += 1
             for i in range(lo, hi):
                 bmask = belief_of[i]
                 for move, cops, tables, free, rfree, vis in table.frame_rows(
@@ -476,8 +484,7 @@ def _blind_search(table, placement, state_cap):
                             i, move = parent[i], via[i]
                         cert = _replay_path(table, placement, path[::-1])
                         return SolveResult(
-                            "cop_win", num_cops, placement, cert, rounds,
-                            len(belief_of),
+                            "cop_win", num_cops, cert, len(belief_of)
                         )
                     keep(cops, after[0], i, move)
             lo = hi
@@ -523,7 +530,7 @@ def _solve(spec, placement, state_cap):
     if not blocks:
         # the cops cover the whole graph: immediate win
         cert = Certificate(placement, MappingProxyType({}), 0)
-        return SolveResult("cop_win", spec.num_cops, placement, cert, 0)
+        return SolveResult("cop_win", spec.num_cops, cert)
     if table.blind:
         return _blind_search(table, placement, state_cap)
     arena = _Arena(table, state_cap)
@@ -541,9 +548,7 @@ def _solve(spec, placement, state_cap):
             "robber_win", spec.num_cops, states_explored=len(arena.index)
         )
     cert = _extract(arena, table, placement, idxs)
-    return SolveResult(
-        "cop_win", spec.num_cops, placement, cert, cert.bound, len(arena.index)
-    )
+    return SolveResult("cop_win", spec.num_cops, cert, len(arena.index))
 
 
 def solve(spec, *, state_cap=1_000_000):
@@ -561,6 +566,32 @@ def solve(spec, *, state_cap=1_000_000):
     outnumber them; it is a bound on work, not on memory.
     """
     return _solve(spec, first_placement(spec.graph, spec.num_cops), state_cap)
+
+
+def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000):
+    """Winnability via the cache, as the JSON-safe record of
+    `result_record`; `cache.hits` counts the lookups it answered.  Undecided
+    outcomes are never stored, so a later run with a larger cap can settle
+    them.
+
+    A hyperopic(k) game with k at least the graph's diameter is the
+    zero-visibility game: no cop ever sees the robber, so the transitions,
+    the search and the record are identical.  Such a game is stored and
+    looked up under the zero-visibility key, so it is solved once for every
+    rule that makes it blind.
+    """
+    if rule.kind == "hyperopic" and rule.k >= diameter(graph):
+        rule = zero_visibility()
+    # through the module, where perfbench/trace_layers.py rebinds it
+    g6 = formats.encode_graph6(graph)
+    hit = cache.get(g6, rule, cops)
+    if hit is not None:
+        return hit
+    res = solve(GameSpec(graph, rule, cops), state_cap=state_cap)
+    record = result_record(res)
+    if res.status != "undecided":
+        cache.put(g6, rule, cops, record)
+    return record
 
 
 def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_000):

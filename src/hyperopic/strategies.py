@@ -24,6 +24,7 @@ from .game import (
     full_visibility,
     mask_to_set,
 )
+from .graph import diameter, find_outer_embedding, is_tree, maximum_matching
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,6 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     placement = policy.placement
     if any(not 0 <= v < n for v in placement):
         raise ValueError("placement vertex out of range")
-
-    cand, vis0 = table.masks(placement)
-    if not cand:
-        return Win(0)
-    roots = [(policy.state, placement, blk) for blk in table.split(cand, vis0)]
-
     nbr = table.nbr
 
     def expand(node):
@@ -117,51 +112,44 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     onpath = {}
     path = []
     visited = 0
-
-    for root in roots:
-        if root in memo:
-            continue
-        visited += 1
-        if visited > node_cap:
-            return Timeout(visited)
-        onpath[root] = len(path)
-        path.append(root)
-        # frames: [node, children or None, cursor, max child rounds]
-        stack = [[root, None, 0, 0]]
-        while stack:
-            frame = stack[-1]
-            if frame[1] is None:
-                frame[1] = expand(frame[0])
-            children = frame[1]
-            if frame[2] < len(children):
-                child = children[frame[2]]
-                frame[2] += 1
-                hit = memo.get(child)
-                if hit is not None:
-                    if hit > frame[3]:
-                        frame[3] = hit
-                    continue
-                start = onpath.get(child)
-                if start is not None:
-                    cycle = path[start:] + [child]
-                    witness = tuple((c, mask_to_set(b)) for _, c, b in cycle)
-                    return Evaded(witness)
-                visited += 1
-                if visited > node_cap:
-                    return Timeout(visited)
-                onpath[child] = len(path)
-                path.append(child)
-                stack.append([child, None, 0, 0])
-            else:
-                rounds = 1 + frame[3]
-                memo[frame[0]] = rounds
-                path.pop()
-                del onpath[frame[0]]
-                stack.pop()
-                if stack and rounds > stack[-1][3]:
-                    stack[-1][3] = rounds
-
-    return Win(max(memo[r] for r in roots))
+    # frames: [node, children or None, cursor, max child rounds]; the
+    # bottom frame stands for the placement, and its children are the roots
+    roots = [(policy.state, placement, b) for b in table.initial(placement)]
+    stack = [[None, roots, 0, 0]]
+    while True:
+        frame = stack[-1]
+        if frame[1] is None:
+            frame[1] = expand(frame[0])
+        children = frame[1]
+        if frame[2] < len(children):
+            child = children[frame[2]]
+            frame[2] += 1
+            hit = memo.get(child)
+            if hit is not None:
+                if hit > frame[3]:
+                    frame[3] = hit
+                continue
+            start = onpath.get(child)
+            if start is not None:
+                cycle = path[start:] + [child]
+                witness = tuple((c, mask_to_set(b)) for _, c, b in cycle)
+                return Evaded(witness)
+            visited += 1
+            if visited > node_cap:
+                return Timeout(visited)
+            onpath[child] = len(path)
+            path.append(child)
+            stack.append([child, None, 0, 0])
+        elif len(stack) == 1:
+            return Win(frame[3])
+        else:
+            rounds = 1 + frame[3]
+            memo[frame[0]] = rounds
+            path.pop()
+            del onpath[frame[0]]
+            stack.pop()
+            if rounds > stack[-1][3]:
+                stack[-1][3] = rounds
 
 
 def _sole(bmask):
@@ -239,8 +227,6 @@ def matching_policy(graph):
     doing so.  The rest is an independent set: a robber confined to it can
     never move, and the sweeper's closed walk eventually steps on it.
     """
-    from .graph import maximum_matching
-
     medges = sorted(maximum_matching(graph).edges)
     covered = {v for e in medges for v in e}
     rest = sorted(set(range(graph.n)) - covered)
@@ -292,8 +278,6 @@ def tree_k2_policy(tree):
     the leftovers into walker-side suspects again and moves the pair
     strictly toward the belief, so the hidden region dies by exhaustion.
     """
-    from .graph import is_tree
-
     if not is_tree(tree):
         raise ValueError("tree_k2_policy requires a tree")
     g = tree
@@ -385,8 +369,6 @@ def pendant_path_policy(tree, k):
     (the returns catch anything slipping across u), then sweeps down the
     pendant path squeezing what is left onto the parked cop.
     """
-    from .graph import is_tree
-
     if not is_tree(tree):
         raise ValueError("pendant_path_policy requires a tree")
     if k < 2:
@@ -459,8 +441,6 @@ def stationary_pair_policy(graph, k):
     after which only y_{k-1} can ever be invisible and c2 hunts a robber
     whose position is always known exactly.
     """
-    from .graph import diameter, is_tree
-
     if k < 1:
         raise ValueError("stationary_pair_policy requires k >= 1")
     g = graph
@@ -551,8 +531,6 @@ def tree_near_diam_policy(tree, k):
     and back (the returns catch anything crossing behind it), restarting
     the sweep from its head whenever a chase loses sight again.
     """
-    from .graph import diameter, is_tree
-
     if not is_tree(tree):
         raise ValueError("tree_near_diam_policy requires a tree")
     if tree.n < 3:
@@ -622,10 +600,10 @@ def outerplanar_k2_policy(graph):
     Each branch is taken on the exact belief the cops are handed, so on
     what they actually know.  A state, (front, mode), keeps no round count
     or history, so states come from a finite set and `verify_policy`
-    always reaches a verdict.
+    always reaches a verdict.  A script's state has None for its front: no
+    script step reads it, and the front the script ends on is in its
+    ``after``.
     """
-    from .graph import find_outer_embedding
-
     g = graph
     emb = find_outer_embedding(g)
     if emb is None or g.n < 3 or len(g.edges) < g.n:
@@ -836,12 +814,10 @@ def outerplanar_k2_policy(graph):
         _, a, b = best
         placement = (cycle[a], cycle[a])
         steps = tuple((cycle[a], cycle[q]) for q in arc(a, b) + [b])
-        mode0 = ("script", steps, ((a, b), ("rest",)))
-        front0 = (a, a)
+        state0 = (None, ("script", steps, ((a, b), ("rest",))))
     else:
         placement = (cycle[0], cycle[1])
-        mode0 = ("rest",)
-        front0 = (0, 1)
+        state0 = ((0, 1), ("rest",))
 
     def step(state, cops, bmask):
         front, mode = state
@@ -887,7 +863,7 @@ def outerplanar_k2_policy(graph):
         else:
             steps, after = rest_decide(mask_to_set(bmask), front)
         if steps[1:]:
-            return steps[0], (front, ("script", steps[1:], after))
+            return steps[0], (None, ("script", steps[1:], after))
         return steps[0], after
 
-    return CopPolicy("outerplanar", placement, (front0, mode0), step)
+    return CopPolicy("outerplanar", placement, state0, step)

@@ -10,7 +10,6 @@ from hyperopic.cache import (
     ENV_VAR,
     SCHEMA_VERSION,
     ResultCache,
-    cached_solve,
     open_cache,
     result_record,
 )
@@ -18,7 +17,7 @@ from hyperopic.families import cycle, path
 from hyperopic.formats import encode_graph6
 from hyperopic.game import GameSpec, cop_cap, hyperopic, zero_visibility
 from hyperopic.graph import build_graph, diameter
-from hyperopic.solver import search_cop_number, solve
+from hyperopic.solver import cached_solve, search_cop_number, solve
 
 
 def test_put_then_reload_roundtrips(tmp_path):
@@ -68,6 +67,7 @@ def test_put_many_writes_the_lines_of_put_in_one_append(tmp_path, monkeypatch):
                                  "placement": [0, 1], "rounds": 1}),
         ("Bw", zero_visibility(), 1, {"status": "robber_win", "states": 2}),
     ]
+    keyed = [((g6, rule.kind, rule.k, cops), res) for g6, rule, cops, res in recs]
     one = ResultCache(str(tmp_path / "one.jsonl"))
     for rec in recs:
         one.put(*rec)
@@ -79,8 +79,8 @@ def test_put_many_writes_the_lines_of_put_in_one_append(tmp_path, monkeypatch):
         "builtins.open", lambda *a, **kw: opened.append(a) or real_open(*a, **kw)
     )
     # a key already present is skipped, also when it repeats in the batch
-    many.put_many([recs[0], recs[1], recs[2], recs[0]])
-    many.put_many([recs[2]])
+    many.put_many([keyed[0], keyed[1], keyed[2], keyed[0]])
+    many.put_many([keyed[2]])
     monkeypatch.undo()
     assert len(opened) == 1
     lines = {k: (tmp_path / f"{k}.jsonl").read_text().splitlines()
@@ -272,11 +272,6 @@ def test_cached_solve_never_stores_undecided(tmp_path):
     rec2 = cached_solve(g, rule, 2, cache)
     assert rec2["status"] == "cop_win" and cache.hits == 0
     assert cache.get(encode_graph6(g), rule, 2) == rec2
-
-
-def test_cached_solve_without_cache():
-    rec = cached_solve(path(3), hyperopic(1), 1, None)
-    assert rec == result_record(solve(GameSpec(path(3), hyperopic(1), 1)))
 
 
 def test_blind_hyperopic_games_share_the_zero_visibility_key():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hyperopic import graph
 from hyperopic.families import (
     all_trees,
     all_two_connected_outerplanar,
@@ -461,6 +462,22 @@ def test_embedding_search_leaves_no_reference_cycles():
 
 def test_embedding_absent_for_k4():
     assert find_outer_embedding(complete(4)) is None
+
+
+def test_embedding_search_skips_graphs_with_too_many_edges(monkeypatch):
+    # an outerplanar graph on n >= 2 vertices has at most 2n - 3 edges, so
+    # a denser one is refused before any Hamiltonian cycle is tried
+    calls = []
+    real = graph._closed_embedding
+    monkeypatch.setattr(
+        graph, "_closed_embedding", lambda *a: calls.append(a) or real(*a)
+    )
+    assert find_outer_embedding(complete(8)) is None
+    assert calls == []
+    # at the edge bound itself the search still runs and finds the fan
+    fan = build_graph(5, [(0, v) for v in range(1, 5)] + [(1, 2), (2, 3), (3, 4)])
+    assert len(fan.edges) == 2 * fan.n - 3
+    assert find_outer_embedding(fan) is not None and calls
 
 
 @pytest.mark.parametrize("n", range(3, 8))

@@ -527,7 +527,7 @@ def _outerplanar_graphs():
 
 def test_outerplanar_steps_are_pinned():
     assert _step_digest(outerplanar_k2_policy, _outerplanar_graphs()) == (
-        8929, "7cc1b8e9b1d27c255e28209c83d4904b09ae543e7bdf5ba0ed3e12c6e5c64141"
+        8929, "dd9bb4c93b826262e6bee365125e0de93296d11cdf61cfb3c53fd9b0c3dfadad"
     )
 
 
