@@ -486,8 +486,8 @@ def _canon(x):
     return repr(x)
 
 
-def _verified_steps(make, graphs, text):
-    """Each step the verifier hands make(g), per graph, as
+def _verified_steps(make, graphs, text, rule=hyperopic(2)):
+    """Each step the verifier hands make(g) under rule, per graph, as
     f"{g6} {text(state, cops, bmask, out)}", and each graph's f"{g6} {rounds}"."""
     lines, rounds = [], []
     for g in graphs:
@@ -499,7 +499,7 @@ def _verified_steps(make, graphs, text):
             lines.append(f"{g6} {text(state, cops, bmask, out)}")
             return out
 
-        out = verify_policy(g, hyperopic(2), dataclasses.replace(policy, step=step))
+        out = verify_policy(g, rule, dataclasses.replace(policy, step=step))
         assert isinstance(out, Win), g.edges
         rounds.append(f"{g6} {out.rounds}")
     return lines, rounds
@@ -548,3 +548,47 @@ def test_tree2_steps_are_pinned():
     assert _step_digest(tree_k2_policy, trees) == (
         6345, "223d82e76b91975d558cee067b7c653de7fa15fa9a574b88867f496a2f00b9a9"
     )
+
+
+def _moves_and_rounds(make, graphs, rule=hyperopic(2)):
+    """Each graph's rounds and every cops, belief -> moves the verifier
+    asks of make(g), as lines, whatever the policy's states hold."""
+    lines, rounds = _verified_steps(
+        make, graphs,
+        lambda state, cops, bmask, out: f"{_canon(cops)} {bmask} -> {_canon(out[0])}",
+        rule,
+    )
+    return lines + rounds
+
+
+def test_tree2_moves_and_rounds_are_pinned():
+    trees = [t for n in range(1, 11) for t in all_trees(n)]
+    assert _digest(_moves_and_rounds(tree_k2_policy, trees)) == (
+        6546, "842c7cdeac2256d9e3dfa5fb048b68c060bb0a3fe9bb2f85d5749ce4d74f2950"
+    )
+
+
+def _applies(make, tree, k):
+    try:
+        make(tree, k)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("make, pinned", [
+    (stationary_pair_policy,
+     (3066, "161314d69270dae2c8955cc551157bf2f379a744bdcbf167fefeb516b3a831e7")),
+    (tree_near_diam_policy,
+     (2605, "5953d8bd87c87843ba624300ac12c450e5926a2a321b21c581375ce92c4dbcae")),
+    (pendant_path_policy,
+     (4130, "199d9cedbd73525e689a2242e4bc7f3df0ab2de6718e5e4561b737ec86b0f931")),
+])
+def test_tree_lemma_moves_and_rounds_are_pinned(make, pinned):
+    # per k, the trees on at most 10 vertices whose precondition holds
+    lines = []
+    for k in (3, 4):
+        trees = [t for n in range(1, 11) for t in all_trees(n) if _applies(make, t, k)]
+        steps = _moves_and_rounds(lambda t, k=k: make(t, k), trees, hyperopic(k))
+        lines += [f"k={k} {line}" for line in steps]
+    assert _digest(lines) == pinned
