@@ -41,9 +41,8 @@ from .graph import (
 # `solve` stays bound here because perfbench/trace_layers.py rebinds it.
 from .solver import search_cop_number, solve  # noqa: F401
 from .strategies import (
-    Evaded,
-    Win,
     matching_policy,
+    outcome_fields,
     outerplanar_k2_policy,
     pendant_path_policy,
     stationary_pair_policy,
@@ -172,21 +171,11 @@ def _rule_fields(rule):
 def _policy_row(claim, inst, expected, g, rule, policy, ok=True, **fields):
     """Verify a policy: a Win passes when ok holds, an evasion is a
     violation, a timeout is undecided."""
-    outcome = verify_policy(g, rule, policy)
-    decided = True
-    if isinstance(outcome, Win):
-        observed = {"outcome": "win", "rounds": outcome.rounds}
-    elif isinstance(outcome, Evaded):
-        observed = {
-            "outcome": "evaded",
-            "witness": [[list(c), sorted(b)] for c, b in outcome.witness],
-        }
-        ok = False
-    else:
-        observed = {"outcome": "timeout", "nodes": outcome.nodes}
-        decided = False
+    name, field, value = outcome_fields(verify_policy(g, rule, policy))
+    observed = {"outcome": name, field: value}
     observed.update(_rule_fields(rule), cops_used=policy.num_cops, **fields)
-    return AuditReport(claim, inst, expected, observed, _verdict(decided, ok))
+    verdict = _verdict(name != "timeout", ok and name == "win")
+    return AuditReport(claim, inst, expected, observed, verdict)
 
 
 def _bound_row(claim, inst, expected, ctx, g, rule, limit, exact=False, **fields):
@@ -555,13 +544,11 @@ def _claim_tree_lemmas(n_max, ctx):
                     ok=policy.num_cops <= expect_cops,
                     diameter=d,
                 )
-    # Middle band k+1 <= diam <= 2k-4: no constructive policy, so the bound
-    # 2 + floor((2k - diam)/4) is checked against the exact solver.
-    for n in range(2, min(top, 10) + 1):
-        for t in ctx.share(all_trees(n)):
-            d = diameter(t)
+            # Middle band k+1 <= diam <= 2k-4 on at most 10 vertices: no
+            # constructive policy, so the bound 2 + floor((2k - diam)/4) is
+            # checked against the exact solver.
             for k in (5, 6):
-                if not k + 1 <= d <= 2 * k - 4:
+                if n > 10 or not k + 1 <= d <= 2 * k - 4:
                     continue
                 bound = 2 + (2 * k - d) // 4
                 yield _bound_row(

@@ -105,21 +105,21 @@ class ResultCache:
     def __len__(self):
         return len(self.entries)
 
-    def get(self, graph6, rule, cops):
-        """The stored result dict for an exact key match, else None."""
-        res = self.entries.get((graph6, rule.kind, rule.k, cops))
+    def get(self, key):
+        """The stored result dict for a key in the form `entries` holds,
+        (graph6, rule kind, k, cops), else None."""
+        res = self.entries.get(key)
         if res is not None:
             self.hits += 1
         return res
 
-    def put(self, graph6, rule, cops, result):
+    def put(self, key, result):
         """Record a result; appends one checksummed line when persistent."""
-        self.put_many([((graph6, rule.kind, rule.k, cops), result)])
+        self.put_many([(key, result)])
 
     def put_many(self, records):
-        """Record (key, result) pairs in order, each key in the form
-        `entries` holds, (graph6, rule kind, k, cops), skipping keys
-        already present; the new lines go to the file in one append."""
+        """Record (key, result) pairs in order, skipping keys already
+        present; the new lines go to the file in one append."""
         lines = []
         for key, result in records:
             if key in self.entries:

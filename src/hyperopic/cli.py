@@ -31,10 +31,8 @@ from .game import full_visibility, hyperopic, zero_visibility
 from .graph import diameter, is_caterpillar, maximum_matching, radius
 from .solver import search_cop_number
 from .strategies import (
-    Evaded,
-    Timeout,
-    Win,
     matching_policy,
+    outcome_fields,
     outerplanar_k2_policy,
     pendant_path_policy,
     stationary_pair_policy,
@@ -166,14 +164,7 @@ def _cmd_verify(args):
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    outcome = verify_policy(g, rule, policy)
-    if isinstance(outcome, Win):
-        result, detail = "win", outcome.rounds
-    elif isinstance(outcome, Evaded):
-        result = "evaded"
-        detail = [[list(c), sorted(b)] for c, b in outcome.witness]
-    else:
-        result, detail = "timeout", outcome.nodes
+    result, _, detail = outcome_fields(verify_policy(g, rule, policy))
     print(
         json.dumps(
             {

@@ -73,7 +73,7 @@ class GameSpec:
         cap = cop_cap(self.graph.n)
         if not 1 <= self.num_cops <= cap:
             raise ValueError(
-                f"num_cops must be in [1, {cap}] for {self.graph.n} vertices"
+                f"cop count must be in [1, {cap}] for {self.graph.n} vertices"
             )
 
 

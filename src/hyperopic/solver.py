@@ -583,14 +583,14 @@ def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000):
     if rule.kind == "hyperopic" and rule.k >= diameter(graph):
         rule = zero_visibility()
     # through the module, where perfbench/trace_layers.py rebinds it
-    g6 = formats.encode_graph6(graph)
-    hit = cache.get(g6, rule, cops)
+    key = (formats.encode_graph6(graph), rule.kind, rule.k, cops)
+    hit = cache.get(key)
     if hit is not None:
         return hit
     res = solve(GameSpec(graph, rule, cops), state_cap=state_cap)
     record = result_record(res)
     if res.status != "undecided":
-        cache.put(g6, rule, cops, record)
+        cache.put(key, record)
     return record
 
 
@@ -636,15 +636,16 @@ def cop_number(graph, rule, *, state_cap=1_000_000):
     )
 
 
-def extract_certificate(spec, placement, *, state_cap=1_000_000):
+def extract_certificate(spec, placement):
     """Winning strategy for a cop-winning placement, checked by replay.
 
-    The placement is settled by `_solve`, which returns its remembered
-    result when its latest call asked the same spec, placement and cap (as
-    `solve` does when it won on this very placement), and solves afresh
-    otherwise.  Either way the strategy is then played against every
-    robber line through the policy verifier; any replay failure raises
-    instead of returning a bad certificate.
+    The placement is settled by `_solve` under `solve`'s default state
+    cap.  `_solve` returns its remembered result when its latest call asked
+    the same spec and placement with that cap (as `solve` does when it won
+    on this very placement), and solves afresh otherwise.  Either way the
+    strategy is then played against every robber line through the policy
+    verifier; any replay failure raises instead of returning a bad
+    certificate.
     """
     placement = tuple(sorted(placement))
     if len(placement) != spec.num_cops:
@@ -654,9 +655,9 @@ def extract_certificate(spec, placement, *, state_cap=1_000_000):
             raise ValueError(
                 f"placement vertex {v} is not in range(0, {spec.graph.n})"
             )
-    res = _solve(spec, placement, state_cap)
+    res = _solve(spec, placement, 1_000_000)
     if res.status == "undecided":
-        raise UndecidedError(f"undecided: limit (state cap {state_cap} hit)")
+        raise UndecidedError("undecided: limit (state cap 1000000 hit)")
     if not res.is_cop_win:
         raise ValueError(f"placement {placement} is not cop-winning")
     cert = res.certificate

@@ -10,6 +10,11 @@ The belief the verifier hands over is exact: the set of robber positions
 consistent with every sighting so far, as computed by `TransitionTable`.  A
 policy that reads it knows everything its observation history could tell
 it, so no policy tracks beliefs itself.
+
+A maneuver that takes several rounds is played by `_play` from a script
+state, ("script", steps, after): the joint moves still to play, and the
+state to return to once they are played.  `outcome_fields` is the one
+JSON form of a verifier outcome, for audit rows and the CLI alike.
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .game import (
-    GameSpec,
-    TransitionTable,
-    cop_cap,
-    full_visibility,
-    mask_to_set,
-)
+from .game import GameSpec, TransitionTable, full_visibility, mask_to_set
 from .graph import diameter, find_outer_embedding, is_tree, maximum_matching
 
 
@@ -73,6 +72,18 @@ class Timeout:
     nodes: int
 
 
+def outcome_fields(outcome):
+    """A verifier outcome as (name, field, JSON value): ("win", "rounds",
+    rounds), ("evaded", "witness", [[cops, belief], ...]) with each belief
+    sorted, or ("timeout", "nodes", nodes)."""
+    if isinstance(outcome, Win):
+        return "win", "rounds", outcome.rounds
+    if isinstance(outcome, Evaded):
+        witness = [[list(c), sorted(b)] for c, b in outcome.witness]
+        return "evaded", "witness", witness
+    return "timeout", "nodes", outcome.nodes
+
+
 def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     """Play a policy against the omniscient robber, exhaustively.
 
@@ -81,12 +92,10 @@ def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
     per node with that node's belief.  Revisiting a node on the current
     path means the robber can force that loop forever (Evaded); finishing
     every branch with capture is Win with the worst-case round count;
-    exceeding node_cap is Timeout.  Illegal policy moves raise ValueError.
+    exceeding node_cap is Timeout.  Illegal policy moves raise ValueError,
+    as does a cop count `GameSpec` rejects.
     """
     n = graph.n
-    cap = cop_cap(n)
-    if not 1 <= policy.num_cops <= cap:
-        raise ValueError(f"policy cop count must be in [1, {cap}]")
     table = TransitionTable(GameSpec(graph, rule, policy.num_cops))
     placement = policy.placement
     if any(not 0 <= v < n for v in placement):
@@ -173,29 +182,16 @@ def _path_between(graph, a, b):
     return out
 
 
-def _align_to_roles(cops, target):
-    """Distribute a sorted-position-aligned joint move back to cop roles."""
-    order = sorted(range(len(cops)), key=lambda i: (cops[i], i))
-    moves = [None] * len(cops)
-    for j, i in enumerate(order):
-        moves[i] = target[j]
-    return tuple(moves)
+def _play(steps, after):
+    """A script's first joint move, and the state that plays the rest:
+    ("script", rest, after), or after once the script ends."""
+    if steps[1:]:
+        return steps[0], ("script", steps[1:], after)
+    return steps[0], after
 
 
 # ---------------------------------------------------------------------------
 # Certificate replay.
-
-
-def _certificate_move(certificate, cops, bmask):
-    """The certificate's sorted-aligned move for cops in any order."""
-    key = (tuple(sorted(cops)), bmask)
-    try:
-        return certificate.moves[key]
-    except KeyError:
-        raise AssertionError(
-            f"certificate has no move for cops {key[0]} and belief "
-            f"{sorted(mask_to_set(bmask))}"
-        ) from None
 
 
 def certificate_policy(graph, rule, certificate):
@@ -208,8 +204,20 @@ def certificate_policy(graph, rule, certificate):
     """
 
     def step(state, cops, bmask):
-        target = _certificate_move(certificate, cops, bmask)
-        return _align_to_roles(cops, target), None
+        key = (tuple(sorted(cops)), bmask)
+        try:
+            target = certificate.moves[key]
+        except KeyError:
+            raise AssertionError(
+                f"certificate has no move for cops {key[0]} and belief "
+                f"{sorted(mask_to_set(bmask))}"
+            ) from None
+        # the move is aligned to the sorted cops: hand it back by role
+        order = sorted(range(len(cops)), key=lambda i: (cops[i], i))
+        moves = [None] * len(cops)
+        for j, i in enumerate(order):
+            moves[i] = target[j]
+        return tuple(moves), None
 
     placement = tuple(sorted(certificate.placement))
     return CopPolicy("certificate", placement, None, step)
@@ -288,14 +296,6 @@ def tree_k2_policy(tree):
         leaf = min(v for v in range(n) if g.degree(v) == 1)
         placement = (leaf, g.adj[leaf][0])
 
-    REST, SCRIPT = "rest", "script"
-
-    def _joint(post_role, post_pos, walker_pos):
-        m = [None, None]
-        m[post_role] = post_pos
-        m[1 - post_role] = walker_pos
-        return tuple(m)
-
     def pursuit_move(target, cops):
         dist = g.distances()
         front = min(range(2), key=lambda i: (dist[cops[i]][target], cops[i], i))
@@ -308,50 +308,44 @@ def tree_k2_policy(tree):
             moves[rear] = cops[rear]
         return tuple(moves), front
 
-    def commit(belief, cops, post_role, stomped):
-        """Choose and script the next committed maneuver at rest."""
-        pr = post_role
-        a, j = cops[pr], cops[1 - pr]
+    def commit(belief, a, j, stomped):
+        """Choose the next committed maneuver at rest with the post on a
+        and the walker on j, as (post, walker) steps."""
         if a == j:
             # stacked after a sight loss: split toward the belief
-            x = _step_toward(g, a, min(belief))
-            return (_joint(pr, x, a),), frozenset()
+            return ((_step_toward(g, a, min(belief)), a),), frozenset()
         fj = sorted((belief & set(g.adj[j])) - {a} - stomped)
         fa = sorted((belief & set(g.adj[a])) - {j} - stomped)
         if fj:
             t = fj[0]
-            return (_joint(pr, a, t), _joint(pr, a, j)), stomped | {t}
+            return ((a, t), (a, j)), stomped | {t}
         if fa:
             t = fa[0]
-            steps = (
-                _joint(pr, a, a),
-                _joint(pr, a, t),
-                _joint(pr, a, a),
-                _joint(pr, a, j),
-            )
-            return steps, stomped | {t}
+            return ((a, a), (a, t), (a, a), (a, j)), stomped | {t}
         # advance one edge toward the remaining belief
         x = _step_toward(g, a, min(belief))
         if x == j:
             x = _step_toward(g, j, min(belief))
-            return (_joint(pr, j, j), _joint(pr, x, j)), frozenset()
-        return (_joint(pr, a, a), _joint(pr, x, a)), frozenset()
+            return ((j, j), (x, j)), frozenset()
+        return ((a, a), (x, a)), frozenset()
 
     def step(state, cops, bmask):
-        post_role, mode = state
         target = _sole(bmask)
         if target is not None:
             moves, front = pursuit_move(target, cops)
-            return moves, (front, (REST, frozenset()))
-        if mode[0] == SCRIPT:
-            _, steps, stomped = mode
-        else:
-            steps, stomped = commit(mask_to_set(bmask), cops, post_role, mode[1])
-        nxt = (SCRIPT, steps[1:], stomped) if steps[1:] else (REST, stomped)
-        return steps[0], (post_role, nxt)
+            return moves, (front, frozenset())
+        if state[0] == "script":
+            return _play(*state[1:])
+        post_role, stomped = state
+        post, walker = cops[post_role], cops[1 - post_role]
+        steps, stomped = commit(mask_to_set(bmask), post, walker, stomped)
+        if post_role:
+            steps = tuple((w, p) for p, w in steps)
+        return _play(steps, (post_role, stomped))
 
-    # post = the leaf's neighbor (role 1), walker = the leaf (role 0)
-    return CopPolicy("tree2", placement, (1, (REST, frozenset())), step)
+    # post = the leaf's neighbor (role 1), walker = the leaf (role 0); at
+    # rest the state is (post_role, stomped suspects)
+    return CopPolicy("tree2", placement, (1, frozenset()), step)
 
 
 # ---------------------------------------------------------------------------
@@ -473,48 +467,40 @@ def _stationary_tree(g, k):
     yk, ykm1 = spine[k], spine[k - 1]
     u = spine[2 * k - 1]
     in_far = [dist[v][ykm1] == dist[v][yk] + 1 for v in range(g.n)]
-    reloc = _path_between(g, spine[0], u)
+    reloc = tuple((v, yk) for v in _path_between(g, spine[0], u)[1:])
 
-    CHASE_FAR, RELOC, ENDGAME = "far", "reloc", "end"
-
-    def step(mode, cops, bmask):
-        if mode is None:
-            far = all(in_far[v] for v in mask_to_set(bmask))
-            mode = (CHASE_FAR,) if far else (RELOC, 1)
-        if mode[0] == CHASE_FAR:
-            t = _sole(bmask)
-            if t is None:
-                raise AssertionError("far-side robber must stay visible")
-            return (spine[0], _step_toward(g, cops[1], t)), mode
-        if mode[0] == RELOC:
-            i = mode[1]
-            nxt = (RELOC, i + 1) if i + 1 < len(reloc) else (ENDGAME,)
-            return (reloc[i], yk), nxt
+    # The state is None before the first round, then either the relocation
+    # script, which ends on u, or the vertex c1 stays parked on while c2
+    # chases the robber, which stays visible from then on.
+    def step(state, cops, bmask):
+        if state is None:
+            if not all(in_far[v] for v in mask_to_set(bmask)):
+                return _play(reloc, u)
+            state = spine[0]
+        elif isinstance(state, tuple):
+            return _play(*state[1:])
         t = _sole(bmask)
         if t is None:
-            raise AssertionError("post-relocation belief must be a point")
-        return (u, _step_toward(g, cops[1], t)), mode
+            raise AssertionError("the parked cop must keep the robber visible")
+        return (state, _step_toward(g, cops[1], t)), state
 
     return CopPolicy("stationary", (spine[0], yk), None, step)
 
 
 def _stationary_general(g, k):
-    from .solver import search_cop_number, solve
+    from .solver import cop_number, solve
 
     x, y = _diametral_pair(g)
-    cops, record = search_cop_number(g, full_visibility())
-    if record["status"] != "cop_win":
-        raise AssertionError("full-visibility pursuit search failed")
-    cert = solve(GameSpec(g, full_visibility(), cops)).certificate
+    rule = full_visibility()
+    cert = solve(GameSpec(g, rule, cop_number(g, rule))).certificate
+    pursuit = certificate_policy(g, rule, cert)
 
     def step(state, cops, bmask):
         if _sole(bmask) is None:
             raise AssertionError("diametral parking must keep the robber visible")
-        pcops = cops[2:]
-        target = _certificate_move(cert, pcops, bmask)
-        return (x, y) + _align_to_roles(pcops, target), None
+        return (x, y) + pursuit.step(None, cops[2:], bmask)[0], None
 
-    return CopPolicy("stationary", (x, y) + tuple(cert.placement), None, step)
+    return CopPolicy("stationary", (x, y) + pursuit.placement, None, step)
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +586,9 @@ def outerplanar_k2_policy(graph):
     Each branch is taken on the exact belief the cops are handed, so on
     what they actually know.  A state, (front, mode), keeps no round count
     or history, so states come from a finite set and `verify_policy`
-    always reaches a verdict.  A script's state has None for its front: no
-    script step reads it, and the front the script ends on is in its
-    ``after``.
+    always reaches a verdict.  A script's state is ("script", steps,
+    after), with no front: no script step reads it, and the front the
+    script ends on is in ``after``.
     """
     g = graph
     emb = find_outer_embedding(g)
@@ -814,12 +800,14 @@ def outerplanar_k2_policy(graph):
         _, a, b = best
         placement = (cycle[a], cycle[a])
         steps = tuple((cycle[a], cycle[q]) for q in arc(a, b) + [b])
-        state0 = (None, ("script", steps, ((a, b), ("rest",))))
+        state0 = ("script", steps, ((a, b), ("rest",)))
     else:
         placement = (cycle[0], cycle[1])
         state0 = ((0, 1), ("rest",))
 
     def step(state, cops, bmask):
+        if state[0] == "script":
+            return _play(*state[1:])
         front, mode = state
         if mode[0] == "b2":
             # Single-territory-vertex gadget.  Stage A: the left cop
@@ -854,16 +842,12 @@ def outerplanar_k2_policy(graph):
                 move = (f0, f1)
                 stage = "B"
             return move, (front, ("b2", mpos, stage, par))
-        if mode[0] == "script":
-            _, steps, after = mode
-        elif mode[0] == "postprobe":
+        if mode[0] == "postprobe":
             steps, after = postprobe_decide(
                 mask_to_set(bmask), mode[1], mode[2], front
             )
         else:
             steps, after = rest_decide(mask_to_set(bmask), front)
-        if steps[1:]:
-            return steps[0], (None, ("script", steps[1:], after))
-        return steps[0], after
+        return _play(steps, after)
 
     return CopPolicy("outerplanar", placement, state0, step)

@@ -514,7 +514,7 @@ def test_a_failure_in_a_worker_shard_raises_from_run_claim(monkeypatch):
     tree = all_trees(4)[1]
     cache = ResultCache(None)
     for rule in (hyperopic(2), hyperopic(3), zero_visibility()):
-        cache.put(encode_graph6(tree), rule, 1, {})
+        cache.put((encode_graph6(tree), rule.kind, rule.k, 1), {})
     with pytest.raises(KeyError, match="status") as raised:
         run_claim("caterpillar", n_max=4, cache=cache)
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"

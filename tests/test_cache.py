@@ -22,18 +22,17 @@ from hyperopic.solver import cached_solve, search_cop_number, solve
 
 def test_put_then_reload_roundtrips(tmp_path):
     p = tmp_path / "cache.jsonl"
-    rule = hyperopic(2)
     c = ResultCache(str(p))
     rec = {"status": "cop_win", "states": 17, "placement": [0], "rounds": 3}
-    c.put("Cx", rule, 1, rec)
+    c.put(("Cx", "hyperopic", 2, 1), rec)
     assert len(c) == 1
 
     again = ResultCache(str(p))
     assert len(again) == 1
-    assert again.get("Cx", rule, 1) == rec
+    assert again.get(("Cx", "hyperopic", 2, 1)) == rec
     assert again.hits == 1
-    assert again.get("Cx", rule, 2) is None
-    assert again.get("Cx", zero_visibility(), 1) is None
+    assert again.get(("Cx", "hyperopic", 2, 2)) is None
+    assert again.get(("Cx", "zero", None, 1)) is None
 
 
 def test_missing_file_is_fine(tmp_path):
@@ -46,33 +45,33 @@ def test_disabled_cache_still_memoizes_in_memory():
     c = ResultCache(None)
     assert not c.writable
     rec = {"status": "robber_win", "states": 5}
-    c.put("Cx", hyperopic(1), 1, rec)
-    assert c.get("Cx", hyperopic(1), 1) == rec
+    c.put(("Cx", "hyperopic", 1, 1), rec)
+    assert c.get(("Cx", "hyperopic", 1, 1)) == rec
 
 
 def test_put_is_idempotent_on_disk(tmp_path):
     p = tmp_path / "cache.jsonl"
     c = ResultCache(str(p))
     rec = {"status": "robber_win", "states": 5}
-    c.put("Cx", hyperopic(1), 1, rec)
-    c.put("Cx", hyperopic(1), 1, rec)
-    c.put("Cx", hyperopic(1), 1, {"status": "robber_win", "states": 99})
+    key = ("Cx", "hyperopic", 1, 1)
+    c.put(key, rec)
+    c.put(key, rec)
+    c.put(key, {"status": "robber_win", "states": 99})
     assert len(p.read_text().strip().splitlines()) == 1
 
 
 def test_put_many_writes_the_lines_of_put_in_one_append(tmp_path, monkeypatch):
-    recs = [
-        ("Cx", hyperopic(1), 1, {"status": "robber_win", "states": 5}),
-        ("Cx", hyperopic(1), 2, {"status": "cop_win", "states": 3,
-                                 "placement": [0, 1], "rounds": 1}),
-        ("Bw", zero_visibility(), 1, {"status": "robber_win", "states": 2}),
+    keyed = [
+        (("Cx", "hyperopic", 1, 1), {"status": "robber_win", "states": 5}),
+        (("Cx", "hyperopic", 1, 2), {"status": "cop_win", "states": 3,
+                                     "placement": [0, 1], "rounds": 1}),
+        (("Bw", "zero", None, 1), {"status": "robber_win", "states": 2}),
     ]
-    keyed = [((g6, rule.kind, rule.k, cops), res) for g6, rule, cops, res in recs]
     one = ResultCache(str(tmp_path / "one.jsonl"))
-    for rec in recs:
+    for rec in keyed:
         one.put(*rec)
     many = ResultCache(str(tmp_path / "many.jsonl"))
-    many.put(*recs[1])
+    many.put(*keyed[1])
     opened = []
     real_open = open
     monkeypatch.setattr(
@@ -103,7 +102,7 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     p = tmp_path / "cache.jsonl"
     good = ResultCache(str(p))
     rec = {"status": "cop_win", "states": 3, "placement": [1], "rounds": 2}
-    good.put("Bw", hyperopic(1), 1, rec)
+    good.put(("Bw", "hyperopic", 1, 1), rec)
 
     lines = p.read_text().strip().splitlines()
     tampered = json.loads(lines[0])
@@ -121,7 +120,7 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     ]
     other = ResultCache(str(tmp_path / "other.jsonl"))
     for cops, bad in enumerate(misshapen, start=2):
-        other.put("Bw", hyperopic(1), cops, bad)
+        other.put(("Bw", "hyperopic", 1, cops), bad)
     # checksummed, but not a key `_key_obj` gives
     key = json.loads(lines[0])["key"]
     miskeyed = [
@@ -151,14 +150,15 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     assert len(caught) == 3 + len(misshapen) + len(miskeyed)
     # only the untampered line survives
     assert len(c) == 1
-    assert c.get("Bw", hyperopic(1), 1) == rec
+    assert c.get(("Bw", "hyperopic", 1, 1)) == rec
 
 
 @pytest.mark.parametrize("bad", [["x"], {"status": "cop_win"}, None])
 def test_a_misshapen_line_is_solved_afresh_and_stored(tmp_path, bad):
     p = tmp_path / "cache.jsonl"
     g, rule = path(3), hyperopic(1)
-    ResultCache(str(p)).put(encode_graph6(g), rule, 1, bad)
+    key = (encode_graph6(g), "hyperopic", 1, 1)
+    ResultCache(str(p)).put(key, bad)
     with pytest.warns(UserWarning, match="corrupt line skipped"):
         cache = ResultCache(str(p))
     want = result_record(solve(GameSpec(g, rule, 1)))
@@ -167,7 +167,7 @@ def test_a_misshapen_line_is_solved_afresh_and_stored(tmp_path, bad):
     # the fresh record is appended after the misshapen line
     with pytest.warns(UserWarning, match="corrupt line skipped"):
         again = ResultCache(str(p))
-    assert again.get(encode_graph6(g), rule, 1) == want
+    assert again.get(key) == want
 
 
 @pytest.mark.parametrize(
@@ -198,7 +198,7 @@ def test_unreadable_path_degrades_with_warning(tmp_path):
     assert len(c) == 0
     assert not c.writable
     # put must not raise
-    c.put("Cx", hyperopic(1), 1, {"status": "robber_win", "states": 1})
+    c.put(("Cx", "hyperopic", 1, 1), {"status": "robber_win", "states": 1})
 
 
 def test_open_cache_env_fallback(tmp_path, monkeypatch):
@@ -271,7 +271,7 @@ def test_cached_solve_never_stores_undecided(tmp_path):
     # a later run with a real cap settles and stores it
     rec2 = cached_solve(g, rule, 2, cache)
     assert rec2["status"] == "cop_win" and cache.hits == 0
-    assert cache.get(encode_graph6(g), rule, 2) == rec2
+    assert cache.get((encode_graph6(g), "hyperopic", 2, 2)) == rec2
 
 
 def test_blind_hyperopic_games_share_the_zero_visibility_key():
