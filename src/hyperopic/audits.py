@@ -30,7 +30,7 @@ from .families import (
     t_family,
 )
 from .formats import decode_graph6, encode_graph6
-from .game import full_visibility, hyperopic, zero_visibility
+from .game import STATE_CAP, full_visibility, hyperopic, zero_visibility
 from .graph import (
     build_graph,
     diameter,
@@ -96,7 +96,7 @@ class _Ctx:
     in-memory cache stands in for when none is given, so each level is
     solved at most once per shard, and the shard this context runs."""
 
-    def __init__(self, cache=None, state_cap=1_000_000, shard=0, shards=1):
+    def __init__(self, cache=None, state_cap=STATE_CAP, shard=0, shards=1):
         self.cache = ResultCache(None) if cache is None else cache
         self.state_cap = state_cap
         self.shard = shard
@@ -777,7 +777,7 @@ def _run_sharded(claim, n_max, ctx):
     return rows
 
 
-def run_claim(claim, *, n_max=None, cache=None, state_cap=1_000_000):
+def run_claim(claim, *, n_max=None, cache=None, state_cap=STATE_CAP):
     """All reports for one claim, sorted by instance key.
 
     The instances are split into `_shard_count()` shards, run at once in

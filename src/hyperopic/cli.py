@@ -1,8 +1,9 @@
 """Command-line surface: exact cop numbers, strategy verification, family
 generation, and claim audits, all emitting JSON for scripting.
 
-Exit codes: 0 success, 2 unparseable input or bad parameters, 3 a decision
-hit a resource cap (undecided), 4 a policy precondition was violated.
+Exit codes: 0 success, 1 an audit found a genuine (undocumented)
+violation, 2 unparseable input or bad parameters, 3 a decision hit a
+resource cap (undecided), 4 a policy precondition was violated.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 from .cache import open_cache
 from .families import (
@@ -27,7 +29,7 @@ from .families import (
     tree_diam10,
 )
 from .formats import decode_graph6, emit_edge_list, encode_graph6, parse_edge_list
-from .game import full_visibility, hyperopic, zero_visibility
+from .game import STATE_CAP, full_visibility, hyperopic, zero_visibility
 from .graph import diameter, is_caterpillar, maximum_matching, radius
 from .solver import search_cop_number
 from .strategies import (
@@ -42,6 +44,7 @@ from .strategies import (
 )
 
 EXIT_OK = 0
+EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_UNDECIDED = 3
 EXIT_PRECONDITION = 4
@@ -93,8 +96,7 @@ def _cmd_copnum(args):
     if args.max_cops is not None and args.max_cops < 1:
         print("error: --max-cops must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.state_cap < 1:
-        print("error: --state-cap must be at least 1", file=sys.stderr)
+    if not _state_cap_ok(args):
         return EXIT_USAGE
     cache = open_cache(args.cache)
     value, record = search_cop_number(
@@ -250,7 +252,7 @@ def _cmd_gen(args):
 
 
 def _cmd_audit(args):
-    from .audits import CLAIMS, claim_verdict, run_claim
+    from .audits import CLAIMS, UNDECIDED, VIOLATION, claim_verdict, run_claim
 
     names = list(CLAIMS) if args.claim == "all" else [args.claim]
     for name in names:
@@ -260,11 +262,9 @@ def _cmd_audit(args):
     if args.n_max is not None and args.n_max < 1:
         print("error: --n-max must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.state_cap < 1:
-        print("error: --state-cap must be at least 1", file=sys.stderr)
+    if not _state_cap_ok(args):
         return EXIT_USAGE
     cache = open_cache(args.cache)
-    exit_code = EXIT_OK
     rows = []
     summary = []
     for name in names:
@@ -278,12 +278,8 @@ def _cmd_audit(args):
         seconds = time.perf_counter() - started
         rows.extend(reports)
         verdict = claim_verdict(reports)
-        counts = {}
-        for r in reports:
-            counts[r.verdict] = counts.get(r.verdict, 0) + 1
+        counts = Counter(r.verdict for r in reports)
         summary.append((name, len(reports), seconds, counts, verdict))
-        if any(r.verdict == "violation" for r in reports):
-            exit_code = 1
     for r in sorted(rows, key=lambda r: r.sort_key()):
         print(r.to_json())
     width = max(len(name) for name, *_ in summary)
@@ -298,7 +294,10 @@ def _cmd_audit(args):
             f"{breakdown}",
             file=sys.stderr,
         )
-    return exit_code
+    seen = {r.verdict for r in rows}
+    if VIOLATION in seen:
+        return EXIT_VIOLATION
+    return EXIT_UNDECIDED if UNDECIDED in seen else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +312,23 @@ def _add_common_graph_flags(p):
         default="graph6",
         help="how to read GRAPH (default graph6)",
     )
+
+
+def _add_state_cap_flag(p):
+    p.add_argument(
+        "--state-cap",
+        type=int,
+        default=STATE_CAP,
+        help="max explored states per solve (default %(default)s)",
+    )
+
+
+def _state_cap_ok(args):
+    """False, once the usage error is printed, for a --state-cap below 1."""
+    if args.state_cap >= 1:
+        return True
+    print("error: --state-cap must be at least 1", file=sys.stderr)
+    return False
 
 
 def build_parser():
@@ -335,12 +351,7 @@ def build_parser():
     p.add_argument("--k", type=int, help="hyperopic distance parameter")
     p.add_argument("--max-cops", type=int, help="stop after this many cops")
     p.add_argument("--cache", help="JSON-lines result cache path")
-    p.add_argument(
-        "--state-cap",
-        type=int,
-        default=1_000_000,
-        help="max explored states per cop level",
-    )
+    _add_state_cap_flag(p)
     p.set_defaults(fn=_cmd_copnum)
 
     p = sub.add_parser("verify", help="play a named strategy to a verdict")
@@ -376,12 +387,7 @@ def build_parser():
     p.add_argument("--claim", default="all", help="claim id, or 'all'")
     p.add_argument("--n-max", type=int, help="bound instance sizes")
     p.add_argument("--cache", help="JSON-lines result cache path")
-    p.add_argument(
-        "--state-cap",
-        type=int,
-        default=1_000_000,
-        help="max explored states per solve",
-    )
+    _add_state_cap_flag(p)
     p.set_defaults(fn=_cmd_audit)
 
     return parser

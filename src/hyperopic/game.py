@@ -58,6 +58,13 @@ def cop_cap(n):
     return (n + 1) // 2 + 1
 
 
+# Default resource limits, reported when hit and never turned into a guess:
+# STATE_CAP bounds the cop-to-move states one solve interns ("undecided"),
+# NODE_CAP the nodes one policy verification visits (a Timeout).
+STATE_CAP = 1_000_000
+NODE_CAP = 100_000_000
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A graph, a visibility rule, and how many cops play.

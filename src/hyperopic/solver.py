@@ -51,7 +51,14 @@ from types import MappingProxyType
 
 from . import formats
 from .cache import ResultCache, result_record
-from .game import GameSpec, TransitionTable, chunk_union, cop_cap, zero_visibility
+from .game import (
+    STATE_CAP,
+    GameSpec,
+    TransitionTable,
+    chunk_union,
+    cop_cap,
+    zero_visibility,
+)
 from .graph import diameter
 
 
@@ -81,8 +88,9 @@ class SolveResult:
 
     status is "cop_win" (with a certificate), "robber_win" (the placement
     settled loses, and so, for `solve`, does every other), or "undecided"
-    (the state cap was hit first).  `placement` and `rounds` are read from
-    the certificate, and are None without one.
+    (the state cap was hit first; states_explored is then the cap).
+    `placement` and `rounds` are read from the certificate, and are None
+    without one.
 
     rounds is the certificate's worst case, which is an upper bound on the
     optimum, not always the optimum: outside blind specs the arena ranks
@@ -462,34 +470,27 @@ def _blind_search(table, placement, state_cap):
         parent.append(p)
         via.append(move)
 
-    try:
-        rep = table.frame(placement)[0]
-        keep(rep, table.initial(rep)[0], -1, None)
-        lo = 0
-        while lo < len(belief_of):
-            hi = len(belief_of)
-            for i in range(lo, hi):
-                bmask = belief_of[i]
-                for move, cops, tables, free, rfree, vis in table.frame_rows(
-                    cops_of[i]
-                ):
-                    bf = bmask & free
-                    if tables is not None:
-                        bf = chunk_union(tables, bf)
-                    after = table.reply(bf, rfree, vis)
-                    if not after:
-                        path = []
-                        while i >= 0:
-                            path.append((cops_of[i], move))
-                            i, move = parent[i], via[i]
-                        cert = _replay_path(table, placement, path[::-1])
-                        return SolveResult(
-                            "cop_win", num_cops, cert, len(belief_of)
-                        )
-                    keep(cops, after[0], i, move)
-            lo = hi
-    except _CapExceeded:
-        return SolveResult("undecided", num_cops, states_explored=len(belief_of))
+    rep = table.frame(placement)[0]
+    keep(rep, table.initial(rep)[0], -1, None)
+    lo = 0
+    while lo < len(belief_of):
+        hi = len(belief_of)
+        for i in range(lo, hi):
+            bmask = belief_of[i]
+            for move, cops, tables, free, rfree, vis in table.frame_rows(cops_of[i]):
+                bf = bmask & free
+                if tables is not None:
+                    bf = chunk_union(tables, bf)
+                after = table.reply(bf, rfree, vis)
+                if not after:
+                    path = []
+                    while i >= 0:
+                        path.append((cops_of[i], move))
+                        i, move = parent[i], via[i]
+                    cert = _replay_path(table, placement, path[::-1])
+                    return SolveResult("cop_win", num_cops, cert, len(belief_of))
+                keep(cops, after[0], i, move)
+        lo = hi
     return SolveResult("robber_win", num_cops, states_explored=len(belief_of))
 
 
@@ -519,7 +520,9 @@ def _replay_path(table, placement, path):
 def _solve(spec, placement, state_cap):
     """Settle one sorted placement on a fresh arena until its initial
     states are decided; a cop win comes with its certificate.  Blind specs
-    go to `_blind_search` instead.
+    go to `_blind_search` instead.  Either search raises `_CapExceeded`
+    when it would keep state number state_cap + 1, and only here does that
+    become "undecided", with the cap as its states explored.
 
     The latest call is remembered, so certifying the placement `solve` has
     just settled does not solve it again.  Callers pass all three arguments
@@ -531,18 +534,16 @@ def _solve(spec, placement, state_cap):
         # the cops cover the whole graph: immediate win
         cert = Certificate(placement, MappingProxyType({}), 0)
         return SolveResult("cop_win", spec.num_cops, cert)
-    if table.blind:
-        return _blind_search(table, placement, state_cap)
-    arena = _Arena(table, state_cap)
-    rep = table.frame(placement)[0]
     try:
+        if table.blind:
+            return _blind_search(table, placement, state_cap)
+        arena = _Arena(table, state_cap)
+        rep = table.frame(placement)[0]
         base = arena.base(rep)
         idxs = [arena.intern(base | b) for b in table.initial(rep)]
         arena.settle(idxs)
     except _CapExceeded:
-        return SolveResult(
-            "undecided", spec.num_cops, states_explored=len(arena.index)
-        )
+        return SolveResult("undecided", spec.num_cops, states_explored=state_cap)
     if any(arena.rank[i] < 0 for i in idxs):
         return SolveResult(
             "robber_win", spec.num_cops, states_explored=len(arena.index)
@@ -551,14 +552,15 @@ def _solve(spec, placement, state_cap):
     return SolveResult("cop_win", spec.num_cops, cert, len(arena.index))
 
 
-def solve(spec, *, state_cap=1_000_000):
+def solve(spec, *, state_cap=STATE_CAP):
     """Decide whether the spec's cops can guarantee capture from some start.
 
     One placement decides this (see the module docstring), so only
     `first_placement` is settled, by `_solve`; a cop win is returned with
     its certificate.  `_solve` remembers its latest result, so
-    `extract_certificate` on the placement just won, with the same cap,
-    returns that same result's certificate without solving again.
+    `extract_certificate` on the placement just won, with state_cap at
+    `STATE_CAP`, returns that same result's certificate without solving
+    again.
 
     state_cap bounds the cop-to-move states interned, whose cops are
     always their orbit's representative (the kept states in a blind spec),
@@ -568,7 +570,7 @@ def solve(spec, *, state_cap=1_000_000):
     return _solve(spec, first_placement(spec.graph, spec.num_cops), state_cap)
 
 
-def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000):
+def cached_solve(graph, rule, cops, cache, *, state_cap=STATE_CAP):
     """Winnability via the cache, as the JSON-safe record of
     `result_record`; `cache.hits` counts the lookups it answered.  Undecided
     outcomes are never stored, so a later run with a larger cap can settle
@@ -594,7 +596,7 @@ def cached_solve(graph, rule, cops, cache, *, state_cap=1_000_000):
     return record
 
 
-def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_000):
+def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=STATE_CAP):
     """Walk cop counts 1, 2, ..., min(bound, cop_cap(n)) until one is not a
     robber win, deciding each level through `cached_solve`.
 
@@ -620,7 +622,7 @@ def search_cop_number(graph, rule, *, bound=None, cache=None, state_cap=1_000_00
     return upper, record
 
 
-def cop_number(graph, rule, *, state_cap=1_000_000):
+def cop_number(graph, rule, *, state_cap=STATE_CAP):
     """Least number of cops that win, from `search_cop_number`.
 
     Raises UndecidedError when a level hits the state cap ("undecided:
@@ -639,10 +641,10 @@ def cop_number(graph, rule, *, state_cap=1_000_000):
 def extract_certificate(spec, placement):
     """Winning strategy for a cop-winning placement, checked by replay.
 
-    The placement is settled by `_solve` under `solve`'s default state
-    cap.  `_solve` returns its remembered result when its latest call asked
-    the same spec and placement with that cap (as `solve` does when it won
-    on this very placement), and solves afresh otherwise.  Either way the
+    The placement is settled by `_solve` under `STATE_CAP`.  `_solve`
+    returns its remembered result when its latest call asked the same spec
+    and placement with that cap (as `solve` does by default when it won on
+    this very placement), and solves afresh otherwise.  Either way the
     strategy is then played against every robber line through the policy
     verifier; any replay failure raises instead of returning a bad
     certificate.
@@ -655,9 +657,9 @@ def extract_certificate(spec, placement):
             raise ValueError(
                 f"placement vertex {v} is not in range(0, {spec.graph.n})"
             )
-    res = _solve(spec, placement, 1_000_000)
+    res = _solve(spec, placement, STATE_CAP)
     if res.status == "undecided":
-        raise UndecidedError("undecided: limit (state cap 1000000 hit)")
+        raise UndecidedError(f"undecided: limit (state cap {STATE_CAP} hit)")
     if not res.is_cop_win:
         raise ValueError(f"placement {placement} is not cop-winning")
     cert = res.certificate

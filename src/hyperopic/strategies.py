@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .game import GameSpec, TransitionTable, full_visibility, mask_to_set
+from .game import NODE_CAP, GameSpec, TransitionTable, full_visibility, mask_to_set
 from .graph import diameter, find_outer_embedding, is_tree, maximum_matching
 
 
@@ -84,7 +84,7 @@ def outcome_fields(outcome):
     return "timeout", "nodes", outcome.nodes
 
 
-def verify_policy(graph, rule, policy, *, node_cap=100_000_000):
+def verify_policy(graph, rule, policy, *, node_cap=NODE_CAP):
     """Play a policy against the omniscient robber, exhaustively.
 
     DFS over all observation branches of the deterministic policy, keyed by

@@ -6,8 +6,9 @@ import json
 import networkx as nx
 import pytest
 
-from hyperopic.audits import CLAIMS, AuditReport
-from hyperopic.cli import main
+from hyperopic import game
+from hyperopic.audits import CLAIMS, AuditReport, run_claim
+from hyperopic.cli import build_parser, main
 from hyperopic.families import complete, cycle, path, t_hat
 from hyperopic.formats import encode_graph6
 from hyperopic.graph import Graph
@@ -144,6 +145,12 @@ def test_copnum_undecided_exits_three(capsys):
          "--state-cap", "3"],
     )
     assert code == 3 and out == "" and "state cap" in err
+
+
+def test_state_cap_defaults_to_the_library_cap():
+    parser = build_parser()
+    for argv in (["copnum", "Dhc"], ["audit"]):
+        assert parser.parse_args(argv).state_cap == game.STATE_CAP
 
 
 def test_copnum_rejects_jobs_flag(capsys):
@@ -426,3 +433,36 @@ def test_audit_plain_violation_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, ["audit", "--claim", "caterpillar"])
     assert code == 1
     assert json.loads(out)["verdict"] == "violation"
+
+
+def test_audit_with_undecided_rows_exits_three(capsys):
+    code, out, _ = run(
+        capsys,
+        ["audit", "--claim", "caterpillar", "--n-max", "4", "--state-cap", "2"],
+    )
+    assert code == 3
+    reports = run_claim("caterpillar", n_max=4, state_cap=2)
+    assert out == "".join(r.to_json() + "\n" for r in reports)
+    assert [r.verdict for r in reports] == ["pass"] * 2 + ["undecided"] * 3
+
+
+def test_audit_exit_code_follows_the_worst_genuine_verdict(capsys, monkeypatch):
+    def fake_run_claim(verdicts):
+        def run_claim(claim, **kw):
+            return [
+                AuditReport(claim, {"graph6": "Bw", "i": i}, "always true", {}, v)
+                for i, v in enumerate(verdicts)
+            ]
+
+        return run_claim
+
+    # a documented violation does not hide an undecided row, and a genuine
+    # violation outranks one
+    for verdicts, expected in (
+        (["violation-documented", "undecided"], 3),
+        (["undecided", "violation", "pass"], 1),
+        (["violation-documented", "pass"], 0),
+    ):
+        monkeypatch.setattr("hyperopic.audits.run_claim", fake_run_claim(verdicts))
+        code, _, _ = run(capsys, ["audit", "--claim", "caterpillar"])
+        assert code == expected

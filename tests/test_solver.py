@@ -28,7 +28,7 @@ from hyperopic.game import (
     zero_visibility,
 )
 from hyperopic.graph import Graph, diameter
-from hyperopic import solver, strategies
+from hyperopic import game, solver, strategies
 from hyperopic.cache import ResultCache
 from hyperopic.solver import (
     Certificate,
@@ -61,7 +61,7 @@ def atlas_connected(n):
 
 def placement_result(spec, placement):
     """The solver's result for one sorted placement, at the default cap."""
-    return solver._solve(spec, placement, 1_000_000)
+    return solver._solve(spec, placement, game.STATE_CAP)
 
 
 def test_placement_path_end_wins():
@@ -231,11 +231,29 @@ def test_tiny_state_cap_yields_undecided():
     assert res.status == "undecided"
     assert res.placement is None
     assert res.certificate is None
-    assert 0 < res.states_explored <= 3
+    assert res.states_explored == 3
     # the blind search caps its kept states the same way
     res = solve(GameSpec(cycle(7), zero_visibility(), 2), state_cap=3)
     assert res.status == "undecided"
     assert (res.placement, res.states_explored) == (None, 3)
+
+
+@pytest.mark.parametrize(
+    "graph", [cycle(7), g_k(4, 1), t_hat()], ids=["cycle7", "g_k41", "t_hat"]
+)
+def test_a_state_cap_decides_exactly_the_solves_within_it(graph):
+    # both searches intern states in an order the cap does not change, so
+    # a cap is hit exactly when the uncapped solve keeps more states
+    for rule in (zero_visibility(), full_visibility(), hyperopic(1), hyperopic(2)):
+        for cops in (1, 2):
+            spec = GameSpec(graph, rule, cops)
+            full = solve(spec, state_cap=10**9)
+            for cap in (1, 2, 3, 5, 17, 40):
+                res = solve(spec, state_cap=cap)
+                if cap < full.states_explored:
+                    assert (res.status, res.states_explored) == ("undecided", cap)
+                else:
+                    assert res == full
 
 
 def test_cop_number_surfaces_cap_as_undecided_error():
@@ -335,7 +353,7 @@ def test_the_arena_replies_once_per_position(
 
     monkeypatch.setattr(TransitionTable, "reply", counted)
     table = TransitionTable(GameSpec(graph, hyperopic(k), 2))
-    arena = solver._Arena(table, 1_000_000)
+    arena = solver._Arena(table, game.STATE_CAP)
     rep = table.frame(placement)[0]
     base = arena.base(rep)
     arena.settle([arena.intern(base | b) for b in table.initial(rep)])
