@@ -28,7 +28,7 @@ from hyperopic.audits import (
 from hyperopic.cache import ResultCache
 from hyperopic.families import all_trees
 from hyperopic.formats import encode_graph6
-from hyperopic.game import hyperopic, zero_visibility
+from hyperopic.game import STATE_CAP, hyperopic, zero_visibility
 from hyperopic.graph import Matching, build_graph, verify_retraction
 from hyperopic.strategies import Evaded, Timeout
 
@@ -466,16 +466,43 @@ def _digest(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
+# SMALL_SCOPE_ROWS again with every solve capped at 5 states, so that most
+# solver-backed rows are undecided
+CAPPED_SCOPE_ROWS = {
+    "bipartite": (18, "4a81cd52648d"),
+    "caterpillar": (25, "df0cc05aaf42"),
+    "diam-bound": (7, "356c9e5172d6"),
+    "diam4-bound": (31, "86aaeaf11d3f"),
+    "matching-bound": (31, "412bc763694f"),
+    "monotonicity": (31, "923932649f01"),
+    "outerplanar-sqrt": (32, "076ff172620e"),
+    "outerplanar2": (39, "2fad23acbee7"),
+    "pendant": (58, "48aef8e0053a"),
+    "prop-classes": (64, "99a11097762f"),
+    "retract": (812, "136ab7cf76e3"),
+    "tfamily-diam": (3, "fbe1df3dbbd6"),
+    "tree-lemmas": (60, "53ece256768b"),
+    "tree2": (47, "692d11c5f11c"),
+    "zerovis-eq": (31, "ffd10b6064e2"),
+}
+
+
 @pytest.mark.filterwarnings("error")
 def test_two_shards_give_the_rows_of_one(monkeypatch):
-    for name in sorted(CLAIMS):
-        rows = {}
-        for k in (1, 2):
-            _shards(monkeypatch, k)
-            reports = run_claim(name, n_max=SMALL_SCOPE[name])
-            rows[k] = [r.to_json() for r in reports]
-        assert rows[2] == rows[1], name
-        assert (len(rows[2]), _digest(rows[2])) == SMALL_SCOPE_ROWS[name], name
+    for state_cap, pinned in ((STATE_CAP, SMALL_SCOPE_ROWS),
+                              (5, CAPPED_SCOPE_ROWS)):
+        assert set(pinned) == set(CLAIMS)
+        for name in sorted(CLAIMS):
+            rows = {}
+            for k in (1, 2):
+                _shards(monkeypatch, k)
+                reports = run_claim(
+                    name, n_max=SMALL_SCOPE[name], state_cap=state_cap
+                )
+                rows[k] = [r.to_json() for r in reports]
+            assert rows[2] == rows[1], (name, state_cap)
+            assert (len(rows[2]), _digest(rows[2])) == pinned[name], (
+                name, state_cap)
 
 
 @pytest.mark.filterwarnings("error")
