@@ -6,10 +6,15 @@ instance with the exact solver or the policy verifier and emits one
 AuditReport per instance; verdicts are pure functions of those outputs, so
 reruns, with a cold or a warm result cache, produce identical reports.
 
-Two claims are *documented discrepancies*: their statements fail on concrete
-small instances, the failures are expected, and their violating rows carry
-the verdict "violation-documented" instead of "violation".  Every other
-claim is expected to hold on everything it enumerates.
+Every row comes from one builder, `_Ctx.row`, which knows the claim it
+runs and decides the verdict: "undecided" when a state cap or a node cap
+blocked the decision, else "pass" when the claim's check holds, else a
+violation.  Two claims, those in DOCUMENTED_CLAIMS, are *documented
+discrepancies*: their statements fail on concrete small instances, the
+failures are expected, and their violating rows carry the verdict
+"violation-documented" instead of "violation".  DOCUMENTED_CLAIMS alone
+decides this; every other claim is expected to hold on everything it
+enumerates.
 """
 
 from __future__ import annotations
@@ -91,12 +96,19 @@ class AuditReport:
         return (self.claim, json.dumps(self.instance, sort_keys=True))
 
 
-class _Ctx:
-    """Shared evaluation context: the state cap, a result cache, which an
-    in-memory cache stands in for when none is given, so each level is
-    solved at most once per shard, and the shard this context runs."""
+_UNDECIDED_NOTE = "undecided (state cap)"
 
-    def __init__(self, cache=None, state_cap=STATE_CAP, shard=0, shards=1):
+
+class _Ctx:
+    """Shared evaluation context: the claim it runs, the state cap, a result
+    cache, which an in-memory cache stands in for when none is given, so
+    each level is solved at most once per shard, and the shard this context
+    runs."""
+
+    def __init__(
+        self, claim=None, cache=None, state_cap=STATE_CAP, shard=0, shards=1
+    ):
+        self.claim = claim
         self.cache = ResultCache(None) if cache is None else cache
         self.state_cap = state_cap
         self.shard = shard
@@ -107,23 +119,30 @@ class _Ctx:
         item, starting at the shard's index."""
         return items[self.shard::self.shards]
 
-    def bounded_copnum(self, g, rule, bound):
-        """(least winning cop count <= bound or None, decided flag).
-
-        A None value with decided=True means every level up to the bound is
-        a robber win, i.e. the cop number strictly exceeds the bound.  A
-        None bound searches up to the matching cap.
-        """
+    def copnum(self, g, rule, observed, bound=None):
+        """The least winning cop count up to bound (the matching cap when
+        None), or None when every level up to it loses or a state cap
+        blocked the decision; a blocked decision writes the undecided note
+        into observed, the row's observations."""
         cops, record = search_cop_number(
             g, rule, bound=bound, cache=self.cache, state_cap=self.state_cap
         )
         if record["status"] == "undecided":
-            return None, False
-        return (cops if record["status"] == "cop_win" else None), True
+            observed["note"] = _UNDECIDED_NOTE
+        return cops if record["status"] == "cop_win" else None
 
-    def exact_copnum(self, g, rule):
-        """The cop number, or None when a state cap blocked the decision."""
-        return self.bounded_copnum(g, rule, None)[0]
+    def row(self, inst, expected, observed, decided, ok):
+        """The claim's report on one instance: undecided, else a pass when ok
+        holds, else a violation, documented when the claim is."""
+        if not decided:
+            verdict = UNDECIDED
+        elif ok:
+            verdict = PASS
+        elif self.claim in DOCUMENTED_CLAIMS:
+            verdict = VIOLATION_DOCUMENTED
+        else:
+            verdict = VIOLATION
+        return AuditReport(self.claim, inst, expected, observed, verdict)
 
 
 def _atlas_connected(n_max):
@@ -151,16 +170,6 @@ def _inst(g, **extra):
     return d
 
 
-_UNDECIDED_NOTE = "undecided (state cap)"
-
-
-def _verdict(decided, ok, bad=VIOLATION):
-    """UNDECIDED, else PASS when ok holds and bad when it fails."""
-    if not decided:
-        return UNDECIDED
-    return PASS if ok else bad
-
-
 def _rule_fields(rule):
     d = {"rule": rule.kind}
     if rule.k is not None:
@@ -168,28 +177,28 @@ def _rule_fields(rule):
     return d
 
 
-def _policy_row(claim, inst, expected, g, rule, policy, ok=True, **fields):
+def _policy_row(ctx, inst, expected, g, rule, policy, ok=True, **fields):
     """Verify a policy: a Win passes when ok holds, an evasion is a
     violation, a timeout is undecided."""
     name, field, value = outcome_fields(verify_policy(g, rule, policy))
     observed = {"outcome": name, field: value}
     observed.update(_rule_fields(rule), cops_used=policy.num_cops, **fields)
-    verdict = _verdict(name != "timeout", ok and name == "win")
-    return AuditReport(claim, inst, expected, observed, verdict)
+    decided = name != "timeout"
+    return ctx.row(inst, expected, observed, decided, ok and name == "win")
 
 
-def _bound_row(claim, inst, expected, ctx, g, rule, limit, exact=False, **fields):
+def _bound_row(ctx, inst, expected, g, rule, limit, exact=False, **fields):
     """Check that the cop number is at most limit (exactly limit when exact)."""
-    value, decided = ctx.bounded_copnum(g, rule, limit)
-    if not decided:
-        observed = {"cop_number": None, "note": _UNDECIDED_NOTE}
-    elif value is None:
-        observed = {"cop_number_exceeds": limit}
+    observed = _rule_fields(rule)
+    observed.update(fields)
+    value = ctx.copnum(g, rule, observed, limit)
+    decided = "note" not in observed
+    if decided and value is None:
+        observed["cop_number_exceeds"] = limit
     else:
-        observed = {"cop_number": value}
-    observed.update(_rule_fields(rule), **fields)
+        observed["cop_number"] = value
     ok = value == limit if exact else value is not None
-    return AuditReport(claim, inst, expected, observed, _verdict(decided, ok))
+    return ctx.row(inst, expected, observed, decided, ok)
 
 
 def _clamp(n_max, default, hard):
@@ -212,10 +221,9 @@ def _claim_prop_classes(n_max, ctx):
             rows.append(("complete", n, k, complete(n), (n + 1) // 2))
     for family, n, k, g, expect in ctx.share(rows):
         yield _bound_row(
-            "prop-classes",
+            ctx,
             _inst(g, family=family, n=n, k=k),
             f"cop_number == {expect}",
-            ctx,
             g,
             hyperopic(k),
             expect,
@@ -232,10 +240,9 @@ def _claim_bipartite(n_max, ctx):
             g = complete_bipartite(m, n)
             for k in (2, 3):
                 yield _bound_row(
-                    "bipartite",
+                    ctx,
                     _inst(g, family="complete_bipartite", m=m, n=n, k=k),
                     f"cop_number == {m}",
-                    ctx,
                     g,
                     hyperopic(k),
                     m,
@@ -260,39 +267,36 @@ def _claim_monotonicity(n_max, ctx):
     for g in _connected_graphs(_clamp(n_max, 6, 6), ctx):
         observed = {}
         for name, rule in rules:
-            v = ctx.exact_copnum(g, rule)
+            v = ctx.copnum(g, rule, observed)
             if v is None:
-                observed["note"] = _UNDECIDED_NOTE
                 break
             observed[name] = v
         chain = [observed.get(name) for name, _ in rules]
         decided = "note" not in observed
-        ok = decided and all(a <= b for a, b in zip(chain, chain[1:]))
-        yield AuditReport(
-            "monotonicity",
+        yield ctx.row(
             _inst(g, n=g.n),
             "cop numbers weakly increase from full to zero visibility",
             observed,
-            _verdict(decided, ok),
+            decided,
+            decided and all(a <= b for a, b in zip(chain, chain[1:])),
         )
 
 
 def _claim_zerovis_eq(n_max, ctx):
     """Once k reaches the diameter, hyperopic play equals zero visibility."""
     for g in _connected_graphs(_clamp(n_max, 6, 6), ctx):
-        k = max(diameter(g), 1)
-        hv = ctx.exact_copnum(g, hyperopic(k))
-        zv = ctx.exact_copnum(g, zero_visibility())
-        observed = {"diameter": diameter(g), "k": k, "hyperopic": hv, "zero": zv}
-        decided = hv is not None and zv is not None
-        if not decided:
-            observed["note"] = _UNDECIDED_NOTE
-        yield AuditReport(
-            "zerovis-eq",
+        d = diameter(g)
+        k = max(d, 1)
+        observed = {"diameter": d, "k": k}
+        hv = ctx.copnum(g, hyperopic(k), observed)
+        zv = ctx.copnum(g, zero_visibility(), observed)
+        observed.update(hyperopic=hv, zero=zv)
+        yield ctx.row(
             _inst(g, n=g.n),
             "cop_number(hyperopic(diam)) == cop_number(zero)",
             observed,
-            _verdict(decided, hv == zv),
+            "note" not in observed,
+            hv == zv,
         )
 
 
@@ -305,21 +309,15 @@ def _claim_diam_bound(n_max, ctx):
             if d < 2 * k + 1:
                 continue
             inst = _inst(g, n=g.n, k=k, diameter=d)
-            classic = ctx.exact_copnum(g, full_visibility())
+            observed = {"k": k}
+            classic = ctx.copnum(g, full_visibility(), observed)
             if classic is None:
-                yield AuditReport(
-                    "diam-bound",
-                    inst,
-                    expected,
-                    {"note": _UNDECIDED_NOTE, "k": k},
-                    UNDECIDED,
-                )
+                yield ctx.row(inst, expected, observed, False, False)
                 continue
             yield _bound_row(
-                "diam-bound",
+                ctx,
                 inst,
                 expected,
-                ctx,
                 g,
                 hyperopic(k),
                 classic + 2,
@@ -399,26 +397,19 @@ def _claim_retract(n_max, ctx):
                 h = _induced_subgraph(g, hs)
                 for k in (1, 2):
                     rule = hyperopic(k)
-                    cg = ctx.exact_copnum(g, rule)
-                    chh = ctx.exact_copnum(h, rule)
-                    observed = {
-                        "rule": "hyperopic",
-                        "k": k,
-                        "graph_cop_number": cg,
-                        "retract_cop_number": chh,
-                        "retraction": [mapping[v] for v in range(g.n)],
-                    }
-                    solved = cg is not None and chh is not None
+                    observed = _rule_fields(rule)
+                    cg = ctx.copnum(g, rule, observed)
+                    chh = ctx.copnum(h, rule, observed)
+                    solved = "note" not in observed
+                    observed.update(
+                        graph_cop_number=cg,
+                        retract_cop_number=chh,
+                        retraction=[mapping[v] for v in range(g.n)],
+                    )
+                    # a map that is no retraction fails the row, solved or not
                     if not checked:
                         observed["note"] = "map is not a retraction"
-                    elif not solved:
-                        observed["note"] = _UNDECIDED_NOTE
-                    # a map that is no retraction fails the row, solved or not
-                    verdict = _verdict(
-                        solved or not checked, checked and solved and chh <= cg
-                    )
-                    yield AuditReport(
-                        "retract",
+                    yield ctx.row(
                         _inst(
                             g,
                             n=g.n,
@@ -428,7 +419,8 @@ def _claim_retract(n_max, ctx):
                         ),
                         "cop_number(retract) <= cop_number(graph)",
                         observed,
-                        verdict,
+                        solved or not checked,
+                        checked and solved and chh <= cg,
                     )
 
 
@@ -446,16 +438,18 @@ def _claim_caterpillar(n_max, ctx):
             cat = is_caterpillar(t)
             observed = {"is_caterpillar": cat}
             for k in (2, 3):
-                value, decided = ctx.bounded_copnum(t, hyperopic(k), 1)
-                observed[f"one_cop_wins_k{k}"] = value == 1 if decided else None
+                # these rows carry no undecided note: None says it
+                blocked = {}
+                value = ctx.copnum(t, hyperopic(k), blocked, 1)
+                observed[f"one_cop_wins_k{k}"] = None if blocked else value == 1
             wins = [observed["one_cop_wins_k2"], observed["one_cop_wins_k3"]]
             mismatch = any(w is not None and w != cat for w in wins)
-            yield AuditReport(
-                "caterpillar",
+            yield ctx.row(
                 _inst(t, n=n),
                 "one cop wins iff the tree is a caterpillar (k in {2,3})",
                 observed,
-                _verdict(mismatch or None not in wins, not mismatch),
+                mismatch or None not in wins,
+                not mismatch,
             )
 
 
@@ -470,7 +464,7 @@ def _claim_matching_bound(n_max, ctx):
         expect = matching.size + (0 if matching.is_perfect else 1)
         policy = matching_policy(g)
         yield _policy_row(
-            "matching-bound",
+            ctx,
             _inst(g, n=g.n),
             "policy wins blind with matching-size (+1 if imperfect) cops",
             g,
@@ -488,7 +482,7 @@ def _claim_tree2(n_max, ctx):
     for n in range(2, _clamp(n_max, 12, 12) + 1):
         for t in ctx.share(all_trees(n)):
             yield _policy_row(
-                "tree2",
+                ctx,
                 _inst(t, n=n),
                 "two-cop tree policy wins under hyperopic(2)",
                 t,
@@ -507,7 +501,7 @@ def _claim_pendant(n_max, ctx):
                 except ValueError:
                     continue
                 yield _policy_row(
-                    "pendant",
+                    ctx,
                     _inst(t, n=n, k=k),
                     "pendant-path policy wins with two cops",
                     t,
@@ -535,7 +529,7 @@ def _claim_tree_lemmas(n_max, ctx):
                 else:
                     continue
                 yield _policy_row(
-                    "tree-lemmas",
+                    ctx,
                     _inst(t, n=n, k=k, kind=kind),
                     f"{kind} policy wins with {expect_cops} cops",
                     t,
@@ -552,10 +546,9 @@ def _claim_tree_lemmas(n_max, ctx):
                     continue
                 bound = 2 + (2 * k - d) // 4
                 yield _bound_row(
-                    "tree-lemmas",
+                    ctx,
                     _inst(t, n=n, k=k, kind="midrange-bound"),
                     "cop_number <= 2 + floor((2k - diam)/4)",
-                    ctx,
                     t,
                     hyperopic(k),
                     bound,
@@ -576,12 +569,12 @@ def _claim_tfamily_diam(n_max, ctx):
         d = diameter(t)
         claimed = 4 * m
         observed = {"n": t.n, "diameter": d, "claimed_min_diameter": claimed}
-        yield AuditReport(
-            "tfamily-diam",
+        yield ctx.row(
             _inst(t, family="t_family", m=m),
             f"diameter >= {claimed}",
             observed,
-            _verdict(True, d >= claimed, VIOLATION_DOCUMENTED),
+            True,
+            d >= claimed,
         )
 
 
@@ -594,25 +587,17 @@ def _claim_diam4_bound(n_max, ctx):
             if d < 4:
                 continue
             bound = d // 4
-            c0 = ctx.exact_copnum(t, zero_visibility())
-            observed = {
-                "rule": "zero",
-                "diameter": d,
-                "bound": bound,
-                "zero_cop_number": c0,
-            }
-            if c0 is None:
-                observed["note"] = _UNDECIDED_NOTE
-            yield AuditReport(
-                "diam4-bound",
+            rule = zero_visibility()
+            observed = _rule_fields(rule)
+            observed.update(diameter=d, bound=bound)
+            c0 = ctx.copnum(t, rule, observed)
+            observed["zero_cop_number"] = c0
+            yield ctx.row(
                 _inst(t, n=n),
                 "zero-visibility cop_number <= floor(diam/4)",
                 observed,
-                _verdict(
-                    c0 is not None,
-                    c0 is not None and c0 <= bound,
-                    VIOLATION_DOCUMENTED,
-                ),
+                c0 is not None,
+                c0 is not None and c0 <= bound,
             )
 
 
@@ -660,7 +645,7 @@ def _claim_outerplanar2(n_max, ctx):
     for n in range(4, _clamp(n_max, 10, 10) + 1):
         for g in ctx.share(all_two_connected_outerplanar(n)):
             yield _policy_row(
-                "outerplanar2",
+                ctx,
                 _inst(g, n=n, kind="two-connected"),
                 "territory policy wins with two cops under hyperopic(2)",
                 g,
@@ -669,10 +654,9 @@ def _claim_outerplanar2(n_max, ctx):
             )
     for name, g in ctx.share(_cut_vertex_outerplanar_examples()):
         yield _bound_row(
-            "outerplanar2",
+            ctx,
             _inst(g, n=g.n, kind="cut-vertex", name=name),
             "cop_number(hyperopic(2)) <= 2",
-            ctx,
             g,
             hyperopic(2),
             2,
@@ -686,10 +670,9 @@ def _claim_outerplanar_sqrt(n_max, ctx):
         bound = math.isqrt(2 * n)
         for g in ctx.share(all_two_connected_outerplanar(n)):
             yield _bound_row(
-                "outerplanar-sqrt",
+                ctx,
                 _inst(g, n=n),
                 "cop_number(hyperopic(3)) <= floor(sqrt(2n))",
-                ctx,
                 g,
                 hyperopic(3),
                 bound,
@@ -731,7 +714,7 @@ def _shard_count():
     return cpus
 
 
-# In a worker: the (claim, n_max, ctx) it was forked for, read from the
+# In a worker: the (n_max, ctx) it was forked for, read from the
 # memory it shares with the calling process, so nothing is pickled for it.
 _job = None
 
@@ -745,16 +728,16 @@ def _run_shard(shard):
     """One shard of the claim this worker was forked for, solved against its
     copy of the calling process's cache entries: (rows, new cache records in
     solve order, cache hits)."""
-    claim, n_max, ctx = _job
+    n_max, ctx = _job
     cache = ResultCache(None)
     cache.entries = ctx.cache.entries
     known = len(cache.entries)
-    shard_ctx = _Ctx(cache, ctx.state_cap, shard, ctx.shards)
-    rows = list(CLAIMS[claim](n_max, shard_ctx))
+    shard_ctx = _Ctx(ctx.claim, cache, ctx.state_cap, shard, ctx.shards)
+    rows = list(CLAIMS[ctx.claim](n_max, shard_ctx))
     return rows, list(cache.entries.items())[known:], cache.hits
 
 
-def _run_sharded(claim, n_max, ctx):
+def _run_sharded(n_max, ctx):
     """A claim's rows, unsorted, each shard run in a worker forked for this
     claim.  Each shard's new cache records are appended in shard order, one
     write per shard, so this process is the cache file's only writer."""
@@ -766,7 +749,7 @@ def _run_sharded(claim, n_max, ctx):
         ctx.shards,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt,
-        initargs=(claim, n_max, ctx),
+        initargs=(n_max, ctx),
     ) as pool:
         futures = [pool.submit(_run_shard, s) for s in range(ctx.shards)]
         for future in futures:
@@ -785,11 +768,11 @@ def run_claim(claim, *, n_max=None, cache=None, state_cap=STATE_CAP):
     one serial run, and the cache receives the same records."""
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
-    ctx = _Ctx(cache=cache, state_cap=state_cap, shards=_shard_count())
+    ctx = _Ctx(claim, cache, state_cap, shards=_shard_count())
     if ctx.shards == 1:
         rows = CLAIMS[claim](n_max, ctx)
     else:
-        rows = _run_sharded(claim, n_max, ctx)
+        rows = _run_sharded(n_max, ctx)
     return sorted(rows, key=AuditReport.sort_key)
 
 

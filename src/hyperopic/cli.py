@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 from .cache import open_cache
 from .families import (
@@ -51,7 +52,17 @@ EXIT_PRECONDITION = 4
 
 
 class _UsageError(Exception):
-    pass
+    """Bad input or parameters: `main` prints it and exits 2."""
+
+
+@contextmanager
+def _parsing():
+    """Report a ValueError raised while reading the arguments as a usage
+    error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(exc) from None
 
 
 def _read_text(arg):
@@ -87,17 +98,12 @@ def _rule_of(args):
 
 
 def _cmd_copnum(args):
-    try:
+    with _parsing():
         g = _parse_graph(args.graph, args.format)
         rule = _rule_of(args)
-    except (ValueError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if args.max_cops is not None and args.max_cops < 1:
-        print("error: --max-cops must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not _state_cap_ok(args):
-        return EXIT_USAGE
+        raise _UsageError("--max-cops must be at least 1")
+    _check_state_cap(args)
     cache = open_cache(args.cache)
     value, record = search_cop_number(
         g, rule, bound=args.max_cops, cache=cache, state_cap=args.state_cap
@@ -147,17 +153,14 @@ _POLICIES = {
 
 def _cmd_verify(args):
     build, rule = _POLICIES[args.policy]
-    try:
+    with _parsing():
         g = _parse_graph(args.graph, args.format)
-        if rule is None and args.k is None:
-            raise _UsageError(f"policy {args.policy!r} requires --k")
-        if rule is not None and args.k is not None:
-            raise _UsageError(f"policy {args.policy!r} takes no --k")
-        if args.k is not None and args.k < 1:
-            raise _UsageError("--k must be at least 1")
-    except (ValueError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if rule is None and args.k is None:
+        raise _UsageError(f"policy {args.policy!r} requires --k")
+    if rule is not None and args.k is not None:
+        raise _UsageError(f"policy {args.policy!r} takes no --k")
+    if args.k is not None and args.k < 1:
+        raise _UsageError("--k must be at least 1")
     try:
         if rule is None:
             policy, rule = build(g, args.k), hyperopic(args.k)
@@ -222,11 +225,8 @@ def _family_graph(args):
 
 
 def _cmd_gen(args):
-    try:
+    with _parsing():
         g = _family_graph(args)
-    except (ValueError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if args.format == "edges":
         sys.stdout.write(emit_edge_list(g))
     else:
@@ -257,13 +257,10 @@ def _cmd_audit(args):
     names = list(CLAIMS) if args.claim == "all" else [args.claim]
     for name in names:
         if name not in CLAIMS:
-            print(f"error: unknown claim {name!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"unknown claim {name!r}")
     if args.n_max is not None and args.n_max < 1:
-        print("error: --n-max must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not _state_cap_ok(args):
-        return EXIT_USAGE
+        raise _UsageError("--n-max must be at least 1")
+    _check_state_cap(args)
     cache = open_cache(args.cache)
     rows = []
     summary = []
@@ -323,12 +320,9 @@ def _add_state_cap_flag(p):
     )
 
 
-def _state_cap_ok(args):
-    """False, once the usage error is printed, for a --state-cap below 1."""
-    if args.state_cap >= 1:
-        return True
-    print("error: --state-cap must be at least 1", file=sys.stderr)
-    return False
+def _check_state_cap(args):
+    if args.state_cap < 1:
+        raise _UsageError("--state-cap must be at least 1")
 
 
 def build_parser():
@@ -395,7 +389,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

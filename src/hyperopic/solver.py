@@ -528,6 +528,8 @@ def _solve(spec, placement, state_cap):
     just settled does not solve it again.  Callers pass all three arguments
     positionally: a keyword call would be another cache key.
     """
+    if state_cap < 1:
+        raise ValueError("state cap must be at least 1")
     table = TransitionTable(spec)
     blocks = table.initial(placement)
     if not blocks:
@@ -562,10 +564,11 @@ def solve(spec, *, state_cap=STATE_CAP):
     `STATE_CAP`, returns that same result's certificate without solving
     again.
 
-    state_cap bounds the cop-to-move states interned, whose cops are
-    always their orbit's representative (the kept states in a blind spec),
-    not the robber-to-move positions the arena also holds, which can far
-    outnumber them; it is a bound on work, not on memory.
+    state_cap, at least 1 (`_solve` raises ValueError otherwise), bounds
+    the cop-to-move states interned, whose cops are always their orbit's
+    representative (the kept states in a blind spec), not the
+    robber-to-move positions the arena also holds, which can far outnumber
+    them; it is a bound on work, not on memory.
     """
     return _solve(spec, first_placement(spec.graph, spec.num_cops), state_cap)
 

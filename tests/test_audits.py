@@ -175,6 +175,15 @@ def test_tiny_state_cap_surfaces_as_undecided():
     assert claim_verdict(reports) == UNDECIDED
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_state_cap_below_one_fails_the_claim(monkeypatch):
+    # from the calling process, and raised again from a forked worker
+    for k in (1, 2):
+        _shards(monkeypatch, k)
+        with pytest.raises(ValueError, match="state cap must be at least 1"):
+            run_claim("caterpillar", n_max=3, state_cap=0)
+
+
 def _mk(verdict):
     return AuditReport("c", {"graph6": "?"}, "e", {}, verdict)
 

@@ -215,7 +215,7 @@ def test_losing_every_level_up_to_the_cap_is_an_assertion(monkeypatch):
     with pytest.raises(AssertionError, match="matching cap"):
         cop_number(path(4), hyperopic(1))
     with pytest.raises(AssertionError, match="matching cap"):
-        _Ctx().exact_copnum(path(5), hyperopic(1))
+        _Ctx().copnum(path(5), hyperopic(1), {})
     # below the cap a lost search only bounds the cop number from below
     assert search_cop_number(path(6), hyperopic(1), bound=2) == (
         2, {"status": "robber_win", "states": 1},
@@ -254,6 +254,16 @@ def test_a_state_cap_decides_exactly_the_solves_within_it(graph):
                     assert (res.status, res.states_explored) == ("undecided", cap)
                 else:
                     assert res == full
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_a_state_cap_below_one_is_rejected(cap):
+    # a blind spec and one whose cops cover the graph are rejected too
+    for spec in (GameSpec(cycle(7), hyperopic(2), 2),
+                 GameSpec(cycle(7), zero_visibility(), 2),
+                 GameSpec(path(2), hyperopic(1), 1)):
+        with pytest.raises(ValueError, match="state cap must be at least 1"):
+            solve(spec, state_cap=cap)
 
 
 def test_cop_number_surfaces_cap_as_undecided_error():
