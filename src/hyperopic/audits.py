@@ -714,65 +714,62 @@ def _shard_count():
     return cpus
 
 
-# In a worker: the (n_max, ctx) it was forked for, read from the
-# memory it shares with the calling process, so nothing is pickled for it.
+# The (n_max, ctx) of the claim `run_claim` is running.  A forked worker
+# reads it from the memory it shares with the calling process, so nothing
+# is pickled for it.
 _job = None
 
 
-def _adopt(*job):
-    global _job
-    _job = job
-
-
 def _run_shard(shard):
-    """One shard of the claim this worker was forked for, solved against its
-    copy of the calling process's cache entries: (rows, new cache records in
-    solve order, cache hits)."""
+    """One shard of the claim `_job` holds, solved against an in-memory copy
+    of its cache: (rows, new cache records in solve order, cache hits)."""
     n_max, ctx = _job
     cache = ResultCache(None)
-    cache.entries = ctx.cache.entries
+    cache.entries = dict(ctx.cache.entries)
     known = len(cache.entries)
     shard_ctx = _Ctx(ctx.claim, cache, ctx.state_cap, shard, ctx.shards)
     rows = list(CLAIMS[ctx.claim](n_max, shard_ctx))
     return rows, list(cache.entries.items())[known:], cache.hits
 
 
-def _run_sharded(n_max, ctx):
-    """A claim's rows, unsorted, each shard run in a worker forked for this
-    claim.  Each shard's new cache records are appended in shard order, one
-    write per shard, so this process is the cache file's only writer."""
+def _run_shards(ctx):
+    """Every shard's `_run_shard` result, in shard order: in this process
+    for one shard, else each in a worker forked for this claim."""
+    if ctx.shards == 1:
+        return [_run_shard(0)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    rows = []
     with ProcessPoolExecutor(
-        ctx.shards,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt,
-        initargs=(n_max, ctx),
+        ctx.shards, mp_context=multiprocessing.get_context("fork")
     ) as pool:
         futures = [pool.submit(_run_shard, s) for s in range(ctx.shards)]
-        for future in futures:
-            shard_rows, records, hits = future.result()
-            rows += shard_rows
-            ctx.cache.put_many(records)
-            ctx.cache.hits += hits
-    return rows
+        return [future.result() for future in futures]
 
 
 def run_claim(claim, *, n_max=None, cache=None, state_cap=STATE_CAP):
     """All reports for one claim, sorted by instance key.
 
-    The instances are split into `_shard_count()` shards, run at once in
-    worker processes forked for the claim; the rows, sorted, are those of
-    one serial run, and the cache receives the same records."""
+    The instances are split into `_shard_count()` shards, each run by
+    `_run_shard`, at once in worker processes forked for the claim when
+    there are several; the rows, sorted, do not depend on the shard count.
+    Only this process writes the cache: once every shard has finished, each
+    shard's new records are stored in shard order, one `put_many` per
+    shard, so a claim that raises stores none of them."""
+    global _job
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
     ctx = _Ctx(claim, cache, state_cap, shards=_shard_count())
-    if ctx.shards == 1:
-        rows = CLAIMS[claim](n_max, ctx)
-    else:
-        rows = _run_sharded(n_max, ctx)
+    _job = (n_max, ctx)
+    try:
+        results = _run_shards(ctx)
+    finally:
+        _job = None
+    rows = []
+    for shard_rows, records, hits in results:
+        rows += shard_rows
+        ctx.cache.put_many(records)
+        ctx.cache.hits += hits
     return sorted(rows, key=AuditReport.sort_key)
 
 

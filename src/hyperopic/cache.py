@@ -3,14 +3,15 @@
 Each line records one winnability decision, keyed by (graph6, rule kind,
 distance parameter, cop count) plus a schema version, together with a
 checksum over the canonical JSON of the key and result.  Lines that fail to
-parse, whose checksum does not match, or whose key or result does not have
-the field types `_key_obj` and `result_record` write are skipped with a
-warning, so a torn or hand-edited write never poisons later runs; lines of
-another schema version are skipped too, with one warning per file, so rows
-from older game semantics are never trusted.
-Certificates are not persisted (they are cheap to re-derive from the stored
-winning placement); a cached entry carries status, placement, round bound,
-and the explored-state count of the original run.
+parse or whose checksum does not match are skipped with a warning, so a torn
+or hand-edited write never poisons later runs.  A line's version is checked
+next: lines of another schema version are skipped with one warning per file,
+so rows from older game semantics or record shapes are never trusted.  Last,
+a line whose key or result does not have the field types `_key_obj` and
+`result_record` write is skipped with a warning.
+A record is the decision alone: its status ("cop_win" or "robber_win") and
+the explored-state count of the original run.  The winning placement is
+always `solver.first_placement`, and certificates are re-derived from it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ ENV_VAR = "HYPEROPIC_CACHE"
 # Version 5: the solver keys states by cop-tuple orbit under the graph's
 # automorphisms, which changed `states` for every spec whose graph has
 # symmetries and some non-blind `rounds` (blind `rounds` stay exact).
-SCHEMA_VERSION = 5
+# Version 6: a record holds only `status` and `states`; `placement` (always
+# the first placement) and `rounds` (read by nothing) are no longer stored.
+SCHEMA_VERSION = 6
 
 
 def _checksum(payload):
@@ -74,16 +77,15 @@ class ResultCache:
                     if not line:
                         continue
                     parsed = _parse_line(line)
-                    if parsed is None:
+                    if parsed is _STALE:
+                        stale += 1
+                    elif parsed is None:
                         warnings.warn(
                             f"cache {path}:{lineno}: corrupt line skipped"
                         )
-                        continue
-                    version, key, result = parsed
-                    if version != SCHEMA_VERSION:
-                        stale += 1
-                        continue
-                    self.entries[key] = result
+                    else:
+                        key, result = parsed
+                        self.entries[key] = result
         except FileNotFoundError:
             pass
         except OSError as exc:
@@ -153,7 +155,12 @@ def _line(key, result):
     ) + "\n"
 
 
+_STALE = object()
+
+
 def _parse_line(line):
+    """(key, result) of a line, `_STALE` when it is of another schema
+    version, or None when it is corrupt."""
     try:
         obj = json.loads(line)
     except ValueError:
@@ -163,18 +170,17 @@ def _parse_line(line):
     key_obj, result, check = obj["key"], obj["result"], obj["check"]
     if _checksum(_canonical(key_obj, result)) != check:
         return None
+    if isinstance(key_obj, dict) and key_obj.get("version") != SCHEMA_VERSION:
+        return _STALE
     if not _is_record(result) or not _is_key(key_obj):
         return None
-    key = tuple(key_obj[f] for f in _KEY_FIELDS)
-    return key_obj.get("version"), key, result
+    return tuple(key_obj[f] for f in _KEY_FIELDS), result
 
 
 def _is_key(key_obj):
-    """Whether a stored key has the fields `_key_obj` gives, of its types
-    (a key's version is checked against `SCHEMA_VERSION` on load)."""
-    if not isinstance(key_obj, dict):
-        return False
-    if not key_obj.keys() >= set(_KEY_FIELDS):
+    """Whether a stored key of this schema version has the fields `_key_obj`
+    gives, of its types."""
+    if not isinstance(key_obj, dict) or not key_obj.keys() >= set(_KEY_FIELDS):
         return False
     k = key_obj["k"]
     return (
@@ -186,17 +192,12 @@ def _is_key(key_obj):
 
 
 def _is_record(result):
-    """Whether a stored result has a shape `result_record` gives."""
-    status = result.get("status") if isinstance(result, dict) else None
-    fields = {"status": str, "states": int}
-    if status == "cop_win":
-        fields.update(rounds=int, placement=list)
-    elif status != "robber_win":
-        return False
+    """Whether a stored result has the shape `result_record` gives."""
     return (
-        set(result) == set(fields)
-        and all(type(result[f]) is t for f, t in fields.items())
-        and all(type(v) is int for v in result.get("placement", ()))
+        isinstance(result, dict)
+        and set(result) == {"status", "states"}
+        and result["status"] in ("cop_win", "robber_win")
+        and type(result["states"]) is int
     )
 
 
@@ -208,10 +209,7 @@ def open_cache(path=None):
 
 
 def result_record(res):
-    """JSON-safe summary of a SolveResult, as stored in the cache."""
-    out = {"status": res.status, "states": res.states_explored}
-    if res.is_cop_win:
-        out["placement"] = list(res.placement)
-        out["rounds"] = res.rounds
-    return out
+    """JSON-safe decision of a SolveResult, as stored in the cache: its
+    status and its explored-state count."""
+    return {"status": res.status, "states": res.states_explored}
 

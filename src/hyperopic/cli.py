@@ -32,7 +32,7 @@ from .families import (
 from .formats import decode_graph6, emit_edge_list, encode_graph6, parse_edge_list
 from .game import STATE_CAP, full_visibility, hyperopic, zero_visibility
 from .graph import diameter, is_caterpillar, maximum_matching, radius
-from .solver import search_cop_number
+from .solver import first_placement, search_cop_number
 from .strategies import (
     matching_policy,
     outcome_fields,
@@ -128,7 +128,7 @@ def _cmd_copnum(args):
                 "k": args.k,
                 "cop_number": value,
                 "states_explored": record["states"],
-                "placement": record["placement"],
+                "placement": list(first_placement(g, value)),
             },
             sort_keys=True,
         )

@@ -169,6 +169,21 @@ def test_claims_reuse_the_result_cache(tmp_path):
     assert [r.to_json() for r in first] == [r.to_json() for r in second]
 
 
+@pytest.mark.usefixtures("serial")
+def test_one_shard_appends_its_new_records_once(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(str(path))
+    opened = []
+    real_open = open
+    monkeypatch.setattr(
+        "builtins.open", lambda *a, **kw: opened.append(a) or real_open(*a, **kw)
+    )
+    run_claim("bipartite", n_max=4, cache=cache)
+    monkeypatch.undo()
+    assert [a for a in opened if a[0] == str(path)] == [(str(path), "a")]
+    assert len(path.read_text().splitlines()) == len(cache) > 1
+
+
 def test_tiny_state_cap_surfaces_as_undecided():
     reports = run_claim("caterpillar", n_max=4, state_cap=2)
     assert any(r.verdict == UNDECIDED for r in reports)
@@ -556,6 +571,27 @@ def test_a_failure_in_a_worker_shard_raises_from_run_claim(monkeypatch):
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
     # the next claim runs
     assert len(run_claim("caterpillar", n_max=4)) == 5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_claim_that_raises_stores_none_of_its_records(
+    monkeypatch, tmp_path, shards
+):
+    _shards(monkeypatch, shards)
+    claim = CLAIMS["bipartite"]
+
+    def fails_in_the_last_shard(n_max, ctx):
+        yield from claim(n_max, ctx)
+        if ctx.shard == ctx.shards - 1:
+            raise RuntimeError("last shard failed")
+
+    monkeypatch.setitem(CLAIMS, "bipartite", fails_in_the_last_shard)
+    path = tmp_path / "cache.jsonl"
+    cache = ResultCache(str(path))
+    with pytest.raises(RuntimeError, match="last shard failed"):
+        run_claim("bipartite", n_max=3, cache=cache)
+    assert (path.read_text(), len(cache), cache.hits) == ("", 0, 0)
 
 
 @pytest.mark.filterwarnings("error")

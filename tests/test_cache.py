@@ -23,7 +23,7 @@ from hyperopic.solver import cached_solve, search_cop_number, solve
 def test_put_then_reload_roundtrips(tmp_path):
     p = tmp_path / "cache.jsonl"
     c = ResultCache(str(p))
-    rec = {"status": "cop_win", "states": 17, "placement": [0], "rounds": 3}
+    rec = {"status": "cop_win", "states": 17}
     c.put(("Cx", "hyperopic", 2, 1), rec)
     assert len(c) == 1
 
@@ -63,8 +63,7 @@ def test_put_is_idempotent_on_disk(tmp_path):
 def test_put_many_writes_the_lines_of_put_in_one_append(tmp_path, monkeypatch):
     keyed = [
         (("Cx", "hyperopic", 1, 1), {"status": "robber_win", "states": 5}),
-        (("Cx", "hyperopic", 1, 2), {"status": "cop_win", "states": 3,
-                                     "placement": [0, 1], "rounds": 1}),
+        (("Cx", "hyperopic", 1, 2), {"status": "cop_win", "states": 3}),
         (("Bw", "zero", None, 1), {"status": "robber_win", "states": 2}),
     ]
     one = ResultCache(str(tmp_path / "one.jsonl"))
@@ -101,21 +100,23 @@ def _checksummed(key, result):
 def test_corrupt_lines_warn_and_are_skipped(tmp_path):
     p = tmp_path / "cache.jsonl"
     good = ResultCache(str(p))
-    rec = {"status": "cop_win", "states": 3, "placement": [1], "rounds": 2}
+    rec = {"status": "cop_win", "states": 3}
     good.put(("Bw", "hyperopic", 1, 1), rec)
 
     lines = p.read_text().strip().splitlines()
     tampered = json.loads(lines[0])
-    tampered["result"]["rounds"] = 999  # checksum now wrong
+    tampered["result"]["states"] = 999  # checksum now wrong
     # checksummed, but not a shape `result_record` gives
     misshapen = [
         ["x"],
         None,
         {"status": "undecided", "states": 3},
         {"status": "cop_win"},
-        {"status": "cop_win", "states": 3, "placement": ["1"], "rounds": 2},
-        {"status": "cop_win", "states": 3, "placement": [1], "rounds": None},
+        # a version-5 cop win, under a version-6 key
+        {"status": "cop_win", "states": 3, "placement": [1], "rounds": 2},
+        {"status": "cop_win", "states": 3, "rounds": 2},
         {"status": "robber_win", "states": "3"},
+        {"status": "robber_win", "states": 3.0},
         {"status": "robber_win", "states": 3, "rounds": 2},
     ]
     other = ResultCache(str(tmp_path / "other.jsonl"))
@@ -219,10 +220,7 @@ def test_open_cache_env_fallback(tmp_path, monkeypatch):
 def test_result_record_shapes():
     win = solve(GameSpec(path(4), hyperopic(2), 1))
     rec = result_record(win)
-    assert rec["status"] == "cop_win"
-    assert rec["rounds"] == win.rounds
-    assert rec["placement"] == list(win.placement)
-    assert rec["states"] == win.states_explored
+    assert rec == {"status": "cop_win", "states": win.states_explored}
 
     loss = solve(GameSpec(cycle(5), hyperopic(3), 1))
     rec = result_record(loss)

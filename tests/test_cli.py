@@ -8,6 +8,7 @@ import pytest
 
 from hyperopic import game
 from hyperopic.audits import CLAIMS, AuditReport, run_claim
+from hyperopic.cache import SCHEMA_VERSION
 from hyperopic.cli import build_parser, main
 from hyperopic.families import complete, cycle, path, t_hat
 from hyperopic.formats import encode_graph6
@@ -170,6 +171,40 @@ def test_copnum_cache_hit_reruns_identically(tmp_path, capsys):
     assert out1 == out2
     assert "cache hit" not in err1
     assert "cache hits: 2" in err2
+
+
+# The cache lines `copnum Dhc --rule zero --cache F` wrote at schema
+# version 5, whose cop wins also stored a placement and a round bound.
+VERSION_5_LINES = (
+    '{"check":"75a064927c598b24","key":{"cops":1,"graph6":"Dhc","k":null,'
+    '"rule":"zero","version":5},"result":{"states":1,"status":"robber_win"}}\n'
+    '{"check":"f41412ef70d438cb","key":{"cops":2,"graph6":"Dhc","k":null,'
+    '"rule":"zero","version":5},"result":{"placement":[0,2],"rounds":2,'
+    '"states":5,"status":"cop_win"}}\n'
+)
+
+
+def test_copnum_on_a_version_5_cache_solves_afresh(tmp_path, capsys):
+    argv = ["copnum", "Dhc", "--rule", "zero", "--cache"]
+    fresh = tmp_path / "fresh.jsonl"
+    code, cold, _ = run(capsys, argv + [str(fresh)])
+    assert code == 0
+    old = tmp_path / "old.jsonl"
+    old.write_text(VERSION_5_LINES)
+    with pytest.warns(UserWarning) as caught:
+        code, out, err = run(capsys, argv + [str(old)])
+    assert [str(w.message) for w in caught] == [
+        f"cache {old}: 2 line(s) of a schema version other than"
+        f" {SCHEMA_VERSION}; each stale line skipped"
+    ]
+    assert code == 0 and out == cold and "cache hit" not in err
+    lines = old.read_text().splitlines(keepends=True)
+    assert "".join(lines[:2]) == VERSION_5_LINES
+    assert lines[2:] == fresh.read_text().splitlines(keepends=True)
+    for line in lines[2:]:
+        rec = json.loads(line)
+        assert rec["key"]["version"] == SCHEMA_VERSION
+        assert set(rec["result"]) == {"status", "states"}
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,22 @@ def test_transition_table_matches_the_set_semantics():
             _check_table_against_the_set_semantics(g, rule, size)
 
 
+def test_a_table_is_blind_exactly_when_k_reaches_the_diameter():
+    # cached_solve stores hyperopic(k) with k >= diameter under the
+    # zero-visibility key; that is sound only if such a table sees nothing
+    # and every table with a smaller k sees something
+    for g in _connected_graphs(7):
+        diam = diameter(g)
+        zero = TransitionTable(GameSpec(g, zero_visibility(), 1))
+        for k in range(1, diam + 2):
+            table = TransitionTable(GameSpec(g, hyperopic(k), 1))
+            assert table.blind == (k >= diam), (g.edges, k)
+            if table.blind:
+                for c in range(g.n):
+                    assert table.masks((c,)) == zero.masks((c,)) == (
+                        zero.full & ~(1 << c), 0)
+
+
 def _grown_bit_by_bit(g, mask):
     nbr = g.neighbor_masks()
     return set_to_mask(
