@@ -35,7 +35,6 @@ from .game import (
 from .graph import (
     Graph,
     Matching,
-    OuterEmbedding,
     build_graph,
     diameter,
     eccentricities,
@@ -80,7 +79,6 @@ __all__ = [
     "GameSpec",
     "Graph",
     "Matching",
-    "OuterEmbedding",
     "ResultCache",
     "SolveResult",
     "Timeout",

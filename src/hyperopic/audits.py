@@ -340,10 +340,9 @@ def _find_retraction(g, h_vertices):
     hset = set(h_vertices)
     targets = sorted(hset)
     outside = [v for v in range(g.n) if v not in hset]
-    eset = set(g.edges)
 
     def compatible(a, b):
-        return a == b or (min(a, b), max(a, b)) in eset
+        return a == b or g.has_edge(a, b)
 
     assign = {v: v for v in hset}
     tried = [0] * len(outside)  # per outside vertex: targets tried so far

@@ -104,9 +104,6 @@ class ResultCache:
             )
             self.writable = False
 
-    def __len__(self):
-        return len(self.entries)
-
     def get(self, key):
         """The stored result dict for a key in the form `entries` holds,
         (graph6, rule kind, k, cops), else None."""

@@ -20,13 +20,10 @@ def _encode_n(n):
 def encode_graph6(g):
     """Standard graph6 encoding: size header then column-major upper triangle."""
     n = g.n
-    eset = set(g.edges)
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in eset else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    size = n * (n - 1) // 2
+    bits = [0] * (size + -size % 6)  # padded to whole 6-bit characters
+    for i, j in g.edges:
+        bits[j * (j - 1) // 2 + i] = 1
     chars = []
     for off in range(0, len(bits), 6):
         val = 0

@@ -8,8 +8,14 @@ moves, observe; each observation either pins the robber to a vertex or
 reports it invisible, splitting the belief accordingly.  Visibility is also
 checked once at initial placement.
 
+`effective_rule` is where the game decides that a rule is blind: with k
+at least the diameter no cop ever sees the robber, so hyperopic(k) is the
+zero-visibility game.
+
 `TransitionTable` is the one implementation of these transitions: the
 solver searches with it and the policy verifier replays policies with it.
+It holds only what the rule decides; what depends on the graph alone (its
+growth tables, the orbit frames of cop tuples) is kept on the `Graph`.
 Beliefs are integer masks (bit v set when the robber may be on vertex v);
 `mask_to_set` turns one into a vertex set.
 """
@@ -18,13 +24,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .graph import chunk_union, diameter
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
 
 @dataclass(frozen=True)
 class VisibilityRule:
     """When the cops can see the robber.
 
-    kind "hyperopic": visible iff some cop is at distance > k from it.
-    kind "zero": never visible.  kind "full": always visible.
+    kind "hyperopic": visible iff some cop is at distance > k from it, for
+    an int k >= 1.  kind "zero": never visible.  kind "full": always
+    visible.
     """
 
     kind: str
@@ -34,8 +47,10 @@ class VisibilityRule:
         if self.kind not in ("hyperopic", "zero", "full"):
             raise ValueError(f"unknown visibility kind {self.kind!r}")
         if self.kind == "hyperopic":
-            if self.k is None or self.k < 1:
-                raise ValueError("hyperopic rule needs k >= 1")
+            if not _is_int(self.k) or self.k < 1:
+                raise ValueError(
+                    f"hyperopic rule needs an int k >= 1, got {self.k!r}"
+                )
         elif self.k is not None:
             raise ValueError(f"rule {self.kind!r} takes no distance parameter")
 
@@ -50,6 +65,21 @@ def zero_visibility():
 
 def full_visibility():
     return VisibilityRule("full")
+
+
+def effective_rule(graph, rule):
+    """The rule the game on graph actually plays: zero visibility for
+    hyperopic(k) with k at least the graph's diameter, else rule itself.
+
+    With k that large no cop is ever farther than k from the robber, so no
+    cop ever sees it: the transitions, the search and the result are those
+    of the zero-visibility game.  The result cache stores such a game under
+    the zero-visibility key, so it is solved once for every rule that makes
+    it blind.
+    """
+    if rule.kind == "hyperopic" and rule.k >= diameter(graph):
+        return zero_visibility()
+    return rule
 
 
 def cop_cap(n):
@@ -69,7 +99,7 @@ NODE_CAP = 100_000_000
 class GameSpec:
     """A graph, a visibility rule, and how many cops play.
 
-    The cop count is capped at `cop_cap(n)`, which always suffices.
+    The cop count is an int capped at `cop_cap(n)`, which always suffices.
     """
 
     graph: "Graph"
@@ -77,6 +107,8 @@ class GameSpec:
     num_cops: int
 
     def __post_init__(self):
+        if not _is_int(self.num_cops):
+            raise ValueError(f"cop count must be an int, got {self.num_cops!r}")
         cap = cop_cap(self.graph.n)
         if not 1 <= self.num_cops <= cap:
             raise ValueError(
@@ -110,44 +142,20 @@ def joint_cop_moves(graph, cops):
     return [(m, k) for k, m in least.items()]
 
 
-def growth_tables(nbr):
-    """Closed-neighborhood unions per 4-bit chunk of a belief mask.
-
-    Entry x of table j is the union of nbr[4j + b] over the set bits b of x,
-    so a mask grows by ceil(n/4) lookups instead of one per vertex.  The
-    last table is shorter when 4 does not divide n.  With nbr[v] = 1 << p[v]
-    for a permutation p, the tables relabel a mask by p instead.
-    """
-    tables = []
-    for base in range(0, len(nbr), 4):
-        tab = [0]
-        for m in nbr[base:base + 4]:
-            tab += [x | m for x in tab]
-        tables.append(tab)
-    return tables
-
-
-def chunk_union(tables, mask):
-    """The union, through `growth_tables` tables, of the masks behind the
-    set bits of mask."""
-    out = 0
-    for tab in tables:
-        if not mask:
-            break
-        out |= tab[mask & 15]
-        mask >>= 4
-    return out
-
-
 class TransitionTable:
     """The game's transitions on belief masks.
+
+    A table holds only what its rule decides.  It plays `effective_rule`,
+    so it computes no visibility for a blind hyperopic rule, and takes
+    everything that depends on the graph alone from the `Graph`: the
+    neighborhood masks, their growth tables and the orbit frames.
 
     States are (sorted cop tuple, belief mask) pairs.  Each cop tuple's
     unoccupied and visibility masks, and its row list (each deduplicated
     joint move with the masks of the cops it leads to), are cached, since
     the solver revisits the same cop tuples across many beliefs.  Robber
-    steps are not cached: a belief grows through per-chunk neighborhood
-    tables in ceil(n/4) lookups.
+    steps are not cached: a belief grows through the graph's per-chunk
+    growth tables in ceil(n/4) lookups.
 
     The solver searches with the round kernel: a cop-to-move state's row
     list (`frame_rows`), where a move leaves the belief masked by the new
@@ -156,14 +164,13 @@ class TransitionTable:
     two halves as separate steps.  The policy verifier replays policies
     with `masks`, `split` for the placement and `reply` for every round.
 
-    `blind` is true when no cop position sees any vertex (zero visibility,
-    or k at least the diameter): every observation is "invisible", so each
-    step yields at most one belief.
+    `blind` is true when the effective rule is zero visibility: every
+    observation is "invisible", so each step yields at most one belief.
 
     The game commutes with the graph's automorphisms, so the solver keeps
-    one cop tuple per orbit: `frame` gives a tuple's representative and a
-    fixed automorphism onto it, and `frame_rows` is the row list with each
-    move's new cops carried onto their representative.
+    one cop tuple per orbit: `Graph.frame` gives a tuple's representative
+    and a fixed automorphism onto it, and `frame_rows` is the row list with
+    each move's new cops carried onto their representative.
     """
 
     def __init__(self, spec):
@@ -172,9 +179,10 @@ class TransitionTable:
         self.n = g.n
         self.full = (1 << g.n) - 1
         self.nbr = g.neighbor_masks()
-        self._grow = growth_tables(self.nbr)
+        self._grow = g.growth()
+        rule = effective_rule(g, spec.rule)
+        self.blind = rule.kind == "zero"
         # per cop position: the vertices it makes the robber visible on
-        rule = spec.rule
         if rule.kind == "hyperopic":
             dist = g.distances()
             self._far = [
@@ -182,13 +190,8 @@ class TransitionTable:
                 for c in range(g.n)
             ]
         else:
-            self._far = [self.full if rule.kind == "full" else 0] * g.n
-        self.blind = not any(self._far)
+            self._far = [0 if self.blind else self.full] * g.n
         self._masks = {}
-        self._gens = None  # the graph's automorphism generators, when needed
-        # cop tuple -> (representative, frame or None), and frame -> its
-        # chunk tables: both depend on the graph alone, so they live on it
-        self._frames = self._frame_tables = None
         self._frame_rows = {}
 
     def masks(self, cops):
@@ -217,85 +220,28 @@ class TransitionTable:
             out.append(rest)
         return out
 
-    def frame(self, cops):
-        """(representative, frame) of a sorted cop tuple.
-
-        The representative is the least sorted image of the tuple under the
-        graph's automorphism group; the frame is one fixed automorphism
-        carrying the tuple onto it, a tuple p with p[v] the image of v, or
-        None when the tuple is its own representative.  Every tuple of an
-        orbit gets its pair when the orbit is first asked for: a search over
-        the generators finds the orbit and so its representative, and a
-        second one from the representative gives each tuple y = p(x)
-        reached through a generator p the frame of x after the inverse of
-        p.  The pairs are kept on the graph, so every table of one graph
-        searches each orbit once.  A trivial group makes every tuple its
-        own representative without a search.
-        """
-        gens = self._gens
-        if gens is None:
-            g = self.spec.graph
-            gens = self._gens = g.automorphisms()
-            if g._frames is None:
-                g._frames, g._frame_tables = {}, {}
-            self._frames, self._frame_tables = g._frames, g._frame_tables
-        if not gens:
-            return cops, None
-        pair = self._frames.get(cops)
-        if pair is None:
-            orbit = {cops}
-            queue = [cops]
-            for x in queue:
-                for p in gens:
-                    y = tuple(sorted([p[c] for c in x]))
-                    if y not in orbit:
-                        orbit.add(y)
-                        queue.append(y)
-            rep = min(orbit)
-            onto = {rep: tuple(range(self.n))}
-            queue = [rep]
-            for x in queue:
-                fx = onto[x]
-                for p in gens:
-                    y = tuple(sorted([p[c] for c in x]))
-                    if y not in onto:
-                        fy = [0] * self.n
-                        for v, u in enumerate(p):
-                            fy[u] = fx[v]
-                        onto[y] = tuple(fy)
-                        queue.append(y)
-            for x, fx in onto.items():
-                self._frames[x] = (rep, None if x == rep else fx)
-            pair = self._frames[cops]
-        return pair
-
     def frame_rows(self, cops):
         """(move, rep, tables, free, rfree, rvis) per deduplicated joint
         move, in `joint_cop_moves` order: the new cops' representative, the
         chunk tables of their frame (None for the identity), the new cops'
         free mask and the representative's `masks`.
 
-        A move's belief masked by free and mapped through the tables, entry
-        x of table j being the image of the set bits b of x at 4j + b, is
-        the belief of the same robber-to-move position seen from the
-        representative.
+        A move's belief masked by free and mapped through the tables
+        (`Graph.frame_tables`) is the belief of the same robber-to-move
+        position seen from the representative.
         """
         rows = self._frame_rows.get(cops)
         if rows is None:
             rows = self._frame_rows[cops] = []
-            masks, frame_of = self.masks, self.frame
-            for move, newcops in joint_cop_moves(self.spec.graph, cops):
+            g, masks = self.spec.graph, self.masks
+            for move, newcops in joint_cop_moves(g, cops):
                 free, vis = masks(newcops)
-                rep, frame = frame_of(newcops)
+                rep, frame = g.frame(newcops)
                 if frame is None:
                     rows.append((move, newcops, None, free, free, vis))
-                    continue
-                tables = self._frame_tables.get(frame)
-                if tables is None:
-                    tables = self._frame_tables[frame] = growth_tables(
-                        [1 << u for u in frame]
-                    )
-                rows.append((move, rep, tables, free, *masks(rep)))
+                else:
+                    tables = g.frame_tables(frame)
+                    rows.append((move, rep, tables, free, *masks(rep)))
         return rows
 
     def joint_moves(self, cops):

@@ -1,11 +1,19 @@
 """Immutable graph substrate: distances, structure tests, matchings,
-automorphisms, embeddings."""
+automorphisms, embeddings.
+
+Everything computed from the graph alone is owned here and memoised on
+the `Graph`, so every game table, policy and audit row over one graph
+shares it: the closed-neighbourhood masks and their growth tables, the
+automorphism generators, the orbit frames of cop tuples with their
+relabelling tables, and the maximum matching.  Each is computed on first
+use.
+"""
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Graph:
@@ -17,8 +25,8 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "adj", "edges", "dist_matrix", "_nbr_mask", "_matching",
-        "_automorphisms", "_frames", "_frame_tables",
+        "n", "adj", "edges", "dist_matrix", "_nbr_mask", "_growth",
+        "_matching", "_automorphisms", "_frames", "_frame_tables",
     )
 
     def __init__(self, n, edges):
@@ -58,12 +66,8 @@ class Graph:
                 )
             mat.append(tuple(dist))
         self.dist_matrix = tuple(mat)
-        self._nbr_mask = None
-        self._matching = None
-        self._automorphisms = None
-        # cop-tuple orbits, filled by `TransitionTable.frame` for every rule
-        self._frames = None
-        self._frame_tables = None
+        self._nbr_mask = self._growth = self._matching = None
+        self._automorphisms = self._frames = self._frame_tables = None
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -86,6 +90,16 @@ class Graph:
             )
         return self._nbr_mask
 
+    def growth(self):
+        """`growth_tables` of the closed-neighborhood masks: a belief grows
+        by one robber step through them."""
+        if self._growth is None:
+            self._growth = growth_tables(self.neighbor_masks())
+        return self._growth
+
+    def has_edge(self, u, v):
+        return u != v and self.neighbor_masks()[u] >> v & 1 == 1
+
     def degree(self, v):
         return len(self.adj[v])
 
@@ -96,6 +110,94 @@ class Graph:
         if self._automorphisms is None:
             self._automorphisms = automorphism_generators(self)
         return self._automorphisms
+
+    def frame(self, cops):
+        """(representative, frame) of a sorted cop tuple.
+
+        The representative is the least sorted image of the tuple under the
+        automorphism group; the frame is one fixed automorphism carrying the
+        tuple onto it, a tuple p with p[v] the image of v, or None when the
+        tuple is its own representative.  Every tuple of an orbit gets its
+        pair when the orbit is first asked for: a search over the generators
+        finds the orbit and so its representative, and a second one from the
+        representative gives each tuple y = p(x) reached through a generator
+        p the frame of x after the inverse of p.  A trivial group makes
+        every tuple its own representative without a search.
+        """
+        gens = self.automorphisms()
+        if not gens:
+            return cops, None
+        if self._frames is None:
+            self._frames = {}
+        pair = self._frames.get(cops)
+        if pair is None:
+            orbit = {cops}
+            queue = [cops]
+            for x in queue:
+                for p in gens:
+                    y = tuple(sorted([p[c] for c in x]))
+                    if y not in orbit:
+                        orbit.add(y)
+                        queue.append(y)
+            rep = min(orbit)
+            onto = {rep: tuple(range(self.n))}
+            queue = [rep]
+            for x in queue:
+                fx = onto[x]
+                for p in gens:
+                    y = tuple(sorted([p[c] for c in x]))
+                    if y not in onto:
+                        fy = [0] * self.n
+                        for v, u in enumerate(p):
+                            fy[u] = fx[v]
+                        onto[y] = tuple(fy)
+                        queue.append(y)
+            for x, fx in onto.items():
+                self._frames[x] = (rep, None if x == rep else fx)
+            pair = self._frames[cops]
+        return pair
+
+    def frame_tables(self, frame):
+        """The `growth_tables` that relabel a mask by the permutation
+        `frame`: entry x of table j is the image of the set bits b of x at
+        4j + b."""
+        if self._frame_tables is None:
+            self._frame_tables = {}
+        tables = self._frame_tables.get(frame)
+        if tables is None:
+            tables = self._frame_tables[frame] = growth_tables(
+                [1 << u for u in frame]
+            )
+        return tables
+
+
+def growth_tables(nbr):
+    """Closed-neighborhood unions per 4-bit chunk of a belief mask.
+
+    Entry x of table j is the union of nbr[4j + b] over the set bits b of x,
+    so a mask grows by ceil(n/4) lookups instead of one per vertex.  The
+    last table is shorter when 4 does not divide n.  With nbr[v] = 1 << p[v]
+    for a permutation p, the tables relabel a mask by p instead.
+    """
+    tables = []
+    for base in range(0, len(nbr), 4):
+        tab = [0]
+        for m in nbr[base:base + 4]:
+            tab += [x | m for x in tab]
+        tables.append(tab)
+    return tables
+
+
+def chunk_union(tables, mask):
+    """The union, through `growth_tables` tables, of the masks behind the
+    set bits of mask."""
+    out = 0
+    for tab in tables:
+        if not mask:
+            break
+        out |= tab[mask & 15]
+        mask >>= 4
+    return out
 
 
 def build_graph(n, edges):
@@ -194,7 +296,6 @@ def automorphism_generators(g):
     soundness.
     """
     n, adj = g.n, g.adj
-    edges = set(g.edges)
     colors, quotient = _refine(adj, [0] * n)
     path, quotients = [], [quotient]
     while len(quotient) < n:
@@ -211,8 +312,7 @@ def automorphism_generators(g):
             at[c] = v
         p = tuple(at[c] for c in first_leaf)
         for u, v in g.edges:
-            a, b = p[u], p[v]
-            if (min(a, b), max(a, b)) not in edges:
+            if not g.has_edge(p[u], p[v]):
                 return None
         return p
 
@@ -498,9 +598,9 @@ def _check_tutte_berge(g, edges, barrier):
     odd(G - U) counts the components of odd size once U is deleted.  Every
     matching has 2|M| <= n + |U| - odd(G - U), so equality proves M
     maximum."""
-    eset = set(g.edges)
     covered = [v for e in edges for v in e]
-    if not eset.issuperset(edges) or len(set(covered)) != len(covered):
+    matched = all(g.has_edge(u, v) for u, v in edges)
+    if not matched or len(set(covered)) != len(covered):
         raise AssertionError(f"not a matching of the graph: {edges}")
     removed = set(barrier)
     odd = 0
@@ -541,22 +641,11 @@ def verify_retraction(g, h_vertices, mapping):
     for v in hset:
         if f[v] != v:
             return False
-    eset = set(g.edges)
     for u, v in g.edges:
         fu, fv = f[u], f[v]
-        if fu == fv:
-            continue
-        if (min(fu, fv), max(fu, fv)) not in eset:
+        if fu != fv and not g.has_edge(fu, fv):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class OuterEmbedding:
-    """Hamiltonian outer cycle plus chords, all chords pairwise non-crossing."""
-
-    cycle: tuple
-    chords: tuple = field(default=())
 
 
 def _chords_cross(a, b, c, d):
@@ -577,12 +666,11 @@ def _noncrossing(cycle_pos, chords):
     return True
 
 
-def _closed_embedding(g, eset, path):
-    """The embedding with outer cycle `path` (a Hamiltonian path), or None
-    when its ends are not adjacent or the remaining edges cross."""
+def _closed_embedding(g, path):
+    """The outer cycle `path` (a Hamiltonian path) as a tuple, or None when
+    its ends are not adjacent or the remaining edges cross."""
     n = g.n
-    u, v = path[-1], path[0]
-    if (min(u, v), max(u, v)) not in eset:
+    if not g.has_edge(path[-1], path[0]):
         return None
     cycle = tuple(path)
     pos = [0] * n
@@ -592,15 +680,14 @@ def _closed_embedding(g, eset, path):
     for i, w in enumerate(cycle):
         x = cycle[(i + 1) % n]
         cyc_edges.add((min(w, x), max(w, x)))
-    chords = tuple(sorted(e for e in g.edges if e not in cyc_edges))
-    if _noncrossing(pos, chords):
-        return OuterEmbedding(cycle=cycle, chords=chords)
-    return None
+    chords = [e for e in g.edges if e not in cyc_edges]
+    return cycle if _noncrossing(pos, chords) else None
 
 
 def find_outer_embedding(g):
-    """Search for an outerplanar embedding: a Hamiltonian cycle such that all
-    remaining edges are pairwise non-crossing chords.
+    """Search for an outerplanar embedding: a Hamiltonian cycle, returned as
+    a tuple of vertices, such that all remaining edges are pairwise
+    non-crossing chords.
 
     Exponential backtracking over Hamiltonian paths from vertex 0, intended
     for n <= 16.  Returns None when no embedding exists, at once when the
@@ -608,12 +695,11 @@ def find_outer_embedding(g):
     """
     n = g.n
     if n == 1:
-        return OuterEmbedding(cycle=(0,), chords=())
+        return (0,)
     if n == 2:
-        return OuterEmbedding(cycle=(0, 1), chords=()) if g.edges else None
+        return (0, 1) if g.edges else None
     if len(g.edges) > 2 * n - 3:
         return None
-    eset = set(g.edges)
     adj = g.adj
 
     path = [0]
@@ -623,7 +709,7 @@ def find_outer_embedding(g):
     options = [iter(adj[0])]
     while options:
         if len(path) == n:
-            found = _closed_embedding(g, eset, path)
+            found = _closed_embedding(g, path)
             if found is not None:
                 return found
             w = None

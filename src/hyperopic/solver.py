@@ -18,7 +18,7 @@ and the belief they then face lies inside one of q's initial blocks, while
 cop wins are downward-closed in the belief.  So `solve` settles only the
 most spread-out placement, on a fresh arena.
 
-Blind specs (zero visibility, or k at least the diameter) skip the arena:
+Blind specs (`effective_rule` is zero visibility) skip the arena:
 no observation ever splits a belief, so each cop move leads to one belief
 and the cops face a reachability problem, searched breadth-first.  Play is
 monotone in the belief: if B is inside B', each move's successor from B is
@@ -31,7 +31,7 @@ Both searches work up to the graph's symmetry.  An automorphism of the
 graph maps a state to one that wins exactly when it does, in as many
 rounds, so every cop tuple reached is replaced by its orbit
 representative and the belief is carried along by one fixed automorphism
-per tuple (`TransitionTable.frame`); states and positions are keyed in
+per tuple (`Graph.frame`); states and positions are keyed in
 the representative's frame, and `states_explored` and `state_cap` count
 those states.  A state and a relabelling of it by an automorphism fixing
 its cops stay distinct.  Certificates are lifted back to the graph's own
@@ -51,15 +51,8 @@ from types import MappingProxyType
 
 from . import formats
 from .cache import ResultCache, result_record
-from .game import (
-    STATE_CAP,
-    GameSpec,
-    TransitionTable,
-    chunk_union,
-    cop_cap,
-    zero_visibility,
-)
-from .graph import diameter
+from .game import STATE_CAP, GameSpec, TransitionTable, cop_cap, effective_rule
+from .graph import chunk_union
 
 
 class UndecidedError(Exception):
@@ -375,7 +368,7 @@ def _extract(arena, table, placement, init_idxs):
     strictly decrease along play.  Returns the certificate, in real labels,
     with its exact worst-case round count as the bound.
     """
-    rank = arena.rank
+    rank, frame_of = arena.rank, table.spec.graph.frame
     best = {}
 
     def best_move(idx):
@@ -403,11 +396,11 @@ def _extract(arena, table, placement, init_idxs):
             _, move, tables, succs = top
             frame = None
             if tables is not None:
-                frame = table.frame(tuple(sorted(move)))[1]
+                frame = frame_of(tuple(sorted(move)))[1]
             best[idx] = move, frame, succs
         return best[idx]
 
-    back = _back(None, table.frame(placement)[1])
+    back = _back(None, frame_of(placement)[1])
     starts = [(placement, _relabel(back, arena.state(i)[1])) for i in init_idxs]
     stack = [(s, i, back) for s, i in zip(starts, init_idxs)]
     seen = set()
@@ -470,7 +463,7 @@ def _blind_search(table, placement, state_cap):
         parent.append(p)
         via.append(move)
 
-    rep = table.frame(placement)[0]
+    rep = table.spec.graph.frame(placement)[0]
     keep(rep, table.initial(rep)[0], -1, None)
     lo = 0
     while lo < len(belief_of):
@@ -503,12 +496,13 @@ def _replay_path(table, placement, path):
     composes the frames of the new cops along the way, and the real belief
     follows from `reply`.
     """
-    back = _back(None, table.frame(placement)[1])
+    frame_of = table.spec.graph.frame
+    back = _back(None, frame_of(placement)[1])
     cops, bmask = placement, table.initial(placement)[0]
     moves = {}
     for rep, move in path:
         real = moves[cops, bmask] = _lift(back, rep, move)
-        back = _back(back, table.frame(tuple(sorted(move)))[1])
+        back = _back(back, frame_of(tuple(sorted(move)))[1])
         cops = tuple(sorted(real))
         free, vis = table.masks(cops)
         after = table.reply(bmask & free, free, vis)
@@ -540,7 +534,7 @@ def _solve(spec, placement, state_cap):
         if table.blind:
             return _blind_search(table, placement, state_cap)
         arena = _Arena(table, state_cap)
-        rep = table.frame(placement)[0]
+        rep = spec.graph.frame(placement)[0]
         base = arena.base(rep)
         idxs = [arena.intern(base | b) for b in table.initial(rep)]
         arena.settle(idxs)
@@ -577,16 +571,10 @@ def cached_solve(graph, rule, cops, cache, *, state_cap=STATE_CAP):
     """Winnability via the cache, as the JSON-safe record of
     `result_record`; `cache.hits` counts the lookups it answered.  Undecided
     outcomes are never stored, so a later run with a larger cap can settle
-    them.
-
-    A hyperopic(k) game with k at least the graph's diameter is the
-    zero-visibility game: no cop ever sees the robber, so the transitions,
-    the search and the record are identical.  Such a game is stored and
-    looked up under the zero-visibility key, so it is solved once for every
-    rule that makes it blind.
+    them.  The key holds `effective_rule`'s rule, so a blind hyperopic
+    rule shares the zero-visibility record.
     """
-    if rule.kind == "hyperopic" and rule.k >= diameter(graph):
-        rule = zero_visibility()
+    rule = effective_rule(graph, rule)
     # through the module, where perfbench/trace_layers.py rebinds it
     key = (formats.encode_graph6(graph), rule.kind, rule.k, cops)
     hit = cache.get(key)

@@ -591,13 +591,12 @@ def outerplanar_k2_policy(graph):
     script ends on is in ``after``.
     """
     g = graph
-    emb = find_outer_embedding(g)
-    if emb is None or g.n < 3 or len(g.edges) < g.n:
+    cycle = find_outer_embedding(g)
+    if cycle is None or g.n < 3 or len(g.edges) < g.n:
         raise ValueError(
             "outerplanar_k2_policy requires a 2-connected outerplanar graph"
         )
     n = g.n
-    cycle = tuple(emb.cycle)
     dist = g.distances()
     adj = g.adj
 

@@ -75,3 +75,23 @@ def test_the_package_layers():
             assert imports == [], imports
         call_time |= {(path.stem, fn, m) for fn, m in imports if fn is not None}
     assert call_time == _CALL_TIME_IMPORTS
+
+
+# what the graph memoises about itself; no other module may read or fill it
+_GRAPH_SLOTS = {
+    "_frames", "_frame_tables", "_growth", "_nbr_mask", "_matching",
+    "_automorphisms",
+}
+
+
+def test_only_the_graph_touches_its_memo_slots():
+    src = Path(hyperopic.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "graph":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf8"))
+        touched = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in _GRAPH_SLOTS
+        }
+        assert not touched, (path.name, touched)

@@ -162,7 +162,7 @@ def test_reports_come_out_sorted_and_json_clean():
 def test_claims_reuse_the_result_cache(tmp_path):
     cache = ResultCache(str(tmp_path / "cache.jsonl"))
     first = run_claim("caterpillar", n_max=6, cache=cache)
-    assert len(cache) > 0
+    assert len(cache.entries) > 0
     warm = ResultCache(str(tmp_path / "cache.jsonl"))
     second = run_claim("caterpillar", n_max=6, cache=warm)
     assert warm.hits > 0
@@ -181,7 +181,7 @@ def test_one_shard_appends_its_new_records_once(tmp_path, monkeypatch):
     run_claim("bipartite", n_max=4, cache=cache)
     monkeypatch.undo()
     assert [a for a in opened if a[0] == str(path)] == [(str(path), "a")]
-    assert len(path.read_text().splitlines()) == len(cache) > 1
+    assert len(path.read_text().splitlines()) == len(cache.entries) > 1
 
 
 def test_tiny_state_cap_surfaces_as_undecided():
@@ -591,7 +591,7 @@ def test_a_claim_that_raises_stores_none_of_its_records(
     cache = ResultCache(str(path))
     with pytest.raises(RuntimeError, match="last shard failed"):
         run_claim("bipartite", n_max=3, cache=cache)
-    assert (path.read_text(), len(cache), cache.hits) == ("", 0, 0)
+    assert (path.read_text(), len(cache.entries), cache.hits) == ("", 0, 0)
 
 
 @pytest.mark.filterwarnings("error")

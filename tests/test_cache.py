@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import networkx as nx
 import pytest
@@ -25,10 +26,10 @@ def test_put_then_reload_roundtrips(tmp_path):
     c = ResultCache(str(p))
     rec = {"status": "cop_win", "states": 17}
     c.put(("Cx", "hyperopic", 2, 1), rec)
-    assert len(c) == 1
+    assert len(c.entries) == 1
 
     again = ResultCache(str(p))
-    assert len(again) == 1
+    assert len(again.entries) == 1
     assert again.get(("Cx", "hyperopic", 2, 1)) == rec
     assert again.hits == 1
     assert again.get(("Cx", "hyperopic", 2, 2)) is None
@@ -37,7 +38,7 @@ def test_put_then_reload_roundtrips(tmp_path):
 
 def test_missing_file_is_fine(tmp_path):
     c = ResultCache(str(tmp_path / "nope.jsonl"))
-    assert len(c) == 0
+    assert len(c.entries) == 0
     assert c.writable
 
 
@@ -150,7 +151,7 @@ def test_corrupt_lines_warn_and_are_skipped(tmp_path):
         c = ResultCache(str(p))
     assert len(caught) == 3 + len(misshapen) + len(miskeyed)
     # only the untampered line survives
-    assert len(c) == 1
+    assert len(c.entries) == 1
     assert c.get(("Bw", "hyperopic", 1, 1)) == rec
 
 
@@ -187,7 +188,7 @@ def test_lines_of_another_schema_version_are_not_trusted(tmp_path, version):
     # one warning per file, however many lines are stale
     with pytest.warns(UserWarning, match="3 line.*stale line skipped") as caught:
         cache = ResultCache(str(p))
-    assert (len(cache), len(caught)) == (0, 1)
+    assert (len(cache.entries), len(caught)) == (0, 1)
     rec = cached_solve(g, rule, 1, cache)
     assert cache.hits == 0
     assert rec["status"] == "robber_win"
@@ -196,7 +197,7 @@ def test_lines_of_another_schema_version_are_not_trusted(tmp_path, version):
 def test_unreadable_path_degrades_with_warning(tmp_path):
     with pytest.warns(UserWarning):
         c = ResultCache(str(tmp_path))  # a directory: unreadable, unwritable
-    assert len(c) == 0
+    assert len(c.entries) == 0
     assert not c.writable
     # put must not raise
     c.put(("Cx", "hyperopic", 1, 1), {"status": "robber_win", "states": 1})
@@ -296,3 +297,22 @@ def test_blind_hyperopic_games_share_the_zero_visibility_key():
                 cached_solve(g, hyperopic(diam - 1), cops, cache)
                 assert cache.hits == 2
                 assert (g6, "hyperopic", diam - 1, cops) in cache.entries
+
+
+def test_only_int_distances_and_cop_counts_reach_the_cache(tmp_path):
+    # a distance or cop count that is not an int is refused before anything
+    # is solved or stored, so every line written is one the loader reads
+    p = tmp_path / "cache.jsonl"
+    g = cycle(5)
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="needs an int k"):
+            search_cop_number(g, hyperopic(bad), cache=ResultCache(str(p)))
+        with pytest.raises(ValueError, match="cop count must be an int"):
+            cached_solve(g, hyperopic(1), bad, ResultCache(str(p)))
+    assert p.read_text() == ""
+    cache = ResultCache(str(p))
+    assert search_cop_number(g, hyperopic(1), cache=cache)[0] == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = ResultCache(str(p))
+    assert again.entries == cache.entries and len(again.entries) == 2

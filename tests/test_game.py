@@ -19,14 +19,14 @@ from hyperopic.game import (
     TransitionTable,
     VisibilityRule,
     cop_cap,
+    effective_rule,
     full_visibility,
-    growth_tables,
     hyperopic,
     joint_cop_moves,
     mask_to_set,
     zero_visibility,
 )
-from hyperopic.graph import build_graph, diameter
+from hyperopic.graph import build_graph, diameter, growth_tables
 from oracles import (
     COP_WIN,
     BeliefState,
@@ -412,6 +412,8 @@ def test_a_table_is_blind_exactly_when_k_reaches_the_diameter():
         for k in range(1, diam + 2):
             table = TransitionTable(GameSpec(g, hyperopic(k), 1))
             assert table.blind == (k >= diam), (g.edges, k)
+            assert (effective_rule(g, hyperopic(k)) == zero_visibility()) == (
+                k >= diam)
             if table.blind:
                 for c in range(g.n):
                     assert table.masks((c,)) == zero.masks((c,)) == (
@@ -472,14 +474,36 @@ def test_mask_roundtrip_property(verts):
 
 
 def test_cop_tuple_frames_are_kept_per_graph():
-    # the orbit of a cop tuple depends on the graph alone: a second table
-    # of the same graph, under another rule, reuses the first one's frames
+    # the orbit of a cop tuple and the growth tables depend on the graph
+    # alone: a second table of the same graph, under another rule, reuses
+    # the first one's
     g = t_hat()
     first = TransitionTable(GameSpec(g, hyperopic(2), 2))
-    pair = first.frame((5, 6))
+    pair = g.frame((5, 6))
     assert pair[0] == (1, 2) and pair[1] is not None
     again = TransitionTable(GameSpec(g, zero_visibility(), 2))
-    assert again.frame((5, 6)) is pair
-    # an equal graph built separately searches its own orbits
-    other = TransitionTable(GameSpec(t_hat(), hyperopic(2), 2))
-    assert other.frame((5, 6)) == pair and other.frame((5, 6)) is not pair
+    assert g.frame((5, 6)) is pair
+    assert first._grow is again._grow is g.growth()
+    tables = [row[2] for row in first.frame_rows((0, 1))]
+    assert any(tables)
+    assert all(a is b for a, b in zip(tables, [
+        row[2] for row in again.frame_rows((0, 1))]))
+    # an equal graph built separately searches its own orbits and builds
+    # its own growth tables
+    h = t_hat()
+    other = TransitionTable(GameSpec(h, hyperopic(2), 2))
+    assert h.frame((5, 6)) == pair and h.frame((5, 6)) is not pair
+    assert other._grow == g.growth() and other._grow is not g.growth()
+    assert other._grow is h.growth()
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True])
+def test_a_hyperopic_distance_must_be_an_int(k):
+    with pytest.raises(ValueError, match="needs an int k"):
+        hyperopic(k)
+
+
+@pytest.mark.parametrize("cops", [1.5, 2.0, True])
+def test_a_cop_count_must_be_an_int(cops):
+    with pytest.raises(ValueError, match="cop count must be an int"):
+        GameSpec(cycle(5), hyperopic(1), cops)

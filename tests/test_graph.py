@@ -65,6 +65,20 @@ def test_disconnected_rejected():
         build_graph(4, [(0, 1), (2, 3)])
 
 
+def test_has_edge_is_membership_in_the_edge_list():
+    # every ordered pair, u == v included, of every connected graph on at
+    # most 7 vertices
+    graphs = 0
+    for n in range(1, 8):
+        for nn, edges in atlas_connected(n):
+            g = build_graph(nn, edges)
+            eset = set(g.edges)
+            for u, v in itertools.product(range(nn), repeat=2):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in eset)
+            graphs += 1
+    assert graphs == 996
+
+
 def test_loops_and_bad_ids_rejected():
     with pytest.raises(ValueError):
         build_graph(3, [(0, 0), (0, 1), (1, 2)])
@@ -415,25 +429,26 @@ def test_retraction_rejects_bad_maps():
 # --- outerplanar embedding recovery -----------------------------------------
 
 
+def _ring(cycle):
+    n = len(cycle)
+    return {tuple(sorted((cycle[i], cycle[(i + 1) % n]))) for i in range(n)}
+
+
 def test_embedding_cycle():
     emb = find_outer_embedding(cycle(6))
     assert emb is not None
-    assert sorted(emb.cycle) == list(range(6))
-    assert emb.chords == ()
+    assert sorted(emb) == list(range(6))
+    assert _ring(emb) == set(cycle(6).edges)
 
 
 def _check_embedding(g, emb):
-    n = g.n
-    assert sorted(emb.cycle) == list(range(n))
-    eset = {tuple(sorted(e)) for e in g.edges}
-    ring = {
-        tuple(sorted((emb.cycle[i], emb.cycle[(i + 1) % n])))
-        for i in range(n)
-    }
+    # the chords are the edges off the outer cycle
+    assert sorted(emb) == list(range(g.n))
+    eset = set(g.edges)
+    ring = _ring(emb)
     assert ring <= eset
-    chordset = {tuple(sorted(c)) for c in emb.chords}
-    assert ring | chordset == eset and not ring & chordset
-    pos = {v: i for i, v in enumerate(emb.cycle)}
+    chordset = eset - ring
+    pos = {v: i for i, v in enumerate(emb)}
     arcs = sorted(
         tuple(sorted((pos[u], pos[v]))) for u, v in chordset
     )

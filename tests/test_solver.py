@@ -22,12 +22,11 @@ from hyperopic.families import (
 from hyperopic.game import (
     GameSpec,
     TransitionTable,
-    chunk_union,
     full_visibility,
     hyperopic,
     zero_visibility,
 )
-from hyperopic.graph import Graph, diameter
+from hyperopic.graph import Graph, chunk_union, diameter
 from hyperopic import game, solver, strategies
 from hyperopic.cache import ResultCache
 from hyperopic.solver import (
@@ -364,7 +363,7 @@ def test_the_arena_replies_once_per_position(
     monkeypatch.setattr(TransitionTable, "reply", counted)
     table = TransitionTable(GameSpec(graph, hyperopic(k), 2))
     arena = solver._Arena(table, game.STATE_CAP)
-    rep = table.frame(placement)[0]
+    rep = graph.frame(placement)[0]
     base = arena.base(rep)
     arena.settle([arena.intern(base | b) for b in table.initial(rep)])
     assert len(set(calls)) == len(calls) == len(arena.pos) == positions
