@@ -574,13 +574,14 @@ def cached_solve(graph, rule, cops, cache, *, state_cap=STATE_CAP):
     them.  The key holds `effective_rule`'s rule, so a blind hyperopic
     rule shares the zero-visibility record.
     """
-    rule = effective_rule(graph, rule)
+    # the spec checks the cop count before the cache is asked
+    spec = GameSpec(graph, effective_rule(graph, rule), cops)
     # through the module, where perfbench/trace_layers.py rebinds it
-    key = (formats.encode_graph6(graph), rule.kind, rule.k, cops)
+    key = (formats.encode_graph6(graph), spec.rule.kind, spec.rule.k, cops)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    res = solve(GameSpec(graph, rule, cops), state_cap=state_cap)
+    res = solve(spec, state_cap=state_cap)
     record = result_record(res)
     if res.status != "undecided":
         cache.put(key, record)

@@ -32,7 +32,7 @@ def test_the_set_based_game_stays_out_of_the_package():
 # which the CLI's other commands do not load; and the two ends of the one
 # import cycle, solver <-> strategies
 _CALL_TIME_IMPORTS = {
-    ("audits", "_atlas_connected", "_atlas"),
+    ("audits", "_connected_graphs", "_atlas"),
     ("cli", "_cmd_audit", "audits"),
     ("solver", "extract_certificate", "strategies"),
     ("strategies", "_stationary_general", "solver"),

@@ -1,5 +1,6 @@
 """Tests for the theorem-audit claim runners."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -69,6 +70,42 @@ def test_claim_registry():
 def test_unknown_claim_is_rejected():
     with pytest.raises(ValueError, match="unknown claim"):
         run_claim("flat-earth")
+
+
+def test_a_scope_below_one_is_rejected():
+    # an audit of nothing would pass
+    for name in CLAIMS:
+        for n_max in (0, -1):
+            with pytest.raises(ValueError, match="n_max must be at least 1"):
+                run_claim(name, n_max=n_max)
+
+
+def test_outerplanar2_at_scope_one_checks_its_cut_vertex_examples():
+    reports = run_claim("outerplanar2", n_max=1)
+    assert sorted(r.instance["name"] for r in reports) == [
+        "bowtie", "square-bridge-triangle", "triangle-chain", "triangle-tail",
+        "two-squares",
+    ]
+    assert claim_verdict(reports) == PASS
+
+
+@pytest.mark.parametrize(
+    "name, default, hard",
+    [("pendant", 9, 12), ("diam4-bound", 8, 9), ("outerplanar-sqrt", 9, 10)],
+)
+def test_run_claim_clamps_the_scope_once(serial, monkeypatch, name, default,
+                                          hard):
+    scopes = []
+
+    def family(n):
+        scopes.append(n)
+        return ()
+
+    monkeypatch.setitem(CLAIMS, name, dataclasses.replace(
+        CLAIMS[name], family=family, rows=lambda item, ctx: ()))
+    for n_max in (None, 100, hard, 3):
+        assert run_claim(name, n_max=n_max) == []
+    assert scopes == [default, hard, hard, 3]
 
 
 def test_caterpillar_claim_covers_all_small_trees():
@@ -233,24 +270,21 @@ def test_retraction_search_leaves_no_reference_cycles():
 
 
 def test_connected_graphs_are_converted_once_without_reference_cycles():
-    whole = audits._Ctx()
-    audits._connected_graphs(7, whole)  # the first call imports the table
+    from hyperopic.formats import decode_graph6
+
+    list(audits._connected_graphs(7))  # the first call imports the table
+    found = [list(audits._connected_graphs(n)) for n in (5, 6, 7)]
+    assert [len(strings) for strings in found] == [31, 143, 996]
+    # smaller bounds give prefixes of the same list, in atlas order
+    assert found[2][:143] == found[1] and found[1][:31] == found[0]
     gc.collect()
     gc.disable()
     try:
-        found = [audits._connected_graphs(n, whole) for n in (5, 6, 7)]
+        graphs = [decode_graph6(s) for s in found[2]]
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert [len(graphs) for graphs in found] == [31, 143, 996]
-    # smaller bounds give prefixes of the same list, in atlas order
-    shapes = [[(g.n, g.edges) for g in graphs] for graphs in found]
-    assert shapes[2][:143] == shapes[1] and shapes[1][:31] == shapes[0]
-    assert [n for n, _ in shapes[2]] == sorted(n for n, _ in shapes[2])
-    # a shard decodes its own deal of the same list
-    for shard in (0, 1):
-        mine = audits._connected_graphs(7, audits._Ctx(shard=shard, shards=2))
-        assert [(g.n, g.edges) for g in mine] == shapes[2][shard::2]
+    assert [g.n for g in graphs] == sorted(g.n for g in graphs)
 
 
 def test_the_atlas_table_is_the_networkx_atlas():
@@ -265,8 +299,8 @@ def test_the_atlas_table_is_the_networkx_atlas():
             expected.append(encode_graph6(g))
     assert len(expected) == 996
     assert list(CONNECTED) == expected
-    assert audits._atlas_connected(7) == expected
-    assert audits._atlas_connected(5) == expected[:31]
+    assert list(audits._connected_graphs(7)) == expected
+    assert list(audits._connected_graphs(5)) == expected[:31]
 
 
 def _run_script(script, *options):
@@ -545,6 +579,26 @@ def test_two_shards_write_the_cache_lines_of_one(monkeypatch, tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
+def test_each_shard_decodes_only_its_own_atlas_graphs(monkeypatch, tmp_path):
+    # the workers append each graph6 string they decode to one file
+    log = tmp_path / "decoded.txt"
+    decode = audits.decode_graph6
+
+    def logged(s):
+        with open(log, "a") as out:
+            out.write(s + "\n")
+        return decode(s)
+
+    monkeypatch.setattr(audits, "decode_graph6", logged)
+    for k in (1, 2):
+        _shards(monkeypatch, k)
+        log.write_text("")
+        assert run_claim("retract", n_max=4)
+        decoded = log.read_text().splitlines()
+        assert sorted(decoded) == sorted(audits._connected_graphs(4)), k
+
+
+@pytest.mark.filterwarnings("error")
 def test_worker_cache_hits_are_counted(monkeypatch, tmp_path):
     path = str(tmp_path / "cache.jsonl")
     run_claim("caterpillar", n_max=6, cache=ResultCache(path))
@@ -560,9 +614,10 @@ def test_worker_cache_hits_are_counted(monkeypatch, tmp_path):
 @pytest.mark.filterwarnings("error")
 def test_a_failure_in_a_worker_shard_raises_from_run_claim(monkeypatch):
     _shards(monkeypatch, 2)
-    # trees on 1..4 vertices: the second tree on 4 vertices is the only
-    # instance of shard 1, and a record without a status fails its search
-    tree = all_trees(4)[1]
+    # trees on 1..4 vertices, dealt in order: shard 1 runs the tree on 2
+    # vertices and the first tree on 4 vertices, and a record without a
+    # status fails the search of the latter
+    tree = all_trees(4)[0]
     cache = ResultCache(None)
     for rule in (hyperopic(2), hyperopic(3), zero_visibility()):
         cache.put((encode_graph6(tree), rule.kind, rule.k, 1), {})
@@ -573,6 +628,15 @@ def test_a_failure_in_a_worker_shard_raises_from_run_claim(monkeypatch):
     assert len(run_claim("caterpillar", n_max=4)) == 5
 
 
+def _numbered(claim, rows):
+    """claim with each instance numbered by its place in the family and
+    checked by rows, which so knows its shard: item i goes to shard
+    i % shards."""
+    return dataclasses.replace(
+        claim, family=lambda n: enumerate(claim.family(n)), rows=rows
+    )
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shards", [1, 2])
 def test_a_claim_that_raises_stores_none_of_its_records(
@@ -581,12 +645,14 @@ def test_a_claim_that_raises_stores_none_of_its_records(
     _shards(monkeypatch, shards)
     claim = CLAIMS["bipartite"]
 
-    def fails_in_the_last_shard(n_max, ctx):
-        yield from claim(n_max, ctx)
-        if ctx.shard == ctx.shards - 1:
+    def fails_in_the_last_shard(item, ctx):
+        i, instance = item
+        yield from claim.rows(instance, ctx)
+        if i % shards == shards - 1:
             raise RuntimeError("last shard failed")
 
-    monkeypatch.setitem(CLAIMS, "bipartite", fails_in_the_last_shard)
+    monkeypatch.setitem(
+        CLAIMS, "bipartite", _numbered(claim, fails_in_the_last_shard))
     path = tmp_path / "cache.jsonl"
     cache = ResultCache(str(path))
     with pytest.raises(RuntimeError, match="last shard failed"):
@@ -598,11 +664,12 @@ def test_a_claim_that_raises_stores_none_of_its_records(
 def test_the_shards_run_outside_the_calling_process(monkeypatch):
     _shards(monkeypatch, 2)
 
-    def pids(n_max, ctx):
+    def pids(i, ctx):
         pid = {"pid": os.getpid()}
-        return [AuditReport("pids", {"shard": ctx.shard}, "", pid, PASS)]
+        yield AuditReport("pids", {"shard": i}, "", pid, PASS)
 
-    monkeypatch.setitem(CLAIMS, "bipartite", pids)
+    monkeypatch.setitem(CLAIMS, "bipartite", dataclasses.replace(
+        CLAIMS["bipartite"], family=lambda n: range(2), rows=pids))
     reports = run_claim("bipartite")
     assert [r.instance["shard"] for r in reports] == [0, 1]
     assert os.getpid() not in {r.observed["pid"] for r in reports}
@@ -614,12 +681,13 @@ def test_a_dead_worker_fails_its_claim_and_the_next_claim_runs(monkeypatch):
     expect = run_claim("bipartite", n_max=3)
     claim = CLAIMS["bipartite"]
 
-    def dies_in_shard_1(n_max, ctx):
-        if ctx.shard == 1:
+    def dies_in_shard_1(item, ctx):
+        i, instance = item
+        if i % 2 == 1:
             os._exit(1)
-        return claim(n_max, ctx)
+        return claim.rows(instance, ctx)
 
-    monkeypatch.setitem(CLAIMS, "bipartite", dies_in_shard_1)
+    monkeypatch.setitem(CLAIMS, "bipartite", _numbered(claim, dies_in_shard_1))
     with pytest.raises(BrokenProcessPool):
         run_claim("bipartite", n_max=3)
     monkeypatch.setitem(CLAIMS, "bipartite", claim)
@@ -632,12 +700,13 @@ def test_no_worker_outlives_its_claim(monkeypatch):
     assert run_claim("bipartite", n_max=3)
     assert multiprocessing.active_children() == []
 
-    def fails_in_shard_1(n_max, ctx):
-        if ctx.shard == 1:
+    def fails_in_shard_1(i, ctx):
+        if i % 2 == 1:
             raise RuntimeError("shard 1 failed")
         return []
 
-    monkeypatch.setitem(CLAIMS, "bipartite", fails_in_shard_1)
+    monkeypatch.setitem(CLAIMS, "bipartite", dataclasses.replace(
+        CLAIMS["bipartite"], family=lambda n: range(2), rows=fails_in_shard_1))
     with pytest.raises(RuntimeError, match="shard 1 failed"):
         run_claim("bipartite", n_max=3)
     assert multiprocessing.active_children() == []

@@ -247,6 +247,19 @@ def test_cached_solve_miss_then_hit(tmp_path):
     assert fresh.hits == 1 and rec3 == rec1
 
 
+def test_cached_solve_checks_the_cop_count_on_a_warm_cache():
+    # True and 2.0 equal the stored counts 1 and 2 as dict keys
+    g, rule = cycle(5), hyperopic(1)
+    cold, warm = ResultCache(None), ResultCache(None)
+    search_cop_number(g, rule, cache=warm)
+    assert {key[3] for key in warm.entries} >= {1, 2}
+    for cache in (cold, warm):
+        for cops in (True, 2.0):
+            with pytest.raises(ValueError, match="cop count must be an int"):
+                cached_solve(g, rule, cops, cache)
+    assert warm.hits == 0
+
+
 def test_cached_solve_distinguishes_keys(tmp_path):
     cache = ResultCache(str(tmp_path / "cache.jsonl"))
     rec_a = cached_solve(cycle(5), hyperopic(3), 1, cache)
