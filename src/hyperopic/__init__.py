@@ -3,12 +3,14 @@ distance-limited pursuit games on finite connected graphs.
 
 The robber is invisible whenever every cop is within the sight-limit
 distance of it; the solver decides winnability exactly over belief states,
-the strategies module replays constructive cop policies against an
+the check module plays every certificate it hands out on vertex sets, the
+strategies module replays constructive cop policies against an
 omniscient robber, and the audits module turns bound and equality claims
 into machine-checked reports over exhaustive small-instance families.
 """
 
 from .cache import ResultCache, open_cache
+from .check import check_certificate
 from .families import (
     all_trees,
     all_two_connected_outerplanar,
@@ -91,6 +93,7 @@ __all__ = [
     "cached_solve",
     "caterpillar",
     "certificate_policy",
+    "check_certificate",
     "complete",
     "complete_bipartite",
     "cop_number",

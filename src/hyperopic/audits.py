@@ -8,8 +8,9 @@ reruns, with a cold or a warm result cache, produce identical reports.
 
 A claim is data: a `Claim` in CLAIMS holds the family of its instances up
 to a scope, the scope's default and ceiling, and the rows one instance
-yields.  `run_claim` clamps the scope, and `_run_shard` deals the family's
-instances round-robin among the shards; no claim does either itself.
+yields.  `claim_scope` clamps the scope, for `run_claim` and the CLI's
+summary alike, and `_run_shard` deals the family's instances round-robin
+among the shards; no claim does either itself.
 
 Every row comes from one builder, `_Ctx.row`, which knows the claim it
 runs and decides the verdict: "undecided" when a state cap or a node cap
@@ -765,29 +766,37 @@ def _run_shards(shards):
         return [future.result() for future in futures]
 
 
+def claim_scope(claim, n_max=None):
+    """The scope `run_claim` runs a claim at: n_max, or the claim's default
+    without one, clamped to the claim's ceiling; None for a claim whose
+    family ignores it.  An unknown claim or an n_max below 1 is a
+    ValueError."""
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    spec = CLAIMS[claim]
+    if spec.hard is None:
+        return None
+    return min(spec.default if n_max is None else n_max, spec.hard)
+
+
 def run_claim(claim, *, n_max=None, cache=None, state_cap=STATE_CAP):
     """All reports for one claim, sorted by instance key.
 
-    The scope is n_max, or the claim's default without one, clamped to the
-    claim's ceiling; an n_max below 1 is a ValueError.  The instances are
-    split into `_shard_count()` shards, each run by `_run_shard`, at once in
+    The scope is `claim_scope`'s, which refuses an unknown claim and an
+    n_max below 1 with ValueError.  The instances are split into
+    `_shard_count()` shards, each run by `_run_shard`, at once in
     worker processes forked for the claim when there are several; the
     rows, sorted, do not depend on the shard count.  Only this process
     writes the cache: once every shard has finished, each shard's new
     records are stored in shard order, one `put_many` per shard, so a claim
     that raises stores none of them."""
     global _job
-    if claim not in CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}")
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    spec = CLAIMS[claim]
-    n = spec.default if n_max is None else n_max
-    if spec.hard is not None:
-        n = min(n, spec.hard)
+    n = claim_scope(claim, n_max)
     ctx = _Ctx(claim, cache, state_cap)
     shards = _shard_count()
-    _job = (spec, n, ctx, shards)
+    _job = (CLAIMS[claim], n, ctx, shards)
     try:
         results = _run_shards(shards)
     finally:

@@ -252,7 +252,8 @@ def _cmd_gen(args):
 
 
 def _cmd_audit(args):
-    from .audits import CLAIMS, UNDECIDED, VIOLATION, claim_verdict, run_claim
+    from .audits import (CLAIMS, UNDECIDED, VIOLATION, claim_scope,
+                         claim_verdict, run_claim)
 
     names = list(CLAIMS) if args.claim == "all" else [args.claim]
     for name in names:
@@ -276,19 +277,21 @@ def _cmd_audit(args):
         rows.extend(reports)
         verdict = claim_verdict(reports)
         counts = Counter(r.verdict for r in reports)
-        summary.append((name, len(reports), seconds, counts, verdict))
+        # "-" for a claim whose family ignores the scope
+        scope = claim_scope(name, args.n_max) or "-"
+        summary.append((name, len(reports), seconds, scope, counts, verdict))
     for r in sorted(rows, key=lambda r: r.sort_key()):
         print(r.to_json())
     width = max(len(name) for name, *_ in summary)
     print(
-        f"{'claim':<{width}}  instances  seconds  verdict  breakdown",
+        f"{'claim':<{width}}  instances  seconds  scope  verdict  breakdown",
         file=sys.stderr,
     )
-    for name, total, seconds, counts, verdict in summary:
+    for name, total, seconds, scope, counts, verdict in summary:
         breakdown = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(
-            f"{name:<{width}}  {total:>9}  {seconds:>7.2f}  {verdict:<22} "
-            f"{breakdown}",
+            f"{name:<{width}}  {total:>9}  {seconds:>7.2f}  {scope:>5}  "
+            f"{verdict:<22} {breakdown}",
             file=sys.stderr,
         )
     seen = {r.verdict for r in rows}

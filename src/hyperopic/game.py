@@ -12,8 +12,10 @@ checked once at initial placement.
 at least the diameter no cop ever sees the robber, so hyperopic(k) is the
 zero-visibility game.
 
-`TransitionTable` is the one implementation of these transitions: the
-solver searches with it and the policy verifier replays policies with it.
+`TransitionTable` is the one implementation of these transitions on
+masks: the solver searches with it and the policy verifier replays
+policies with it.  `check` plays the same rules on vertex sets, apart from
+it, to check the solver's certificates.
 It holds only what the rule decides; what depends on the graph alone (its
 growth tables, the orbit frames of cop tuples) is kept on the `Graph`.
 Beliefs are integer masks (bit v set when the robber may be on vertex v);

@@ -35,9 +35,13 @@ per tuple (`Graph.frame`); states and positions are keyed in
 the representative's frame, and `states_explored` and `state_cap` count
 those states.  A state and a relabelling of it by an automorphism fixing
 its cops stay distinct.  Certificates are lifted back to the graph's own
-labels (`_extract`, `_replay_path`), so their replay knows nothing of
+labels (`_extract`, `_replay_path`), so their check knows nothing of
 symmetry.  A trivial group makes every frame the identity: the same
 searches as without the quotient.
+
+Every certificate `extract_certificate` hands out has passed
+`check.check_certificate`, which plays it on vertex sets from the graph's
+adjacency and distances and shares no code with the search.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from types import MappingProxyType
 
 from . import formats
 from .cache import ResultCache, result_record
+from .check import check_certificate
 from .game import STATE_CAP, GameSpec, TransitionTable, cop_cap, effective_rule
 from .graph import chunk_union
 
@@ -631,15 +636,16 @@ def cop_number(graph, rule, *, state_cap=STATE_CAP):
 
 
 def extract_certificate(spec, placement):
-    """Winning strategy for a cop-winning placement, checked by replay.
+    """Winning strategy for a cop-winning placement, checked by
+    `check.check_certificate`.
 
     The placement is settled by `_solve` under `STATE_CAP`.  `_solve`
     returns its remembered result when its latest call asked the same spec
     and placement with that cap (as `solve` does by default when it won on
     this very placement), and solves afresh otherwise.  Either way the
-    strategy is then played against every robber line through the policy
-    verifier; any replay failure raises instead of returning a bad
-    certificate.
+    strategy is then played against every robber on vertex sets, sharing
+    nothing with the search; a bad certificate raises AssertionError
+    instead of being returned.
     """
     placement = tuple(sorted(placement))
     if len(placement) != spec.num_cops:
@@ -654,18 +660,5 @@ def extract_certificate(spec, placement):
         raise UndecidedError(f"undecided: limit (state cap {STATE_CAP} hit)")
     if not res.is_cop_win:
         raise ValueError(f"placement {placement} is not cop-winning")
-    cert = res.certificate
-
-    from .strategies import Win, certificate_policy, verify_policy
-
-    policy = certificate_policy(spec.graph, spec.rule, cert)
-    outcome = verify_policy(spec.graph, spec.rule, policy)
-    if not isinstance(outcome, Win):
-        raise AssertionError(
-            f"certificate for {placement} failed replay: {outcome}"
-        )
-    if outcome.rounds > cert.bound:
-        raise AssertionError(
-            f"certificate replay took {outcome.rounds} rounds, bound {cert.bound}"
-        )
-    return cert
+    check_certificate(spec.graph, spec.rule, res.certificate)
+    return res.certificate

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from . import solver
 from .game import NODE_CAP, GameSpec, TransitionTable, full_visibility, mask_to_set
 from .graph import diameter, find_outer_embedding, is_tree, maximum_matching
 
@@ -488,11 +489,11 @@ def _stationary_tree(g, k):
 
 
 def _stationary_general(g, k):
-    from .solver import cop_number, solve
-
     x, y = _diametral_pair(g)
     rule = full_visibility()
-    cert = solve(GameSpec(g, rule, cop_number(g, rule))).certificate
+    # through the module, where perfbench/trace_layers.py rebinds them
+    spec = GameSpec(g, rule, solver.cop_number(g, rule))
+    cert = solver.solve(spec).certificate
     pursuit = certificate_policy(g, rule, cert)
 
     def step(state, cops, bmask):

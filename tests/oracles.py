@@ -3,20 +3,19 @@
 Everything here is deliberately written from scratch against the game
 rules and textbook definitions, so agreement with ``hyperopic`` is
 meaningful evidence of correctness.  Most of it shares no code with the
-package (it consumes plain ``(n, edges)`` pairs).  The exception is the
-set-based reference game below: it takes the package's ``Graph``,
-``GameSpec`` and deduplicated ``joint_cop_moves``, but computes every
-sighting and belief transition on vertex sets, sharing nothing with the
-bitmask ``TransitionTable`` that the solver and the policy verifier run on.
-The belief-level solver oracle and the policy replay harness are built on
-it.
+package (it consumes plain ``(n, edges)`` pairs).  The belief-level solver
+oracle and the policy replay harness play the set-based game of
+``hyperopic.check``, the package's certificate checker, which reads only
+adjacency and distances and shares nothing with the bitmask
+``TransitionTable`` that the solver and the policy verifier run on; their
+joint moves are enumerated here, so nothing in this file imports
+``hyperopic.game``.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
-from hyperopic.game import GameSpec, joint_cop_moves
+from hyperopic.check import play_round, sightings
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +38,13 @@ def _closed_neighborhoods(n, edges):
     return nbr
 
 
+def joint_moves(nbr, cops):
+    """The cop multisets one joint move leads to: the product of the cops'
+    closed neighborhoods ``nbr``, deduplicated by sorted multiset."""
+    options = [sorted(nbr[c]) for c in cops]
+    return sorted({tuple(sorted(m)) for m in itertools.product(*options)})
+
+
 def fullvis_placement_wins(n, edges, placement):
     """Whether the cops force capture from ``placement`` with the robber
     choosing his start (and all later moves) with full knowledge."""
@@ -47,17 +53,16 @@ def fullvis_placement_wins(n, edges, placement):
 
     joint = {}
 
-    def joint_moves(cops):
+    def cop_moves(cops):
         if cops not in joint:
-            opts = [sorted(nbr[c]) for c in cops]
-            joint[cops] = sorted({tuple(sorted(m)) for m in itertools.product(*opts)})
+            joint[cops] = joint_moves(nbr, cops)
         return joint[cops]
 
     multisets = {cops0}
     frontier = [cops0]
     while frontier:
         cops = frontier.pop()
-        for m in joint_moves(cops):
+        for m in cop_moves(cops):
             if m not in multisets:
                 multisets.add(m)
                 frontier.append(m)
@@ -77,7 +82,7 @@ def fullvis_placement_wins(n, edges, placement):
                 continue
             if mover == 0:
                 win = any(
-                    r in m or cop_win[(m, r, 1)] for m in joint_moves(cops)
+                    r in m or cop_win[(m, r, 1)] for m in cop_moves(cops)
                 )
             else:
                 moves = [w for w in nbr[r] if w not in cops]
@@ -124,224 +129,42 @@ def is_dismantlable(n, edges):
 
 
 # ---------------------------------------------------------------------------
-# Set-based reference game.
-#
-# A round is cops move jointly, observe, robber moves, observe; each
-# sighting check pins the robber to one vertex or reports it invisible, and
-# splits the set of vertices it may occupy (its belief) accordingly.  The
-# check also runs once right after the placement.
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Result of one sighting check: a pinned vertex, or nothing."""
-
-    vertex: int | None
-
-    @property
-    def is_visible(self):
-        return self.vertex is not None
-
-    def __repr__(self):
-        return "Invisible" if self.vertex is None else f"Visible({self.vertex})"
-
-
-INVISIBLE = Observation(None)
-
-
-class _CopWin:
-    """Sentinel outcome: every consistent robber position is captured."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "CopWin"
-
-
-COP_WIN = _CopWin()
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """Cop positions (a sorted multiset) plus the robber's possible vertices.
-
-    The belief is always nonempty (emptiness is the terminal cop win, never
-    stored) and disjoint from the cop positions (a possibility on a cop
-    vertex is already captured).
-    """
-
-    cops: tuple
-    belief: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "cops", tuple(sorted(self.cops)))
-        object.__setattr__(self, "belief", frozenset(self.belief))
-        if not self.belief:
-            raise ValueError("belief must be nonempty (emptiness is a cop win)")
-        if self.belief & set(self.cops):
-            raise ValueError("belief must be disjoint from cop positions")
-
-
-def is_visible(rule, dists):
-    """Whether a robber is visible given each cop's distance to it.
-
-    Distances are all >= 1: distance 0 is capture, decided before any
-    sighting check.
-    """
-
-    dists = tuple(dists)
-    if not dists:
-        raise ValueError("need at least one cop distance")
-    if any(d < 1 for d in dists):
-        raise ValueError("distance 0 is capture, not a sighting")
-    if rule.kind == "full":
-        return True
-    if rule.kind == "zero":
-        return False
-    return any(d > rule.k for d in dists)
-
-
-def split_by_observation(graph, rule, cops, candidates):
-    """Partition candidate robber vertices by what the cops would observe.
-
-    Returns (observation, block) pairs: one singleton block per vertex where
-    the robber would be seen, then at most one block of mutually
-    indistinguishable invisible vertices.  Blocks partition the candidates.
-    """
-    dist = graph.distances()
-    seen, hidden = [], []
-    for v in sorted(candidates):
-        if is_visible(rule, (dist[c][v] for c in cops)):
-            seen.append(v)
-        else:
-            hidden.append(v)
-    out = [(Observation(v), frozenset((v,))) for v in seen]
-    if hidden:
-        out.append((INVISIBLE, frozenset(hidden)))
-    return out
-
-
-def observation_split(spec, cops, candidates):
-    """split_by_observation under a GameSpec's graph and rule."""
-    if set(candidates) & set(cops):
-        raise ValueError("candidates must be disjoint from cop positions")
-    return split_by_observation(spec.graph, spec.rule, cops, candidates)
-
-
-def initial_states(spec, placement):
-    """States after the cops take up a starting placement.
-
-    The robber then materializes on any uncovered vertex and the first
-    sighting check runs immediately.  Returns COP_WIN when the placement
-    covers the whole graph, else the resulting cop-to-move states.
-    """
-    placement = tuple(sorted(placement))
-    if len(placement) != spec.num_cops:
-        raise ValueError(f"placement must list {spec.num_cops} cop positions")
-    candidates = set(range(spec.graph.n)) - set(placement)
-    if not candidates:
-        return COP_WIN
-    return [
-        BeliefState(placement, block)
-        for _, block in observation_split(spec, placement, candidates)
-    ]
-
-
-def cop_turn_successors(spec, state):
-    """All deduplicated joint cop moves from a cop-to-move state.
-
-    Returns (move, outcome) pairs where outcome is COP_WIN (the move lands
-    on every belief vertex) or the list of intermediate robber-to-move
-    states produced by the post-move sighting check.
-    """
-    out = []
-    for move, newcops in joint_cop_moves(spec.graph, state.cops):
-        survivors = state.belief - set(newcops)
-        if not survivors:
-            out.append((move, COP_WIN))
-            continue
-        blocks = observation_split(spec, newcops, survivors)
-        out.append((move, [BeliefState(newcops, b) for _, b in blocks]))
-    return out
-
-
-def robber_turn_successors(spec, cops, candidates):
-    """Resolve the robber's move from an intermediate robber-to-move position.
-
-    The candidate set grows to its closed neighborhood minus cop vertices,
-    then the post-move sighting check splits it.  Returns COP_WIN when no
-    possibility survives (the robber had nowhere safe to go), else the
-    cop-to-move successor states.
-    """
-    cops = tuple(sorted(cops))
-    grown = robber_growth(spec.graph, cops, candidates)
-    if not grown:
-        return COP_WIN
-    blocks = observation_split(spec, cops, grown)
-    return [BeliefState(cops, b) for _, b in blocks]
-
-
-def robber_growth(graph, cops, candidates):
-    """Where the robber may stand after its move: the candidates' closed
-    neighborhood minus the cop vertices."""
-    grown = set()
-    for v in candidates:
-        grown.add(v)
-        grown.update(graph.adj[v])
-    return grown - set(cops)
-
-
-def set_to_mask(verts):
-    """Belief mask of an iterable of vertex ids."""
-    m = 0
-    for v in verts:
-        m |= 1 << v
-    return m
-
-
-# ---------------------------------------------------------------------------
 # Belief-level game solver for every visibility rule.
 #
 # Builds the full reachable arena of cop-to-move belief states from every
-# placement with the set-based reference game above, then computes the
-# cops' attractor level by level: a state enters at level i when some joint
-# move leaves only states of lower levels (none at all when every robber
-# possibility is captured).  The level of a state is the least worst-case
-# number of cop moves to capture from it.
+# placement with the set-based game of ``hyperopic.check`` and the joint
+# moves above, then computes the cops' attractor level by level: a state
+# enters at level i when some joint move leaves only states of lower levels
+# (none at all when every robber possibility is captured).  The level of a
+# state is the least worst-case number of cop moves to capture from it.
 
 
 def belief_placement_rounds(spec):
     """Map every placement of ``spec``'s cops to the least worst-case rounds
     for them to capture from it, or None when the robber evades forever."""
+    graph, rule = spec.graph, spec.rule
+    nbr = _closed_neighborhoods(graph.n, graph.edges)
     starts = {
-        placement: initial_states(spec, placement)
+        placement: [
+            (placement, b)
+            for _, b in sightings(graph, rule, placement, range(graph.n))
+        ]
         for placement in itertools.combinations_with_replacement(
-            range(spec.graph.n), spec.num_cops
+            range(graph.n), spec.num_cops
         )
     }
-    after_robber = {}  # robber-to-move state -> cop-to-move successors
     options = {}  # cop-to-move state -> one successor set per joint move
-    frontier = [s for init in starts.values() if init is not COP_WIN for s in init]
+    frontier = [s for init in starts.values() for s in init]
     while frontier:
         state = frontier.pop()
         if state in options:
             continue
-        options[state] = []
-        for _, outcome in cop_turn_successors(spec, state):
-            succs = set()
-            if outcome is not COP_WIN:
-                for mid in outcome:
-                    if mid not in after_robber:
-                        after = robber_turn_successors(spec, mid.cops, mid.belief)
-                        after_robber[mid] = () if after is COP_WIN else after
-                    succs.update(after_robber[mid])
-            options[state].append(succs)
+        cops, belief = state
+        options[state] = [
+            {(new, b) for *_, b in play_round(graph, rule, new, belief)}
+            for new in joint_moves(nbr, cops)
+        ]
+        for succs in options[state]:
             frontier.extend(succs)
 
     level = {}
@@ -358,15 +181,11 @@ def belief_placement_rounds(spec):
         for s in entering:
             level[s] = i
 
-    out = {}
-    for placement, init in starts.items():
-        if init is COP_WIN:
-            out[placement] = 0
-        elif all(s in level for s in init):
-            out[placement] = max(level[s] for s in init)
-        else:
-            out[placement] = None
-    return out
+    return {
+        placement: max((level[s] for s in init), default=0)
+        if all(s in level for s in init) else None
+        for placement, init in starts.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -636,32 +455,38 @@ def dihedral_chord_orbit_count(n):
 
 # ---------------------------------------------------------------------------
 # Policy replay harness: drives a CopPolicy over every observation branch of
-# the set-based reference game, handing it each belief as a mask, so that
-# tests can compare its nodes and round count with the verifier's and
-# assert properties of the live trace.
+# the set-based game of ``hyperopic.check``, handing it each belief as a
+# mask, so that tests can compare its nodes and round count with the
+# verifier's and assert properties of the live trace.
+
+
+def set_to_mask(verts):
+    """Belief mask of an iterable of vertex ids."""
+    m = 0
+    for v in verts:
+        m |= 1 << v
+    return m
 
 
 def walk_policy(graph, rule, policy, visit=None, *, max_nodes=2_000_000):
-    """Replay ``policy`` exhaustively on the set-based reference game.
+    """Replay ``policy`` exhaustively on the set-based game.
 
     A decision node is (policy state, cops in role order, belief set), and
     ``policy.step`` runs once per node, handed ``set_to_mask(belief)``.
-    ``visit(state, cops, belief, obs)``, when given, runs on every arrival
-    at a node with the observations that led there: one after the
-    placement, two after a round.  Returns the worst-case rounds to
-    capture, each node's being one more than the largest of its children's,
-    as ``Win.rounds`` counts them.  Raises AssertionError if a node repeats
-    on the current line (the robber evades) or more than ``max_nodes``
-    nodes are reached.
+    ``visit(state, cops, belief, seen)``, when given, runs on every arrival
+    at a node with the sightings that led there, each the vertex the
+    robber was seen on or None: one after the placement, two after a
+    round.  Returns the worst-case rounds to capture, each node's being
+    one more than the largest of its children's, as ``Win.rounds`` counts
+    them.  Raises AssertionError if a node repeats on the current line (the
+    robber evades) or more than ``max_nodes`` nodes are reached.
     """
-    spec = GameSpec(graph, rule, policy.num_cops)
-    placement = policy.placement
     rounds = {}
     line = set()
 
-    def arrive(node, obs):
+    def arrive(node, seen):
         if visit is not None:
-            visit(*node, obs)
+            visit(*node, seen)
         if node in rounds:
             return rounds[node]
         if node in line:
@@ -672,20 +497,22 @@ def walk_policy(graph, rule, policy, visit=None, *, max_nodes=2_000_000):
         state, cops, belief = node
         moves, state1 = policy.step(state, cops, set_to_mask(belief))
         moves = tuple(moves)
-        worst = 0
-        for obs1, b1 in observation_split(spec, moves, belief - set(moves)):
-            grown = robber_growth(graph, moves, b1)
-            for obs2, b2 in observation_split(spec, moves, grown):
-                worst = max(worst, arrive((state1, moves, b2), (obs1, obs2)))
+        worst = max(
+            (
+                arrive((state1, moves, b), (seen1, seen2))
+                for seen1, seen2, b in play_round(graph, rule, moves, belief)
+            ),
+            default=0,
+        )
         line.remove(node)
         rounds[node] = 1 + worst
         return rounds[node]
 
-    free = set(range(graph.n)) - set(placement)
+    placement = policy.placement
     return max(
         (
-            arrive((policy.state, placement, b), (obs,))
-            for obs, b in observation_split(spec, placement, free)
+            arrive((policy.state, placement, b), (seen,))
+            for seen, b in sightings(graph, rule, placement, range(graph.n))
         ),
         default=0,
     )

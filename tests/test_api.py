@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import hyperopic
+import hyperopic.check
 import hyperopic.game
 
 
@@ -14,11 +15,16 @@ def test_every_exported_name_resolves():
 
 
 def test_the_set_based_game_stays_out_of_the_package():
-    # TransitionTable is the package's one belief engine; the set-based
-    # game is the test reference in oracles.py
+    # TransitionTable is the package's one belief engine for search; the
+    # set-based game lives only in hyperopic.check, the certificate checker,
+    # which the tests also use as their reference game
     for name in ("cop_turn_successors", "robber_turn_successors",
-                 "initial_states", "is_visible"):
+                 "initial_states", "is_visible", "sightings", "play_round"):
         assert not hasattr(hyperopic.game, name), name
+    for name in ("sightings", "robber_step", "play_round"):
+        assert hasattr(hyperopic.check, name), name
+        assert name not in hyperopic.__all__, name
+    assert "check_certificate" in hyperopic.__all__
     for name in ("BeliefState", "Observation", "INVISIBLE", "advance_belief",
                  "initial_belief",
                  # helpers only the tests needed; oracles.py holds references
@@ -27,15 +33,20 @@ def test_the_set_based_game_stays_out_of_the_package():
         assert name not in hyperopic.__all__, name
 
 
+def test_the_test_oracles_import_no_game_module():
+    # the reference game in oracles.py is hyperopic.check's, with its own
+    # joint moves: nothing of the engine it checks
+    path = Path(__file__).parent / "oracles.py"
+    imports = _package_imports(ast.parse(path.read_text(encoding="utf8")))
+    assert imports == [(None, "check")], imports
+
+
 # (module, function, imported module) of the only package imports made at
-# call time: the atlas table, loaded on first use; the audit registry,
-# which the CLI's other commands do not load; and the two ends of the one
-# import cycle, solver <-> strategies
+# call time: the atlas table, loaded on first use, and the audit registry,
+# which the CLI's other commands do not load
 _CALL_TIME_IMPORTS = {
     ("audits", "_connected_graphs", "_atlas"),
     ("cli", "_cmd_audit", "audits"),
-    ("solver", "extract_certificate", "strategies"),
-    ("strategies", "_stationary_general", "solver"),
 }
 
 
@@ -65,16 +76,26 @@ def _package_imports(tree):
 
 
 def test_the_package_layers():
-    # the cache stores records and imports nothing of the game; every other
-    # package import is made once, at module level, outside the exceptions
+    # the cache stores records and the checker plays the game on its own,
+    # so neither imports the package; every other package import is made
+    # once, at module level, outside the exceptions, and no module imports
+    # itself back through others, whenever its imports run
     src = Path(hyperopic.__file__).parent
     call_time = set()
+    imported = {}
     for path in sorted(src.glob("*.py")):
         imports = _package_imports(ast.parse(path.read_text(encoding="utf8")))
-        if path.stem == "cache":
-            assert imports == [], imports
+        if path.stem in ("cache", "check"):
+            assert imports == [], (path.stem, imports)
         call_time |= {(path.stem, fn, m) for fn, m in imports if fn is not None}
+        imported[path.stem] = {m for _, m in imports}
     assert call_time == _CALL_TIME_IMPORTS
+    loaded = set()
+    while len(loaded) < len(imported):
+        ready = {m for m, deps in imported.items()
+                 if m not in loaded and deps <= loaded}
+        assert ready, f"import cycle among {sorted(set(imported) - loaded)}"
+        loaded |= ready
 
 
 # what the graph memoises about itself; no other module may read or fill it

@@ -23,6 +23,7 @@ from hyperopic.audits import (
     VIOLATION,
     VIOLATION_DOCUMENTED,
     AuditReport,
+    claim_scope,
     claim_verdict,
     run_claim,
 )
@@ -106,6 +107,8 @@ def test_run_claim_clamps_the_scope_once(serial, monkeypatch, name, default,
     for n_max in (None, 100, hard, 3):
         assert run_claim(name, n_max=n_max) == []
     assert scopes == [default, hard, hard, 3]
+    assert scopes == [claim_scope(name, n) for n in (None, 100, hard, 3)]
+    assert claim_scope("tfamily-diam", 100) is None
 
 
 def test_caterpillar_claim_covers_all_small_trees():

@@ -413,6 +413,22 @@ def test_audit_single_claim(capsys):
     assert float(seconds) >= 0
 
 
+def test_audit_summary_reports_the_clamped_scope(capsys):
+    # pendant's ceiling is 12 vertices, so --n-max 100 runs at 12; the
+    # spider claim ignores the scope
+    code, out, err = run(capsys, ["audit", "--claim", "pendant", "--n-max", "100"])
+    assert code == 0
+    header, line = err.splitlines()[-2:]
+    assert header.split() == [
+        "claim", "instances", "seconds", "scope", "verdict", "breakdown"]
+    name, count, _, scope = line.split()[:4]
+    assert (name, int(count), scope) == ("pendant", 1455, "12")
+    assert len(out.splitlines()) == 1455
+    code, _, err = run(capsys, ["audit", "--claim", "tfamily-diam", "--n-max", "100"])
+    name, _, _, scope = err.splitlines()[-1].split()[:4]
+    assert (code, name, scope) == (0, "tfamily-diam", "-")
+
+
 def test_audit_documented_discrepancy_exits_zero(capsys):
     code, out, _ = run(capsys, ["audit", "--claim", "tfamily-diam"])
     assert code == 0

@@ -1,8 +1,9 @@
 """Game rules: visibility, observation splitting, and belief transitions.
 
-The set-based functions come from the reference game in ``oracles``; the
-package's only engine is the bitmask ``TransitionTable``, checked against
-that reference here.
+The set-based game is the certificate checker's, in ``hyperopic.check``:
+its sightings, robber step and round are pinned on small cases here, and
+the bitmask ``TransitionTable`` that the solver searches with is checked
+against them.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperopic.check import check_certificate, play_round, robber_step, sightings
 from hyperopic.families import complete, cycle, path, t_family, t_hat
 from hyperopic.game import (
     GameSpec,
@@ -27,16 +29,8 @@ from hyperopic.game import (
     zero_visibility,
 )
 from hyperopic.graph import build_graph, diameter, growth_tables
-from oracles import (
-    COP_WIN,
-    BeliefState,
-    cop_turn_successors,
-    initial_states,
-    is_visible,
-    observation_split,
-    robber_turn_successors,
-    set_to_mask,
-)
+from hyperopic.solver import Certificate
+from oracles import set_to_mask
 
 
 # --- rule construction --------------------------------------------------------
@@ -66,61 +60,56 @@ def test_game_spec_cop_cap():
 
 
 def test_belief_state_invariants():
-    s = BeliefState((3, 1), frozenset({0, 2}))
-    assert s.cops == (1, 3)
-    with pytest.raises(ValueError):
-        BeliefState((0,), frozenset())
-    with pytest.raises(ValueError):
-        BeliefState((0,), frozenset({0, 1}))
+    # a sighting never yields an empty belief (emptiness is capture) nor one
+    # holding a cop: the vertices the cops stand on are captured
+    g = path(4)
+    assert sightings(g, zero_visibility(), (3, 1), {0, 1, 2}) == [
+        (None, frozenset({0, 2}))]
+    assert sightings(g, full_visibility(), (0, 1), {0, 1}) == []
+    assert sightings(g, full_visibility(), (0, 1), set()) == []
 
 
 # --- visibility predicate -------------------------------------------------------
 
 
+def _visible(rule, cops, v):
+    # whether the robber on vertex v of the path P_9 is seen by cops there
+    return sightings(path(9), rule, cops, {v}) == [(v, frozenset({v}))]
+
+
 def test_is_visible_examples():
-    assert not is_visible(hyperopic(2), (1, 2))
-    assert is_visible(hyperopic(2), (1, 3))
-    assert not is_visible(zero_visibility(), (1, 5))
-    assert is_visible(full_visibility(), (4,))
-    assert not is_visible(hyperopic(3), (3, 3, 2))
-    assert is_visible(hyperopic(3), (4,))
+    # the robber on vertex 3 of a path, cops at the distances named
+    assert not _visible(hyperopic(2), (2, 5), 3)  # distances 1, 2
+    assert _visible(hyperopic(2), (2, 6), 3)  # distances 1, 3
+    assert not _visible(zero_visibility(), (2, 8), 3)  # 1, 5
+    assert _visible(full_visibility(), (7,), 3)  # 4
+    assert not _visible(hyperopic(3), (0, 6, 5), 3)  # 3, 3, 2
+    assert _visible(hyperopic(3), (7,), 3)  # 4
 
 
 # --- observation splitting -------------------------------------------------------
 
 
 def test_split_full_visibility():
-    g = path(4)
-    spec = GameSpec(g, full_visibility(), 1)
-    out = observation_split(spec, (0,), frozenset({2, 3}))
-    assert sorted((obs.vertex, set(s)) for obs, s in out) == [(2, {2}), (3, {3})]
+    out = sightings(path(4), full_visibility(), (0,), frozenset({2, 3}))
+    assert [(seen, set(s)) for seen, s in out] == [(2, {2}), (3, {3})]
 
 
 def test_split_zero_visibility():
-    g = path(4)
-    spec = GameSpec(g, zero_visibility(), 1)
-    out = observation_split(spec, (0,), frozenset({2, 3}))
-    assert len(out) == 1
-    obs, s = out[0]
-    assert not obs.is_visible and set(s) == {2, 3}
+    out = sightings(path(4), zero_visibility(), (0,), frozenset({2, 3}))
+    assert out == [(None, frozenset({2, 3}))]
 
 
 def test_split_hyperopic_path():
     # one cop at the end of P_6: the far half is visible, the near block is not
-    g = path(6)
-    spec = GameSpec(g, hyperopic(2), 1)
-    out = observation_split(spec, (0,), frozenset({1, 2, 3, 4, 5}))
-    vis = sorted(obs.vertex for obs, s in out if obs.is_visible)
-    invis = [set(s) for obs, s in out if not obs.is_visible]
-    assert vis == [3, 4, 5]
-    assert invis == [{1, 2}]
+    out = sightings(path(6), hyperopic(2), (0,), frozenset({1, 2, 3, 4, 5}))
+    assert [seen for seen, _ in out] == [3, 4, 5, None]
+    assert out[-1][1] == {1, 2}
 
 
 def test_split_partitions_input():
-    g = t_hat()
-    spec = GameSpec(g, hyperopic(2), 2)
     cand = frozenset(range(1, 7))
-    out = observation_split(spec, (0, 0), cand)
+    out = sightings(t_hat(), hyperopic(2), (0, 0), cand)
     union = set()
     total = 0
     for _, s in out:
@@ -130,18 +119,16 @@ def test_split_partitions_input():
 
 
 def test_split_rejects_candidate_on_cop():
-    g = path(4)
-    spec = GameSpec(g, full_visibility(), 1)
-    with pytest.raises(ValueError):
-        observation_split(spec, (0,), frozenset({0, 1}))
+    # a candidate on a cop's vertex is captured, so no block holds it
+    out = sightings(path(4), full_visibility(), (0,), frozenset({0, 1}))
+    assert out == [(1, frozenset({1}))]
 
 
 def test_split_all_invisible_when_k_covers_diameter():
     for g in (t_hat(), cycle(5), path(4)):
         k = max(diameter(g), 1)
-        spec = GameSpec(g, hyperopic(k), 1)
-        out = observation_split(spec, (0,), frozenset(range(1, g.n)))
-        assert len(out) == 1 and not out[0][0].is_visible
+        out = sightings(g, hyperopic(k), (0,), frozenset(range(1, g.n)))
+        assert len(out) == 1 and out[0][0] is None
 
 
 # --- joint cop moves -------------------------------------------------------------
@@ -191,131 +178,96 @@ def test_joint_moves_equal_the_sorted_product():
 
 
 def test_cop_turn_capture_on_p2():
-    g = path(2)
-    spec = GameSpec(g, full_visibility(), 1)
-    succ = dict(cop_turn_successors(spec, BeliefState((0,), frozenset({1}))))
-    assert succ[(1,)] is COP_WIN
+    assert play_round(path(2), full_visibility(), (1,), frozenset({1})) == []
 
 
 def test_cop_turn_no_win_on_k3():
     g = complete(3)
-    spec = GameSpec(g, full_visibility(), 1)
-    state = BeliefState((0,), frozenset({1, 2}))
-    for move, outcome in cop_turn_successors(spec, state):
-        assert outcome is not COP_WIN  # the omniscient robber dodges one cop
+    for _, new in joint_cop_moves(g, (0,)):
+        # the omniscient robber dodges one cop
+        assert play_round(g, full_visibility(), new, frozenset({1, 2}))
 
 
 def test_cop_turn_resplits_invisible_block():
     # P_6, k=2, cop at 0 with the hidden block {1,2}: stepping to 1 deletes 1
     # and keeps 2 hidden (the one cop is within distance 2 of it)
-    g = path(6)
-    spec = GameSpec(g, hyperopic(2), 1)
-    state = BeliefState((0,), frozenset({1, 2}))
-    succ = dict(cop_turn_successors(spec, state))
-    branches = succ[(1,)]
-    assert branches is not COP_WIN
-    assert [(b.cops, set(b.belief)) for b in branches] == [((1,), {2})]
+    out = sightings(path(6), hyperopic(2), (1,), frozenset({1, 2}))
+    assert out == [(None, frozenset({2}))]
+
+
+def _robber_beliefs(graph, rule, cops, belief):
+    return [set(b) for _, b in robber_step(graph, rule, cops, belief)]
 
 
 def test_robber_turn_examples():
-    g = path(3)
-    spec = GameSpec(g, full_visibility(), 2)
-    out = robber_turn_successors(spec, (0, 2), frozenset({1}))
-    assert [set(b.belief) for b in out] == [{1}]
-
+    assert _robber_beliefs(path(3), full_visibility(), (0, 2), {1}) == [{1}]
     star = build_graph(5, [(0, i) for i in range(1, 5)])
-    spec = GameSpec(star, full_visibility(), 1)
-    out = robber_turn_successors(spec, (0,), frozenset({1}))
-    assert [set(b.belief) for b in out] == [{1}]
-
-    c4 = cycle(4)
-    spec = GameSpec(c4, full_visibility(), 2)
-    out = robber_turn_successors(spec, (0, 2), frozenset({1}))
-    assert [set(b.belief) for b in out] == [{1}]
+    assert _robber_beliefs(star, full_visibility(), (0,), {1}) == [{1}]
+    assert _robber_beliefs(cycle(4), full_visibility(), (0, 2), {1}) == [{1}]
 
 
 def test_robber_turn_staying_always_survives():
     # a candidate vertex is never cop-held, so standing still keeps the
     # robber alive: forced capture is decided on the cops' half-move only
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    spec3 = GameSpec(star, full_visibility(), 3)
-    out = robber_turn_successors(spec3, (0, 2, 3), frozenset({1}))
-    assert out is not COP_WIN
-    assert [set(b.belief) for b in out] == [{1}]  # pinned: all moves cop-held
+    out = _robber_beliefs(star, full_visibility(), (0, 2, 3), {1})
+    assert out == [{1}]  # pinned: all moves cop-held
 
 
 def test_robber_turn_expands_neighborhood():
-    g = path(5)
-    spec = GameSpec(g, zero_visibility(), 1)
-    out = robber_turn_successors(spec, (0,), frozenset({2}))
-    assert len(out) == 1
-    assert set(out[0].belief) == {1, 2, 3}
+    out = _robber_beliefs(path(5), zero_visibility(), (0,), {2})
+    assert out == [{1, 2, 3}]
 
 
 # --- initial states ----------------------------------------------------------------
 
 
+def _initial(graph, rule, placement):
+    return [set(b) for _, b in sightings(graph, rule, placement, range(graph.n))]
+
+
 def test_initial_states_examples():
-    g = path(2)
-    spec = GameSpec(g, full_visibility(), 1)
-    states = initial_states(spec, (0,))
-    assert [set(s.belief) for s in states] == [{1}]
-
-    spec2 = GameSpec(g, full_visibility(), 2)
-    assert initial_states(spec2, (0, 1)) is COP_WIN
-
-    spider = t_hat()
-    spec3 = GameSpec(spider, hyperopic(2), 1)
-    states = initial_states(spec3, (0,))
-    assert len(states) == 1
-    assert set(states[0].belief) == set(range(1, 7))
+    assert _initial(path(2), full_visibility(), (0,)) == [{1}]
+    assert _initial(path(2), full_visibility(), (0, 1)) == []
+    assert _initial(t_hat(), hyperopic(2), (0,)) == [set(range(1, 7))]
 
 
 def test_initial_states_wrong_arity():
+    # a move from an initial state must name one target per cop
     g = path(3)
-    spec = GameSpec(g, full_visibility(), 2)
-    with pytest.raises(ValueError):
-        initial_states(spec, (0,))
+    for move in ((0,), (0, 1, 2)):
+        cert = Certificate((0, 2), {((0, 2), 0b10): move}, 1)
+        with pytest.raises(AssertionError, match=r"illegal move .* from cops "
+                           r"\(0, 2\) with belief \[1\]"):
+            check_certificate(g, full_visibility(), cert)
 
 
 def test_full_visibility_always_singleton_beliefs():
     g = cycle(5)
-    spec = GameSpec(g, full_visibility(), 2)
-    for st0 in initial_states(spec, (0, 2)):
-        assert len(st0.belief) == 1
-        for move, outcome in cop_turn_successors(spec, st0):
-            if outcome is COP_WIN:
-                continue
-            for mid in outcome:
-                assert len(mid.belief) == 1
-                nxt = robber_turn_successors(spec, mid.cops, mid.belief)
-                if nxt is not COP_WIN:
-                    for b in nxt:
-                        assert len(b.belief) == 1
+    rule = full_visibility()
+    for _, b0 in sightings(g, rule, (0, 2), range(g.n)):
+        assert len(b0) == 1
+        for _, new in joint_cop_moves(g, (0, 2)):
+            for _, _, b in play_round(g, rule, new, b0):
+                assert len(b) == 1
 
 
 def test_beliefs_never_contain_cops():
     g = t_hat()
-    spec = GameSpec(g, hyperopic(2), 2)
-    frontier = list(initial_states(spec, (1, 5)))
+    rule = hyperopic(2)
+    frontier = [((1, 5), b) for _, b in sightings(g, rule, (1, 5), range(g.n))]
     seen = set()
     for _ in range(200):
         if not frontier:
             break
         state = frontier.pop()
-        key = (state.cops, state.belief)
-        if key in seen:
+        if state in seen:
             continue
-        seen.add(key)
-        assert not state.belief & set(state.cops)
-        for _, outcome in cop_turn_successors(spec, state):
-            if outcome is COP_WIN:
-                continue
-            for mid in outcome:
-                assert not mid.belief & set(mid.cops)
-                nxt = robber_turn_successors(spec, mid.cops, mid.belief)
-                if nxt is not COP_WIN:
-                    frontier.extend(nxt)
+        seen.add(state)
+        cops, belief = state
+        assert belief and not belief & set(cops)
+        for _, new in joint_cop_moves(g, cops):
+            frontier.extend((new, b) for *_, b in play_round(g, rule, new, belief))
 
 
 # --- the bitmask engine ---------------------------------------------------------
@@ -328,49 +280,35 @@ def _connected_graphs(max_n):
             yield build_graph(n, list(g.edges()))
 
 
-def _blocks(states):
-    return [(s.cops, s.belief) for s in states]
-
-
 def _check_table_against_the_set_semantics(g, rule, size):
     table = TransitionTable(GameSpec(g, rule, size))
-    spec = table.spec
-    robber_turns = {}  # (cops, block) -> the oracle's robber turn
 
-    def robber_turn(cops, block):
-        key = (cops, block)
-        if key not in robber_turns:
-            robber_turns[key] = robber_turn_successors(spec, cops, block)
-        return robber_turns[key]
+    def blocks(pairs):
+        return [b for _, b in pairs]
 
     for cops in itertools.combinations_with_replacement(range(g.n), size):
-        init = initial_states(spec, cops)
-        got = [(cops, mask_to_set(b)) for b in table.initial(cops)]
-        assert got == ([] if init is COP_WIN else _blocks(init))
+        got = [mask_to_set(b) for b in table.initial(cops)]
+        assert got == blocks(sightings(g, rule, cops, range(g.n)))
         moves = joint_cop_moves(g, cops)
         rest = [v for v in range(g.n) if v not in cops]
         for r in range(1, len(rest) + 1):
             for belief in itertools.combinations(rest, r):
+                belief = frozenset(belief)
                 bmask = set_to_mask(belief)
-                turns = cop_turn_successors(spec, BeliefState(cops, belief))
                 want = [
-                    (move, [] if out is COP_WIN else _blocks(out))
-                    for move, out in turns
+                    (move, new, blocks(sightings(g, rule, new, belief)))
+                    for move, new in moves
                 ]
                 got = [
-                    (move, [(new, mask_to_set(b)) for b in blocks])
-                    for move, new, blocks in table.cop_step(cops, bmask)
+                    (move, new, [mask_to_set(b) for b in out])
+                    for move, new, out in table.cop_step(cops, bmask)
                 ]
                 assert got == want
-                # one round: the robber turn from each block, in order, is
+                # one round: the robber step from each block, in order, is
                 # `reply` from the position the move leads to
                 want = [
-                    (move, new, [
-                        s.belief
-                        for block in ([] if out is COP_WIN else out)
-                        for s in robber_turn(new, block.belief)
-                    ])
-                    for (move, new), (_, out) in zip(moves, turns)
+                    (move, new, [b for *_, b in play_round(g, rule, new, belief)])
+                    for move, new in moves
                 ]
                 got = [
                     (move, new, [
@@ -381,10 +319,8 @@ def _check_table_against_the_set_semantics(g, rule, size):
                     for free, vis in [table.masks(new)]
                 ]
                 assert got == want
-                out = robber_turn(cops, frozenset(belief))
-                got = [(cops, mask_to_set(b))
-                       for b in table.robber_step(cops, bmask)]
-                assert got == ([] if out is COP_WIN else _blocks(out))
+                got = [mask_to_set(b) for b in table.robber_step(cops, bmask)]
+                assert got == blocks(robber_step(g, rule, cops, belief))
 
 
 def test_transition_table_matches_the_set_semantics():

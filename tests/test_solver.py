@@ -27,7 +27,7 @@ from hyperopic.game import (
     zero_visibility,
 )
 from hyperopic.graph import Graph, chunk_union, diameter
-from hyperopic import game, solver, strategies
+from hyperopic import game, solver
 from hyperopic.cache import ResultCache
 from hyperopic.solver import (
     Certificate,
@@ -528,36 +528,30 @@ def test_certificates_lift_to_real_labels_under_relabelling(graph, rule, cops):
 
 def test_certifying_a_first_placement_win_reuses_the_solve(monkeypatch):
     # the round kernel's `reply` runs in every solve, arena or blind; the
-    # replay steps its rounds through it too, so those calls are not counted
-    calls = {"reply": 0, "verify_policy": 0}
-    replaying = []
+    # certificate check plays on vertex sets and never calls it
+    calls = {"reply": 0, "check_certificate": 0}
     reply = TransitionTable.reply
-    replay = strategies.verify_policy
+    check = solver.check_certificate
 
     def counted_reply(self, *args):
-        if not replaying:
-            calls["reply"] += 1
+        calls["reply"] += 1
         return reply(self, *args)
 
-    def counted_replay(*args, **kwargs):
-        calls["verify_policy"] += 1
-        replaying.append(True)
-        try:
-            return replay(*args, **kwargs)
-        finally:
-            replaying.pop()
+    def counted_check(*args):
+        calls["check_certificate"] += 1
+        return check(*args)
 
     monkeypatch.setattr(TransitionTable, "reply", counted_reply)
-    monkeypatch.setattr(strategies, "verify_policy", counted_replay)
+    monkeypatch.setattr(solver, "check_certificate", counted_check)
     for spec in (
         GameSpec(g_k(3, 1), hyperopic(1), 2),  # the AND-OR arena
         GameSpec(complete(4), zero_visibility(), 2),  # the blind search
     ):
         res = solve(spec)
         assert res.placement == first_placement(spec.graph, 2)
-        calls.update(reply=0, verify_policy=0)
+        calls.update(reply=0, check_certificate=0)
         cert = extract_certificate(spec, res.placement)
-        assert calls == {"reply": 0, "verify_policy": 1}
+        assert calls == {"reply": 0, "check_certificate": 1}
         assert cert == res.certificate
 
         # the one remembered result is handed out twice: moves are read-only
