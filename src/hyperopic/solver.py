@@ -134,16 +134,16 @@ class _Arena:
     (representative's id << n) | that belief.  `TransitionTable.reply`
     runs on it there, so its successors need no mapping, and runs once per
     position, when an expansion first reaches it; its successors are
-    interned then, in reply order, and kept as distinct ids in one flat
-    array.  A position holds a countdown of successors not yet known
-    winning and the largest rank among those that are.  Expanding a state
-    walks its moves in order and stops at the first whose position has
-    count zero, winning with rank one more than that position's maximum; a
-    state not won that way waits on each of its moves' positions, and when
-    a position's count hits zero, every state still waiting on it wins the
-    same way.  A rank is therefore always 1 + the max rank over some move's
-    full successor set, so ranks strictly decrease along any
-    rank-minimizing strategy and bound the rounds to capture.
+    interned then, in reply order.  A position holds only a countdown of
+    successors not yet known winning, the largest rank among those that
+    are, and its waiters.  Expanding a state walks its moves in order and
+    stops at the first whose position has count zero, winning with rank
+    one more than that position's maximum; a state not won that way waits
+    on each of its moves' positions, and when a position's count hits
+    zero, every state still waiting on it wins the same way.  A rank is
+    therefore always 1 + the max rank over some move's full successor set,
+    so ranks strictly decrease along any rank-minimizing strategy and bound
+    the rounds to capture.
 
     Ranks are -1 until known.  Everything lives in flat int arrays of
     linked lists ended by -1: each state heads a list of edges to the
@@ -164,8 +164,6 @@ class _Arena:
         self.rank = []
         self.head = array("i")  # per state: newest edge to a position
         self.pos = {}  # position key -> position id
-        self.start = array("i", [0])  # offsets into succ, one per position + end
-        self.succ = array("i")  # position p's: succ[start[p]:start[p + 1]]
         self.count = array("i")  # per position: successors not yet winning
         self.maxk = array("i")  # per position: largest successor rank so far
         self.waiters = array("i")  # per position: newest waiter edge
@@ -199,10 +197,6 @@ class _Arena:
         key = self.keys[idx]
         return self.cop_tuples[key >> self.n], key & self.table.full
 
-    def successors(self, p):
-        """Distinct successor state ids of position p."""
-        return self.succ[self.start[p]:self.start[p + 1]]
-
     def settle(self, goal):
         """Expand pending states breadth-first, propagating wins after each
         expansion, until every goal state is ranked or nothing is pending.
@@ -229,8 +223,6 @@ class _Arena:
             t = index.get(k)
             succs.add(intern(k) if t is None else t)
         p = self.pos[key] = len(self.count)
-        self.succ.extend(succs)
-        self.start.append(len(self.succ))
         target, nexts = self.target, self.next
         first = e = len(target)
         known = 0
@@ -357,11 +349,11 @@ def _extract(arena, table, placement, init_idxs):
 
     At each winning arena state, the best move is the one minimizing the
     worst successor rank, ties broken by lexicographically least joint
-    move.  A move's successors are its position's; a move whose position
-    was never created (expansion stopped early once the state was known
-    winning) has its `reply` looked up without interning.  Moves with a
-    successor that was never interned or never ranked (settling stopped
-    once the placement was decided) are skipped.
+    move.  A move's successors are its `reply`'s beliefs looked up in the
+    arena without interning, whether or not an expansion reached its
+    position.  Moves with a successor that was never interned or never
+    ranked (expansion stopped early once a state was known winning, or
+    settling once the placement was decided) are skipped.
 
     Arena states live in representative frames, and a real state can have
     several images there (isomorphic states the arena never identified)
@@ -385,14 +377,10 @@ def _extract(arena, table, placement, init_idxs):
                 if tables is not None:
                     bf = chunk_union(tables, bf)
                 base = arena.cop_base.get(rep)
-                p = None if base is None else arena.pos.get(base | bf)
-                if p is None:
-                    succs = {
-                        None if base is None else arena.index.get(base | b)
-                        for b in table.reply(bf, rfree, vis)
-                    }
-                else:
-                    succs = arena.successors(p)
+                succs = {
+                    None if base is None else arena.index.get(base | b)
+                    for b in table.reply(bf, rfree, vis)
+                }
                 if any(t is None or rank[t] < 0 for t in succs):
                     continue
                 key = (max((rank[t] for t in succs), default=0), move)
@@ -577,10 +565,13 @@ def cached_solve(graph, rule, cops, cache, *, state_cap=STATE_CAP):
     `result_record`; `cache.hits` counts the lookups it answered.  Undecided
     outcomes are never stored, so a later run with a larger cap can settle
     them.  The key holds `effective_rule`'s rule, so a blind hyperopic
-    rule shares the zero-visibility record.
+    rule shares the zero-visibility record.  A cop count the spec refuses,
+    or a state cap below 1, raises ValueError before the cache is asked,
+    so a warm cache refuses them as a cold one does.
     """
-    # the spec checks the cop count before the cache is asked
     spec = GameSpec(graph, effective_rule(graph, rule), cops)
+    if state_cap < 1:
+        raise ValueError("state cap must be at least 1")
     # through the module, where perfbench/trace_layers.py rebinds it
     key = (formats.encode_graph6(graph), spec.rule.kind, spec.rule.k, cops)
     hit = cache.get(key)

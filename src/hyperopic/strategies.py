@@ -584,6 +584,11 @@ def outerplanar_k2_policy(graph):
     move's pair swapped (the left cop plays the reflected right cop) and
     its positions reflected back.
 
+    One front has no maneuver: a territory of a single vertex, with chords
+    from both endpoints.  There the cops hold the front, so a robber that
+    keeps away evades, and the policy loses on some labellings of graphs
+    that two cops win.
+
     Each branch is taken on the exact belief the cops are handed, so on
     what they actually know.  A state, (front, mode), keeps no round count
     or history, so states come from a finite set and `verify_policy`
@@ -772,10 +777,10 @@ def outerplanar_k2_policy(graph):
         assert cycle[m] in adj[f0] and cycle[-ml % n] in adj[f1]
         tverts = verts(cycle, i, j)
         if len(tverts) == 1:
-            # Single territory vertex: run the two-phase alternation
-            # gadget (see the ``b2`` branch of ``step``).
-            y = cycle[npos(i)]
-            return ((y, cycle[m]),), (front, ("b2", m, "A", 1))
+            # No maneuver is known for a one-vertex territory (a probe
+            # leaves the belief on both sides of the fencing chord), so
+            # the cops hold the front, and a robber that keeps away loops.
+            return ((f0, f1),), (front, ("rest",))
         vr = max(
             (dist[w2][f0] for w2 in adj[f1] if w2 in tverts), default=0
         )
@@ -809,39 +814,6 @@ def outerplanar_k2_policy(graph):
         if state[0] == "script":
             return _play(*state[1:])
         front, mode = state
-        if mode[0] == "b2":
-            # Single-territory-vertex gadget.  Stage A: the left cop
-            # alternates endpoint/territory (sealing both and, from the
-            # territory seat, seeing the whole strip) while the right cop
-            # alternates chord-end/strip-end (sealing and sweeping
-            # those).  Once the strip is known clear, stage B retargets
-            # the right cop's swing to its own endpoint, choking off the
-            # last hideout next to it; then, on an odd round with the
-            # candidates pinned behind the fencing chord, the left cop
-            # crosses its forced chord onto the chord end and the front
-            # advances.  The mode keeps the parity of the round just
-            # played; par is this round's.
-            belief = mask_to_set(bmask)
-            mpos, stage, par = mode[1], mode[2], 1 - mode[3]
-            i, j = front
-            f0, f1 = cycle[i], cycle[j]
-            y = cycle[npos(i)]
-            wv = cycle[ppos(i)]
-            mv = cycle[mpos]
-            qverts = verts(cycle, mpos, i)
-            pverts = verts(cycle, j, mpos)
-            if stage == "A" and not belief & qverts:
-                stage = "B0"
-            if par == 1:
-                if stage == "B" and belief <= pverts | {mv}:
-                    return (mv, f1), ((mpos, j), ("rest",))
-                move = (y, mv)
-            elif stage == "A":
-                move = (f0, wv)
-            else:
-                move = (f0, f1)
-                stage = "B"
-            return move, (front, ("b2", mpos, stage, par))
         if mode[0] == "postprobe":
             steps, after = postprobe_decide(
                 mask_to_set(bmask), mode[1], mode[2], front

@@ -232,11 +232,19 @@ def test_tiny_state_cap_surfaces_as_undecided():
 
 @pytest.mark.filterwarnings("error")
 def test_a_state_cap_below_one_fails_the_claim(monkeypatch):
-    # from the calling process, and raised again from a forked worker
+    # from the calling process, and raised again from a forked worker, on a
+    # cold cache and on a warm one that holds every record the claim reads
+    warm = ResultCache(None)
+    assert len(run_claim("bipartite", n_max=2, cache=warm)) == 6
+    hits = warm.hits
     for k in (1, 2):
         _shards(monkeypatch, k)
-        with pytest.raises(ValueError, match="state cap must be at least 1"):
-            run_claim("caterpillar", n_max=3, state_cap=0)
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="state cap must be at least 1"):
+                run_claim("caterpillar", n_max=3, state_cap=cap)
+            with pytest.raises(ValueError, match="state cap must be at least 1"):
+                run_claim("bipartite", n_max=2, cache=warm, state_cap=cap)
+    assert warm.hits == hits
 
 
 def _mk(verdict):

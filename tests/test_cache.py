@@ -203,6 +203,23 @@ def test_unreadable_path_degrades_with_warning(tmp_path):
     c.put(("Cx", "hyperopic", 1, 1), {"status": "robber_win", "states": 1})
 
 
+def test_a_failed_write_warns_once_and_keeps_the_record(tmp_path):
+    p = tmp_path / "cache.jsonl"
+    c = ResultCache(str(p))
+    c.put(("Cx", "hyperopic", 1, 1), {"status": "robber_win", "states": 1})
+    p.unlink()
+    p.mkdir()  # appending to the path now fails
+    rec = {"status": "cop_win", "states": 2}
+    with pytest.warns(UserWarning, match="write failed") as caught:
+        c.put(("Cx", "hyperopic", 1, 2), rec)
+    assert len(caught) == 1 and not c.writable
+    assert c.get(("Cx", "hyperopic", 1, 2)) == rec
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c.put(("Cx", "hyperopic", 1, 3), rec)
+    assert len(c.entries) == 3 and list(p.iterdir()) == []
+
+
 def test_open_cache_env_fallback(tmp_path, monkeypatch):
     p = tmp_path / "env.jsonl"
     monkeypatch.setenv(ENV_VAR, str(p))
@@ -258,6 +275,20 @@ def test_cached_solve_checks_the_cop_count_on_a_warm_cache():
             with pytest.raises(ValueError, match="cop count must be an int"):
                 cached_solve(g, rule, cops, cache)
     assert warm.hits == 0
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cached_solve_checks_the_state_cap_on_a_warm_cache(cap):
+    # the warm cache holds the records of 1 and 2 cops, and still refuses
+    g, rule = cycle(5), hyperopic(1)
+    cold, warm = ResultCache(None), ResultCache(None)
+    search_cop_number(g, rule, cache=warm)
+    for cache in (cold, warm):
+        with pytest.raises(ValueError, match="state cap must be at least 1"):
+            cached_solve(g, rule, 2, cache, state_cap=cap)
+        with pytest.raises(ValueError, match="state cap must be at least 1"):
+            search_cop_number(g, rule, cache=cache, state_cap=cap)
+    assert warm.hits == 0 and not cold.entries
 
 
 def test_cached_solve_distinguishes_keys(tmp_path):

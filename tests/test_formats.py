@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hyperopic.families import complete, cycle, path, t_hat
 from hyperopic.formats import (
+    _encode_n,
     decode_graph6,
     emit_edge_list,
     encode_graph6,
@@ -76,6 +77,20 @@ def test_decode_networkx_emitted_strings():
         s = nx_graph6(base)
         g = decode_graph6(s)
         assert g.n == base.n and sorted(g.edges) == sorted(base.edges)
+
+
+def test_large_graphs_use_the_long_size_headers():
+    # n >= 63 writes "~" and three size characters, n > 258047 "~~" and six
+    for base in (path(63), path(100), cycle(300)):
+        s = encode_graph6(base)
+        assert s == nx_graph6(base) and s.startswith("~") and s[1] != "~"
+        g = decode_graph6(s)
+        assert g.n == base.n and sorted(g.edges) == sorted(base.edges)
+    assert _encode_n(258047) == "~}~~"
+    assert _encode_n(258048) == "~~???~??"
+    for s in ("~??", "~~???"):
+        with pytest.raises(ValueError, match="truncated graph6 size"):
+            decode_graph6(s)
 
 
 def test_decode_rejects_garbage():

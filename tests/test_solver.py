@@ -463,6 +463,13 @@ def test_certificate_requires_winning_placement():
         extract_certificate(GameSpec(cycle(5), hyperopic(3), 1), (0,))
 
 
+def test_certificate_on_a_hit_state_cap_is_undecided(monkeypatch):
+    # extract_certificate solves under the module's STATE_CAP
+    monkeypatch.setattr(solver, "STATE_CAP", 3)
+    with pytest.raises(UndecidedError, match=r"undecided: limit \(state cap 3 hit\)"):
+        extract_certificate(GameSpec(cycle(7), hyperopic(2), 2), (0, 3))
+
+
 def test_certificate_replays_through_verifier():
     spec = GameSpec(cycle(6), hyperopic(2), 2)
     cert = extract_certificate(spec, (0, 3))

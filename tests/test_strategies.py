@@ -387,13 +387,39 @@ def test_outerplanar_wins_on_whole_small_corpus():
 
 @pytest.mark.parametrize("g6", ["G?{{eO", "Hgc?M{d"])
 def test_outerplanar_loses_on_some_relabellings(g6):
-    # relabelled copies of audited graphs, which 2 cops win: the policy's
-    # single-territory-vertex gadget loops, and the verifier says so
+    # relabelled copies of audited graphs, which 2 cops win: the policy
+    # holds a front around a one-vertex territory, the robber keeps away,
+    # and the verifier reports the loop
     g = decode_graph6(g6)
     out = verify_policy(g, hyperopic(2), outerplanar_k2_policy(g), node_cap=100_000)
     assert isinstance(out, Evaded)
     assert out.witness[0] == out.witness[-1]
     assert solve(GameSpec(g, hyperopic(2), 2)).status == "cop_win"
+
+
+def test_outerplanar_verdicts_on_the_relabelled_corpus():
+    # the README's corpus: for each seed one generator shuffles the labels
+    # of every 2-connected outerplanar graph, n = 4..10 in order; the
+    # evasions are the labellings that reach a one-vertex territory
+    wins, evaded = 0, []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for n in range(4, 11):
+            for g in all_two_connected_outerplanar(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = Graph(n, [(perm[a], perm[b]) for a, b in g.edges])
+                out = verify_policy(h, hyperopic(2), outerplanar_k2_policy(h))
+                if isinstance(out, Win):
+                    wins += 1
+                else:
+                    assert isinstance(out, Evaded), (encode_graph6(h), out)
+                    evaded.append(encode_graph6(h))
+    assert (wins, len(evaded)) == (4432, 32)
+    digest = hashlib.sha256("\n".join(sorted(evaded)).encode()).hexdigest()
+    assert digest == (
+        "fab2d7d60c6c8af0912bd7c12fb09854bf09874e65fd7270240eac1a4bf94b02"
+    )
 
 
 # ---------------------------------------------------------------------------
